@@ -10,7 +10,6 @@ from .chain import (
     IsotopeChain,
     ProjectedPattern,
     build_chain,
-    isotope_ratio,
     project_deviation,
     reallocate,
     weak_charge,
@@ -25,21 +24,14 @@ from .interference import (
 from .protocols import (
     GATE_COUNT_MODELS,
     PROTOCOLS,
-    NoiseCounts,
     ProtocolConfig,
     SensitivityResult,
     UnidentifiableThetaError,
     ZeroSignalError,
     cat_contrast,
     combine_classical_fit,
-    cross_cat_sensitivity,
-    dfs_cat_sensitivity,
-    dfs_contrast,
     gate_counts,
     protocol_table,
-    same_isotope_cat_per_isotope,
-    sql_per_isotope,
-    squeezed_per_isotope,
     squeezing_factor,
 )
 from .oracle import (

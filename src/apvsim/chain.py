@@ -29,23 +29,16 @@ __all__ = [
     "build_chain",
     "reallocate",
     "project_deviation",
-    "isotope_ratio",
 ]
 
 
 @dataclass(frozen=True)
 class Isotope:
-    """One isotope of the chain with its probe allocation.
-
-    ``epsilon`` is the small isotope-dependent residual correction that
-    survives in amplitude ratios (finite nuclear size, neutron skin, ...).
-    It is carried through ``isotope_ratio`` but not modeled further.
-    """
+    """One isotope of the chain with its probe allocation."""
 
     A: int
     Z: int
     n_atoms: int = 0
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if self.A < 1:
@@ -214,21 +207,3 @@ def project_deviation(
         weighted_l2sq=weighted_l2sq,
     )
 
-
-def isotope_ratio(chain: IsotopeChain, index: int, ref_index: int | None = None) -> float:
-    """Amplitude ratio between two chain members.
-
-    Equals q_A / q_ref * (1 + eps_A - eps_ref): the common electronic factor
-    cancels and only weak-charge scaling plus the residual isotope-dependent
-    corrections survive.
-    """
-    if ref_index is None:
-        ref_index = chain.ref_index
-    n = len(chain.isotopes)
-    if not 0 <= index < n:
-        raise IndexError(f"isotope index {index} out of range for chain of {n}")
-    if not 0 <= ref_index < n:
-        raise IndexError(f"reference index {ref_index} out of range for chain of {n}")
-    eps_a = chain.isotopes[index].epsilon
-    eps_r = chain.isotopes[ref_index].epsilon
-    return chain.q[index] / chain.q[ref_index] * (1.0 + eps_a - eps_r)

@@ -208,8 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for p in (p_run, p_val):
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; no stochastic code paths in this version")
     return parser
 
 
@@ -238,7 +236,3 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(f"all {len(summary.checks)} checks passed" if summary.checks else "no checks requested")
     return 0 if summary.all_checks_passed else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,36 +1,40 @@
 """Analytic sensitivity models for the measurement protocols.
 
-Five strategies are compared on the same chain, deviation pattern, and
-hardware parameters:
+Six strategies are compared on the same chain, deviation pattern, and
+hardware parameters, in two shapes over one signal model
+omega_A = Omega (q_A + theta h_A):
 
-* ``sql``              -- independent probes per isotope, classical fit
-* ``squeezed``         -- spin-squeezed subarrays, classical fit
-* ``same_isotope_cat`` -- one GHZ cat per isotope, classical fit
-* ``cross_cat_ideal``  -- single global cat matched to the useful sign
-                          pattern; the Heisenberg-scaling benchmark
-* ``cross_cat_noisy``  -- same state paying the contrast of one global cat
-                          over all atoms
+* per-isotope protocols produce frequency uncertainties delta omega_A that
+  are combined into delta theta by a two-parameter weighted fit in which the
+  common scale Omega is a marginalized nuisance
 
-plus ``dfs_cat``, a reversal-pair encoding of the global cat in which common
-phase noise cancels, with its own contrast model.
+  - ``sql``              -- independent probes per isotope
+  - ``squeezed``         -- spin-squeezed subarrays: xi times the SQL value
+  - ``same_isotope_cat`` -- one GHZ cat per isotope, paying its own contrast
 
-Per-isotope protocols produce frequency uncertainties delta omega_A that are
-combined into delta theta by a two-parameter weighted fit in which the
-common scale Omega is a marginalized nuisance.  Cat protocols measure the
-slope directly.  All functions are pure; delta theta scales exactly as
-(R * T_avg)^(-1/2).
+* global cats measure the projected slope directly
+
+  - ``cross_cat_ideal``  -- single cat matched to the useful sign pattern;
+                            the Heisenberg-scaling benchmark
+  - ``cross_cat_noisy``  -- the same state paying the contrast of one cat
+                            over all atoms
+  - ``dfs_cat``          -- reversal-pair encoding in which common phase
+                            noise cancels, with its own contrast model
+
+All functions are pure; delta theta scales exactly as (R * T_avg)^(-1/2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .chain import DeviationPattern, IsotopeChain, ProjectedPattern, _pattern_values, project_deviation
 
 __all__ = [
     "ProtocolConfig",
-    "NoiseCounts",
     "SensitivityResult",
     "PROTOCOLS",
     "GATE_COUNT_MODELS",
@@ -39,24 +43,9 @@ __all__ = [
     "gate_counts",
     "squeezing_factor",
     "cat_contrast",
-    "dfs_contrast",
-    "sql_per_isotope",
-    "squeezed_per_isotope",
-    "same_isotope_cat_per_isotope",
     "combine_classical_fit",
-    "cross_cat_sensitivity",
-    "dfs_cat_sensitivity",
     "protocol_table",
 ]
-
-PROTOCOLS = (
-    "sql",
-    "squeezed",
-    "same_isotope_cat",
-    "cross_cat_ideal",
-    "cross_cat_noisy",
-    "dfs_cat",
-)
 
 GATE_COUNT_MODELS = ("linear", "log_depth")
 
@@ -69,6 +58,12 @@ class UnidentifiableThetaError(ValueError):
 
 class ZeroSignalError(ValueError):
     """The weighted orthogonal component of the deviation pattern vanishes."""
+
+
+# Allowed ranges, read by the scenario parser from each field's metadata.
+_POSITIVE = {"minimum": 0.0, "exclusive_min": True}
+_UNIT = {"minimum": 0.0, "exclusive_min": True, "maximum": 1.0, "max_inclusive": True}
+_COHERENCE = {**_POSITIVE, "allow_inf": True}
 
 
 @dataclass(frozen=True)
@@ -88,23 +83,27 @@ class ProtocolConfig:
     rep_rate     repetitions per second R; None means 1/tau (zero dead time)
     t_avg        total averaging time (s)
     c_sql        readout contrast of unentangled measurements
+    gate_count_model  cat-preparation circuit, see :func:`gate_counts`
+    dfs_budget   atom accounting of ``dfs_cat``: "per_channel" puts N_A atoms
+                 in each of an isotope's two channels, "split" divides N_A
+                 between them
     """
 
-    omega: float = 1.0
-    tau: float = 1.0
-    c0: float = 1.0
-    f1: float = 0.9999
-    f2: float = 0.999
-    p_surv: float = 1.0
-    t2: float = math.inf
-    t2_local: float = math.inf
-    t2_diff: float = math.inf
+    omega: float = field(default=1.0, metadata=_POSITIVE)
+    tau: float = field(default=1.0, metadata=_POSITIVE)
+    c0: float = field(default=1.0, metadata=_UNIT)
+    f1: float = field(default=0.9999, metadata=_UNIT)
+    f2: float = field(default=0.999, metadata=_UNIT)
+    p_surv: float = field(default=1.0, metadata=_UNIT)
+    t2: float = field(default=math.inf, metadata=_COHERENCE)
+    t2_local: float = field(default=math.inf, metadata=_COHERENCE)
+    t2_diff: float = field(default=math.inf, metadata=_COHERENCE)
     squeezing_db: float = 4.0
-    rep_rate: float | None = None
-    t_avg: float = 3600.0
-    c_sql: float = 1.0
-    gate_count_model: str = "linear"
-    dfs_budget: str = "per_channel"
+    rep_rate: float | None = field(default=None, metadata=_POSITIVE)
+    t_avg: float = field(default=3600.0, metadata=_POSITIVE)
+    c_sql: float = field(default=1.0, metadata=_UNIT)
+    gate_count_model: str = field(default="linear", metadata={"choices": GATE_COUNT_MODELS})
+    dfs_budget: str = field(default="per_channel", metadata={"choices": DFS_BUDGET_MODES})
 
     @property
     def reps(self) -> float:
@@ -114,25 +113,14 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class NoiseCounts:
-    """Gate counts of the cat-preparation circuit for a given atom number."""
-
-    n1: float
-    n2: float
-
-    def __post_init__(self):
-        if self.n1 < 0 or self.n2 < 0:
-            raise ValueError(f"gate counts must be >= 0, got n1={self.n1}, n2={self.n2}")
-
-
-@dataclass(frozen=True)
 class SensitivityResult:
     """One protocol's uncertainty on theta with its intermediates.
 
-    ``per_isotope`` holds delta omega_A (Hz) in chain order where the
-    protocol goes through a classical fit (math.inf marks isotopes without
-    atoms); ``eigsep`` is the generator eigenvalue separation for cat
-    protocols.  A failed row carries an ``error`` slug and NaN delta_theta.
+    ``per_isotope`` holds delta omega_A (Hz) in chain order for protocols
+    that go through the classical fit (math.inf marks isotopes without
+    atoms); ``contrast_used`` and ``eigsep`` (the generator eigenvalue
+    separation) belong to global cats.  A failed row carries an ``error``
+    slug and NaN delta_theta.
     """
 
     protocol: str
@@ -143,8 +131,8 @@ class SensitivityResult:
     error: str | None = None
 
 
-def gate_counts(n_atoms: float, model: str = "linear") -> NoiseCounts:
-    """Gate counts needed to prepare an n-atom cat.
+def gate_counts(n_atoms: float, model: str = "linear") -> tuple[float, float]:
+    """Gate counts (n1, n2) needed to prepare an n-atom cat.
 
     "linear" is a linear entangling chain (n1 = N, n2 = N-1); "log_depth"
     trades depth for extra single-qubit gates (n1 = 2N, n2 = N-1).
@@ -154,8 +142,8 @@ def gate_counts(n_atoms: float, model: str = "linear") -> NoiseCounts:
     if n_atoms < 1:
         raise ValueError(f"need at least one atom, got {n_atoms}")
     if model == "linear":
-        return NoiseCounts(n1=n_atoms, n2=n_atoms - 1)
-    return NoiseCounts(n1=2 * n_atoms, n2=n_atoms - 1)
+        return n_atoms, n_atoms - 1
+    return 2 * n_atoms, n_atoms - 1
 
 
 def squeezing_factor(gain_db: float) -> float:
@@ -163,95 +151,23 @@ def squeezing_factor(gain_db: float) -> float:
     return 10.0 ** (-gain_db / 20.0)
 
 
-def _check_contrast_inputs(cfg: ProtocolConfig, n_atoms: float, tau: float):
-    if n_atoms < 1:
-        raise ValueError(f"contrast model needs n_atoms >= 1, got {n_atoms}")
-    if tau < 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-
-
-def cat_contrast(
-    cfg: ProtocolConfig,
-    n_atoms: float,
-    tau: float | None = None,
-    counts: NoiseCounts | None = None,
-) -> float:
+def cat_contrast(cfg: ProtocolConfig, n_atoms: float, t2: float, t2_once: float = math.inf) -> float:
     """Fringe contrast of an n-atom cat.
 
-    C_N = C0 * F1^n1 * F2^n2 * p_surv^N * exp(-N tau / T2).
-    The exponential collapse with N is what ultimately penalizes large
-    single cats.
+    C_N = C0 * F1^n1 * F2^n2 * p_surv^N * exp(-N tau / t2) * exp(-tau / t2_once).
+    ``t2`` dephases every atom, and the exponential collapse with N is what
+    ultimately penalizes large single cats.  ``t2_once`` enters once,
+    independent of N: in a reversal pair common-mode noise cancels between
+    the channels, so only local dephasing (t2 = t2_local) scales with N and
+    the residual differential term (t2_once = t2_diff) does not.
     """
-    tau = cfg.tau if tau is None else tau
-    _check_contrast_inputs(cfg, n_atoms, tau)
-    if cfg.t2 <= 0:
-        raise ValueError(f"t2 must be positive, got {cfg.t2}")
-    if counts is None:
-        counts = gate_counts(n_atoms, cfg.gate_count_model)
-    decay = math.exp(-n_atoms * tau / cfg.t2) if math.isfinite(cfg.t2) else 1.0
-    return cfg.c0 * cfg.f1**counts.n1 * cfg.f2**counts.n2 * cfg.p_surv**n_atoms * decay
-
-
-def dfs_contrast(
-    cfg: ProtocolConfig,
-    n_atoms: float,
-    tau: float | None = None,
-    counts: NoiseCounts | None = None,
-) -> float:
-    """Contrast of a reversal-pair cat.
-
-    C = C0 * F1^n1 * F2^n2 * p_surv^N * exp(-N tau / T2_local) * exp(-tau / T2_diff).
-    Common-mode noise cancels between the paired channels, so only the
-    local dephasing scales with N; the residual differential term enters
-    once regardless of atom number.
-    """
-    tau = cfg.tau if tau is None else tau
-    _check_contrast_inputs(cfg, n_atoms, tau)
-    if cfg.t2_local <= 0 or cfg.t2_diff <= 0:
-        raise ValueError("t2_local and t2_diff must be positive")
-    if counts is None:
-        counts = gate_counts(n_atoms, cfg.gate_count_model)
-    local = math.exp(-n_atoms * tau / cfg.t2_local) if math.isfinite(cfg.t2_local) else 1.0
-    diff = math.exp(-tau / cfg.t2_diff) if math.isfinite(cfg.t2_diff) else 1.0
-    return cfg.c0 * cfg.f1**counts.n1 * cfg.f2**counts.n2 * cfg.p_surv**n_atoms * local * diff
-
-
-def _check_reps(cfg: ProtocolConfig) -> float:
-    reps = cfg.reps
-    if reps < 1:
-        raise ValueError(f"need rep_rate * t_avg >= 1 for a meaningful estimate, got {reps}")
-    return reps
-
-
-def sql_per_isotope(cfg: ProtocolConfig, n_atoms: float) -> float:
-    """Standard-quantum-limit frequency uncertainty of one isotope (Hz).
-
-    delta omega = 1 / (2 pi C tau sqrt(N_A R T_avg)).
-    """
-    if n_atoms < 1:
-        raise ValueError(f"need at least one atom, got {n_atoms}")
-    reps = _check_reps(cfg)
-    return 1.0 / (2.0 * math.pi * cfg.c_sql * cfg.tau * math.sqrt(n_atoms * reps))
-
-
-def squeezed_per_isotope(cfg: ProtocolConfig, n_atoms: float) -> float:
-    """Squeezed-array frequency uncertainty: xi times the SQL value."""
-    return squeezing_factor(cfg.squeezing_db) * sql_per_isotope(cfg, n_atoms)
-
-
-def same_isotope_cat_per_isotope(
-    cfg: ProtocolConfig, n_atoms: float, counts: NoiseCounts | None = None
-) -> float:
-    """Frequency uncertainty of one isotope measured with its own cat (Hz).
-
-    delta omega = 1 / (2 pi C_N tau N_A sqrt(R T_avg)); the subarray pays
-    only its own contrast C_{N_A}.
-    """
-    if n_atoms < 1:
-        raise ValueError(f"need at least one atom, got {n_atoms}")
-    reps = _check_reps(cfg)
-    contrast = cat_contrast(cfg, n_atoms, counts=counts)
-    return 1.0 / (2.0 * math.pi * contrast * cfg.tau * n_atoms * math.sqrt(reps))
+    if t2 <= 0 or t2_once <= 0:
+        raise ValueError(f"coherence times must be positive, got {t2} and {t2_once}")
+    n1, n2 = gate_counts(n_atoms, cfg.gate_count_model)
+    return (
+        cfg.c0 * cfg.f1**n1 * cfg.f2**n2 * cfg.p_surv**n_atoms
+        * math.exp(-n_atoms * cfg.tau / t2) * math.exp(-cfg.tau / t2_once)
+    )
 
 
 def combine_classical_fit(
@@ -269,7 +185,8 @@ def combine_classical_fit(
 
     Entries of ``per_isotope`` that are None, infinite, or NaN are treated
     as unmeasured.  Raises :class:`UnidentifiableThetaError` when h is
-    parallel to q under the given weights.
+    parallel to q under the given weights, and ArithmeticError when the
+    weights are too small for that test to be made in floating point.
     """
     hv = _pattern_values(h)
     if len(hv) != len(chain.isotopes) or len(per_isotope) != len(chain.isotopes):
@@ -286,12 +203,49 @@ def combine_classical_fit(
     f_qq = math.fsum(w * x * x for x, _, w in rows)
     f_qt = math.fsum(w * x * y for x, y, w in rows)
     f_tt = math.fsum(w * y * y for _, y, w in rows)
+    if 0.0 < f_tt and f_qq * f_tt < sys.float_info.min:
+        raise ArithmeticError("the fit weights underflow")
     det = f_qq * f_tt - f_qt * f_qt
     if det <= 1e-12 * f_qq * f_tt:
         raise UnidentifiableThetaError(
             "deviation pattern is parallel to the weak-charge pattern under these weights"
         )
     return math.sqrt(f_qq / det)
+
+
+def _probe_dw(cfg: ProtocolConfig, n_atoms: int, reps: float) -> float:
+    """Standard quantum limit: 1 / (2 pi C tau sqrt(N_A R T_avg))."""
+    return 1.0 / (2.0 * math.pi * cfg.c_sql * cfg.tau * math.sqrt(n_atoms * reps))
+
+
+def _own_cat_dw(cfg: ProtocolConfig, n_atoms: int, reps: float) -> float:
+    """One cat per isotope: 1 / (2 pi C_{N_A} tau N_A sqrt(R T_avg)); the
+    subarray pays only its own contrast C_{N_A}."""
+    contrast = cat_contrast(cfg, n_atoms, cfg.t2)
+    return 1.0 / (2.0 * math.pi * contrast * cfg.tau * n_atoms * math.sqrt(reps))
+
+
+@dataclass(frozen=True)
+class _PerIsotope:
+    """delta omega_A = factor * dw(cfg, N_A, R T_avg) for every isotope with
+    atoms, fed to :func:`combine_classical_fit`; factor is xi when squeezed."""
+
+    dw: Callable[[ProtocolConfig, int, float], float]
+    squeezed: bool = False
+
+    def evaluate(self, name, chain, h, proj, cfg, reps, xi) -> SensitivityResult:
+        dw, factor = self.dw, (xi if self.squeezed else 1.0)
+        dws = tuple(
+            factor * dw(cfg, iso.n_atoms, reps) if iso.n_atoms >= 1 else math.inf
+            for iso in chain.isotopes
+        )
+        # math.inf marks isotopes without atoms; on any other it is an overflow
+        if math.inf in dws and any(
+            d == math.inf and iso.n_atoms >= 1 for d, iso in zip(dws, chain.isotopes)
+        ):
+            raise ArithmeticError("a per-isotope frequency uncertainty is not finite")
+        delta = combine_classical_fit(chain, h, dws, cfg)
+        return SensitivityResult(protocol=name, delta_theta=delta, per_isotope=dws)
 
 
 def _input_scale(chain: IsotopeChain, proj: ProjectedPattern) -> float:
@@ -303,90 +257,61 @@ def _input_scale(chain: IsotopeChain, proj: ProjectedPattern) -> float:
     )
 
 
-def eigenvalue_separation(cfg: ProtocolConfig, weighted_l1: float) -> float:
-    """Generator eigenvalue separation 2 pi tau Omega sum_A N_A |h_perp_A|."""
-    return 2.0 * math.pi * cfg.tau * cfg.omega * weighted_l1
+@dataclass(frozen=True)
+class _GlobalCat:
+    """One cat over the whole chain, matched to the sign pattern of h_perp.
 
-
-def cross_cat_sensitivity(
-    chain: IsotopeChain,
-    proj: ProjectedPattern,
-    cfg: ProtocolConfig,
-    noisy: bool = False,
-    counts: NoiseCounts | None = None,
-) -> SensitivityResult:
-    """Sensitivity of the single global cat matched to the sign pattern.
-
-    Ideal: delta theta = 1 / (2 pi tau Omega sum_A N_A |h_perp_A| sqrt(R T_avg)),
-    linear in the total atom number.  The noisy variant divides by the
-    contrast of one cat spanning all atoms.
+    delta theta = 1 / (sep C sqrt(R T_avg)) with the eigenvalue separation
+    sep = 2 pi tau Omega k sum_A N_A |h_perp_A|, linear in the atom number.
+    ``noisy`` False is the ideal contrast C = 1; otherwise C is the
+    :func:`cat_contrast` of one cat over k * N atoms.  ``paired`` is the
+    reversal-pair encoding: each isotope occupies two channels with opposite
+    signal sign, so under the "per_channel" budget k = 2 (the differential
+    phase doubles) and the contrast dephases with t2_local per atom and
+    t2_diff once.  Otherwise k = 1 and the contrast dephases with t2.
     """
-    reps = _check_reps(cfg)
-    if proj.weighted_l1 <= 1e-12 * _input_scale(chain, proj):
-        raise ZeroSignalError("deviation pattern has no weighted component orthogonal to q")
-    sep = eigenvalue_separation(cfg, proj.weighted_l1)
-    contrast = 1.0
-    name = "cross_cat_ideal"
-    if noisy:
-        contrast = cat_contrast(cfg, chain.total_atoms, counts=counts)
-        name = "cross_cat_noisy"
-    return SensitivityResult(
-        protocol=name,
-        delta_theta=1.0 / (sep * contrast * math.sqrt(reps)),
-        contrast_used=contrast,
-        eigsep=sep,
-    )
+
+    noisy: bool
+    paired: bool = False
+
+    def evaluate(self, name, chain, h, proj, cfg, reps, xi) -> SensitivityResult:
+        if proj.weighted_l1 <= 1e-12 * _input_scale(chain, proj):
+            raise ZeroSignalError("deviation pattern has no weighted component orthogonal to q")
+        k, t2, t2_once = 1.0, cfg.t2, math.inf
+        if self.paired:
+            if cfg.dfs_budget not in DFS_BUDGET_MODES:
+                raise ValueError(f"unknown dfs budget mode {cfg.dfs_budget!r}; choose from {DFS_BUDGET_MODES}")
+            k = 2.0 if cfg.dfs_budget == "per_channel" else 1.0
+            t2, t2_once = cfg.t2_local, cfg.t2_diff
+        sep = 2.0 * math.pi * cfg.tau * cfg.omega * k * proj.weighted_l1
+        contrast = cat_contrast(cfg, k * chain.total_atoms, t2, t2_once) if self.noisy else 1.0
+        return SensitivityResult(
+            protocol=name,
+            delta_theta=1.0 / (sep * contrast * math.sqrt(reps)),
+            contrast_used=contrast,
+            eigsep=sep,
+        )
 
 
-def dfs_cat_sensitivity(
-    chain: IsotopeChain,
-    proj: ProjectedPattern,
-    cfg: ProtocolConfig,
-    noisy: bool = True,
-) -> SensitivityResult:
-    """Sensitivity of the reversal-pair global cat.
-
-    Each isotope occupies two channels with opposite signal sign, so every
-    atom contributes |h_perp_A| to the eigenvalue separation and the
-    differential phase doubles relative to a plain cat on the same
-    per-isotope allocation.  ``cfg.dfs_budget`` selects the atom accounting:
-
-    * "per_channel": N_A atoms in each channel (2 N_A per isotope in total)
-    * "split": the allocation N_A is divided between the channels
-
-    Contrast uses the reversal-pair model over the total atom count.
-    """
-    reps = _check_reps(cfg)
-    if proj.weighted_l1 <= 1e-12 * _input_scale(chain, proj):
-        raise ZeroSignalError("deviation pattern has no weighted component orthogonal to q")
-    if cfg.dfs_budget not in DFS_BUDGET_MODES:
-        raise ValueError(f"unknown dfs budget mode {cfg.dfs_budget!r}; choose from {DFS_BUDGET_MODES}")
-    factor = 2.0 if cfg.dfs_budget == "per_channel" else 1.0
-    total = factor * chain.total_atoms
-    sep = 2.0 * math.pi * cfg.tau * cfg.omega * factor * proj.weighted_l1
-    contrast = dfs_contrast(cfg, total) if noisy else 1.0
-    return SensitivityResult(
-        protocol="dfs_cat",
-        delta_theta=1.0 / (sep * contrast * math.sqrt(reps)),
-        contrast_used=contrast,
-        eigsep=sep,
-    )
-
-
-def _per_isotope_row(chain, h, cfg, name, dw_of_n, contrast_used):
-    dws = tuple(
-        dw_of_n(iso.n_atoms) if iso.n_atoms >= 1 else math.inf for iso in chain.isotopes
-    )
-    delta = combine_classical_fit(chain, h, dws, cfg)
-    return SensitivityResult(
-        protocol=name, delta_theta=delta, per_isotope=dws, contrast_used=contrast_used
-    )
-
-
-_ERROR_SLUGS = {
-    UnidentifiableThetaError: "singular_fit",
-    ZeroSignalError: "no_signal",
+_REGISTRY = {
+    "sql": _PerIsotope(_probe_dw),
+    "squeezed": _PerIsotope(_probe_dw, squeezed=True),
+    "same_isotope_cat": _PerIsotope(_own_cat_dw),
+    "cross_cat_ideal": _GlobalCat(noisy=False),
+    "cross_cat_noisy": _GlobalCat(noisy=True),
+    "dfs_cat": _GlobalCat(noisy=True, paired=True),
 }
+
+PROTOCOLS = tuple(_REGISTRY)
+
+# First match wins.  ArithmeticError is a contrast that underflows: the
+# division by it fails, or delta omega / delta theta is not finite.
+_ERROR_SLUGS = (
+    (UnidentifiableThetaError, "singular_fit"),
+    (ZeroSignalError, "no_signal"),
+    (ArithmeticError, "no_contrast"),
+    (ValueError, "invalid_config"),
+)
 
 
 def protocol_table(
@@ -400,30 +325,22 @@ def protocol_table(
     A protocol that cannot be evaluated contributes a row with an error
     slug instead of aborting the table.  Output order follows the request.
     """
-    unknown = [name for name in protocols if name not in PROTOCOLS]
+    unknown = [name for name in protocols if name not in _REGISTRY]
     if unknown:
         raise ValueError(f"unknown protocols {unknown}; choose from {PROTOCOLS}")
     proj = project_deviation(chain, h)
     xi = squeezing_factor(cfg.squeezing_db)
+    reps = cfg.reps
     rows: list[SensitivityResult] = []
     for name in protocols:
         try:
-            if name == "sql":
-                rows.append(_per_isotope_row(
-                    chain, h, cfg, name, lambda n: sql_per_isotope(cfg, n), cfg.c_sql))
-            elif name == "squeezed":
-                rows.append(_per_isotope_row(
-                    chain, h, cfg, name, lambda n: xi * sql_per_isotope(cfg, n), cfg.c_sql))
-            elif name == "same_isotope_cat":
-                rows.append(_per_isotope_row(
-                    chain, h, cfg, name, lambda n: same_isotope_cat_per_isotope(cfg, n), None))
-            elif name == "cross_cat_ideal":
-                rows.append(cross_cat_sensitivity(chain, proj, cfg, noisy=False))
-            elif name == "cross_cat_noisy":
-                rows.append(cross_cat_sensitivity(chain, proj, cfg, noisy=True))
-            else:
-                rows.append(dfs_cat_sensitivity(chain, proj, cfg, noisy=True))
-        except (UnidentifiableThetaError, ZeroSignalError, ValueError) as exc:
-            slug = _ERROR_SLUGS.get(type(exc), "invalid_config")
-            rows.append(SensitivityResult(protocol=name, delta_theta=math.nan, error=slug))
+            if reps < 1:
+                raise ValueError(f"need rep_rate * t_avg >= 1 for a meaningful estimate, got {reps}")
+            row = _REGISTRY[name].evaluate(name, chain, h, proj, cfg, reps, xi)
+            if not math.isfinite(row.delta_theta):
+                raise ArithmeticError(f"delta theta is {row.delta_theta}")
+        except (ValueError, ArithmeticError) as exc:
+            slug = next(slug for cls, slug in _ERROR_SLUGS if isinstance(exc, cls))
+            row = SensitivityResult(protocol=name, delta_theta=math.nan, error=slug)
+        rows.append(row)
     return rows

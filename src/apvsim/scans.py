@@ -52,7 +52,6 @@ class ScanSpec:
     grid: tuple[float, ...]
     protocols: tuple[str, ...]
     name: str = "scan"
-    allocation: str = "equal_split"
     sigma_sys: float | None = None
     n_fixed: int | None = None
     beam_coefficient: float | None = None

@@ -6,25 +6,23 @@ offending key path reported):
 ``chain`` (required)
     ``sin2_theta_w``: number in (0, 0.5)
     ``ref_A``: mass number of the reference isotope (must occur exactly once)
-    ``isotopes``: list of ``{"A": int, "Z": int, "n_atoms": int, "epsilon": number?}``
+    ``isotopes``: list of ``{"A": int, "Z": int, "n_atoms": int}``
 
 ``deviation`` (required) -- exactly one of
-    ``h``: list of numbers, one per isotope in chain order, not all zero
+    ``h``: list of finite numbers, one per isotope in chain order, not all zero
     ``preset``: ``"sign_split"`` (-1 on the lighter half, +1 on the heavier)
 
-``protocol`` (optional) -- any subset of
-    ``omega``, ``tau``, ``c0``, ``f1``, ``f2``, ``p_surv``, ``t2``,
-    ``t2_local``, ``t2_diff``, ``squeezing_db``, ``rep_rate``, ``t_avg``,
-    ``c_sql``, ``gate_count_model``, ``dfs_budget``.
+``protocol`` (optional) -- any subset of the :class:`ProtocolConfig`
+    fields, each checked against the range in its field metadata.
     Coherence times accept a number or the string ``"inf"``.  When any scan
     block is present, ``omega`` and ``tau`` must be written explicitly;
     they are never defaulted into a scan.
 
 ``scans`` (optional) -- list of
     ``{"name"?: str, "axis": "atom_number"|"time", "grid": [numbers...],
-       "protocols": [names...], "allocation"?: "equal_split",
+       "protocols": [names...],
        "sigma_sys": number (time scans, required; 0 allowed),
-       "n_fixed": int (time scans, required),
+       "n_fixed": int >= number of isotopes (time scans, required),
        "beam"?: {"coefficient": number, "floor": number} (time scans)}``
 
 ``oracle`` (optional)
@@ -32,8 +30,8 @@ offending key path reported):
     to overrides; ``checks``?: subset of check names to run.
 
 ``interference`` (optional) -- diagnostics of the amplitude chain; either
-    or both of the groups (``zeta_over_beta`` with ``e_field``) and
-    (``omega_pc``, ``omega_pnc``, ``detuning``).
+    or both of the :class:`InterferenceSpec` field groups (``zeta_over_beta``
+    with ``e_field``) and (``omega_pc``, ``omega_pnc``, ``detuning``).
 
 Parsing applies every default, so serializing a parsed scenario yields a
 fully explicit document; parse -> serialize -> parse is the identity.
@@ -44,14 +42,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
 from .chain import DeviationPattern, Isotope, IsotopeChain, build_chain
 from .checks import KNOWN_CHECKS
 from .oracle import QUBIT_CAP
-from .protocols import DFS_BUDGET_MODES, GATE_COUNT_MODELS, PROTOCOLS, ProtocolConfig
+from .protocols import PROTOCOLS, ProtocolConfig
 from .scans import SCAN_AXES, ScanSpec
 
 __all__ = [
@@ -76,15 +74,22 @@ class ScenarioError(ValueError):
         super().__init__(f"invalid scenario:\n{lines}")
 
 
+def _grouped(group: str, **bound):
+    return field(default=None, metadata={"group": group, **bound})
+
+
 @dataclass(frozen=True)
 class InterferenceSpec:
-    """Optional physical-amplitude diagnostics block."""
+    """Optional physical-amplitude diagnostics block.
 
-    zeta_over_beta: float | None = None
-    e_field: float | None = None
-    omega_pc: float | None = None
-    omega_pnc: float | None = None
-    detuning: float | None = None
+    The fields of a group appear together or not at all.
+    """
+
+    zeta_over_beta: float | None = _grouped("stark")
+    e_field: float | None = _grouped("stark", nonzero=True)
+    omega_pc: float | None = _grouped("rabi")
+    omega_pnc: float | None = _grouped("rabi")
+    detuning: float | None = _grouped("rabi", nonzero=True)
 
 
 @dataclass(frozen=True)
@@ -124,32 +129,56 @@ def _reject_unknown(node, allowed, path, errs):
             errs.add(f"{path}.{key}", "unknown key")
 
 
-def _get_number(node, key, path, errs, required=False, default=None,
-                minimum=None, maximum=None, exclusive_min=False,
-                max_inclusive=False, allow_inf=False):
+def _number(value, where, errs, minimum=None, maximum=None, exclusive_min=False,
+            max_inclusive=False, allow_inf=False, nonzero=False):
+    """``value`` as a float within the bounds, or None after recording why not."""
+    if allow_inf and value == "inf":
+        return math.inf
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        errs.add(where, f"expected a number, got {value!r}")
+        return None
+    value = float(value)
+    if not math.isfinite(value):
+        errs.add(where, "must be finite")
+        return None
+    if minimum is not None and (value <= minimum if exclusive_min else value < minimum):
+        cmp = ">" if exclusive_min else ">="
+        errs.add(where, f"must be {cmp} {minimum}, got {value}")
+        return None
+    if maximum is not None and (value > maximum if max_inclusive else value >= maximum):
+        cmp = "<=" if max_inclusive else "<"
+        errs.add(where, f"must be {cmp} {maximum}, got {value}")
+        return None
+    if nonzero and value == 0:
+        errs.add(where, "must be nonzero")
+        return None
+    return value
+
+
+def _get_number(node, key, path, errs, required=False, default=None, **bound):
     if key not in node:
         if required:
             errs.add(f"{path}.{key}", "required key missing")
         return default
-    value = node[key]
-    if allow_inf and value == "inf":
-        return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errs.add(f"{path}.{key}", f"expected a number, got {value!r}")
-        return default
-    value = float(value)
-    if not math.isfinite(value):
-        errs.add(f"{path}.{key}", "must be finite")
-        return default
-    if minimum is not None and (value <= minimum if exclusive_min else value < minimum):
-        cmp = ">" if exclusive_min else ">="
-        errs.add(f"{path}.{key}", f"must be {cmp} {minimum}, got {value}")
-        return default
-    if maximum is not None and (value > maximum if max_inclusive else value >= maximum):
-        cmp = "<=" if max_inclusive else "<"
-        errs.add(f"{path}.{key}", f"must be {cmp} {maximum}, got {value}")
-        return default
-    return value
+    value = _number(node[key], f"{path}.{key}", errs, **bound)
+    return default if value is None else value
+
+
+def _get_numbers(node, key, path, errs, positive=False):
+    """A nonempty list of finite numbers; every bad entry is reported by its index."""
+    raw = node.get(key)
+    if not isinstance(raw, list) or not raw:
+        errs.add(f"{path}.{key}", "expected a nonempty list of numbers")
+        return None
+    # Screen the whole list first: checking entry by entry would double the
+    # parse time of a 5e4-point grid.  Only a list that fails is walked.
+    if all(type(x) in (int, float) for x in raw):
+        values = tuple(map(float, raw))
+        if all(map(math.isfinite, values)) and not (positive and min(values) <= 0):
+            return values
+    bound = {"minimum": 0.0, "exclusive_min": True} if positive else {}
+    values = tuple(_number(x, f"{path}.{key}[{i}]", errs, **bound) for i, x in enumerate(raw))
+    return None if None in values else values
 
 
 def _get_int(node, key, path, errs, required=False, default=None, minimum=None, maximum=None):
@@ -199,17 +228,16 @@ def _parse_chain(node, errs) -> IsotopeChain | None:
         path = f"chain.isotopes[{i}]"
         if not _expect_mapping(entry, path, errs):
             return None
-        _reject_unknown(entry, {"A", "Z", "n_atoms", "epsilon"}, path, errs)
+        _reject_unknown(entry, {"A", "Z", "n_atoms"}, path, errs)
         a = _get_int(entry, "A", path, errs, required=True, minimum=1)
         z = _get_int(entry, "Z", path, errs, required=True, minimum=1)
         n = _get_int(entry, "n_atoms", path, errs, required=True, minimum=0)
-        eps = _get_number(entry, "epsilon", path, errs, default=0.0)
-        if None in (a, z, n, eps):
+        if None in (a, z, n):
             return None
         if z > a:
             errs.add(path, f"Z={z} exceeds A={a}")
             return None
-        isotopes.append(Isotope(A=a, Z=z, n_atoms=n, epsilon=eps))
+        isotopes.append(Isotope(A=a, Z=z, n_atoms=n))
     if s2w is None or ref_a is None:
         return None
     masses = [iso.A for iso in isotopes]
@@ -239,70 +267,66 @@ def _parse_deviation(node, chain, errs) -> DeviationPattern | None:
             errs.add("deviation.preset", f"unknown preset {node['preset']!r}")
             return None
         return DeviationPattern.sign_split(chain) if chain else None
-    raw = node["h"]
-    if not isinstance(raw, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
-    ):
-        errs.add("deviation.h", "expected a list of numbers")
+    values = _get_numbers(node, "h", "deviation", errs)
+    if values is None:
         return None
-    if chain and len(raw) != len(chain.isotopes):
-        errs.add("deviation.h", f"length {len(raw)} does not match chain length {len(chain.isotopes)}")
+    if chain and len(values) != len(chain.isotopes):
+        errs.add("deviation.h", f"length {len(values)} does not match chain length {len(chain.isotopes)}")
         return None
-    values = tuple(float(x) for x in raw)
     if all(x == 0.0 for x in values):
         errs.add("deviation.h", "pattern must have at least one nonzero entry")
         return None
     return DeviationPattern(h=values)
 
 
-_PROTOCOL_KEYS = {
-    "omega", "tau", "c0", "f1", "f2", "p_surv", "t2", "t2_local", "t2_diff",
-    "squeezing_db", "rep_rate", "t_avg", "c_sql", "gate_count_model", "dfs_budget",
-}
+def _parse_fields(cls, node, path, errs) -> dict:
+    """Keyword arguments for dataclass ``cls`` from ``node``: absent keys take
+    the field default, present ones are checked against the field metadata
+    (``choices``, or the bounds of :func:`_number`)."""
+    _reject_unknown(node, {f.name for f in fields(cls)}, path, errs)
+    kw = {}
+    for f in fields(cls):
+        bound = {k: v for k, v in f.metadata.items() if k != "group"}
+        if "choices" in bound:
+            kw[f.name] = _get_choice(node, f.name, path, errs, bound["choices"], f.default)
+        else:
+            kw[f.name] = _get_number(node, f.name, path, errs, default=f.default, **bound)
+    return kw
+
+
+def _fields_to_dict(obj) -> dict:
+    """Inverse of :func:`_parse_fields`; fields that are None are left out."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None:
+            out[f.name] = "inf" if value == math.inf else value
+    return out
 
 
 def _parse_protocol(node, errs, scans_present) -> ProtocolConfig | None:
     node = node if node is not None else {}
     if not _expect_mapping(node, "protocol", errs):
         return None
-    _reject_unknown(node, _PROTOCOL_KEYS, "protocol", errs)
     if scans_present:
         for key in ("omega", "tau"):
             if key not in node:
                 errs.add(f"protocol.{key}",
                          "must be explicit when scans are requested (no silent default)")
-    d = ProtocolConfig()  # defaults
-    unit = dict(minimum=0.0, exclusive_min=True, maximum=1.0, max_inclusive=True)
-    kw = dict(
-        omega=_get_number(node, "omega", "protocol", errs, default=d.omega, minimum=0.0, exclusive_min=True),
-        tau=_get_number(node, "tau", "protocol", errs, default=d.tau, minimum=0.0, exclusive_min=True),
-        c0=_get_number(node, "c0", "protocol", errs, default=d.c0, **unit),
-        f1=_get_number(node, "f1", "protocol", errs, default=d.f1, **unit),
-        f2=_get_number(node, "f2", "protocol", errs, default=d.f2, **unit),
-        p_surv=_get_number(node, "p_surv", "protocol", errs, default=d.p_surv, **unit),
-        t2=_get_number(node, "t2", "protocol", errs, default=d.t2, minimum=0.0, exclusive_min=True, allow_inf=True),
-        t2_local=_get_number(node, "t2_local", "protocol", errs, default=d.t2_local, minimum=0.0, exclusive_min=True, allow_inf=True),
-        t2_diff=_get_number(node, "t2_diff", "protocol", errs, default=d.t2_diff, minimum=0.0, exclusive_min=True, allow_inf=True),
-        squeezing_db=_get_number(node, "squeezing_db", "protocol", errs, default=d.squeezing_db),
-        rep_rate=_get_number(node, "rep_rate", "protocol", errs, default=None, minimum=0.0, exclusive_min=True),
-        t_avg=_get_number(node, "t_avg", "protocol", errs, default=d.t_avg, minimum=0.0, exclusive_min=True),
-        c_sql=_get_number(node, "c_sql", "protocol", errs, default=d.c_sql, **unit),
-        gate_count_model=_get_choice(node, "gate_count_model", "protocol", errs, GATE_COUNT_MODELS, d.gate_count_model),
-        dfs_budget=_get_choice(node, "dfs_budget", "protocol", errs, DFS_BUDGET_MODES, d.dfs_budget),
-    )
-    if any(v is None for k, v in kw.items() if k != "rep_rate"):
+    before = len(errs.errors)
+    cfg = ProtocolConfig(**_parse_fields(ProtocolConfig, node, "protocol", errs))
+    if len(errs.errors) > before:
         return None
-    cfg = ProtocolConfig(**kw)
     if cfg.reps < 1:
         errs.add("protocol", f"rep_rate * t_avg must be >= 1, got {cfg.reps}")
         return None
     return cfg
 
 
-_SCAN_KEYS = {"name", "axis", "grid", "protocols", "allocation", "sigma_sys", "n_fixed", "beam"}
+_SCAN_KEYS = {"name", "axis", "grid", "protocols", "sigma_sys", "n_fixed", "beam"}
 
 
-def _parse_scan(node, index, errs) -> ScanSpec | None:
+def _parse_scan(node, index, errs, n_isotopes) -> ScanSpec | None:
     path = f"scans[{index}]"
     if not _expect_mapping(node, path, errs):
         return None
@@ -316,15 +340,8 @@ def _parse_scan(node, index, errs) -> ScanSpec | None:
     if not isinstance(name, str) or not name or not all(c.isalnum() or c in "_-" for c in name):
         errs.add(f"{path}.name", "must be a nonempty string of [A-Za-z0-9_-]")
         return None
-    raw_grid = node.get("grid")
-    if not isinstance(raw_grid, list) or not raw_grid or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw_grid
-    ):
-        errs.add(f"{path}.grid", "expected a nonempty list of numbers")
-        return None
-    grid = tuple(float(x) for x in raw_grid)
-    if any(v <= 0 for v in grid):
-        errs.add(f"{path}.grid", "values must be positive")
+    grid = _get_numbers(node, "grid", path, errs, positive=True)
+    if grid is None:
         return None
     if any(b >= a for a, b in zip(grid[1:], grid)):
         errs.add(f"{path}.grid", "values must be strictly increasing")
@@ -340,11 +357,11 @@ def _parse_scan(node, index, errs) -> ScanSpec | None:
     if bad:
         errs.add(f"{path}.protocols", f"unknown protocols {bad}; choose from {list(PROTOCOLS)}")
         return None
-    allocation = _get_choice(node, "allocation", path, errs, ("equal_split",), "equal_split")
     sigma_sys = n_fixed = beam_coeff = beam_floor = None
     if axis == "time":
         sigma_sys = _get_number(node, "sigma_sys", path, errs, required=True, minimum=0.0)
-        n_fixed = _get_int(node, "n_fixed", path, errs, required=True, minimum=1)
+        # every isotope needs at least one atom
+        n_fixed = _get_int(node, "n_fixed", path, errs, required=True, minimum=n_isotopes)
         if "beam" in node:
             beam = node["beam"]
             if not _expect_mapping(beam, f"{path}.beam", errs):
@@ -362,8 +379,8 @@ def _parse_scan(node, index, errs) -> ScanSpec | None:
     try:
         return ScanSpec(
             axis=axis, grid=grid, protocols=tuple(raw_protocols), name=name,
-            allocation=allocation or "equal_split", sigma_sys=sigma_sys,
-            n_fixed=n_fixed, beam_coefficient=beam_coeff, beam_floor=beam_floor,
+            sigma_sys=sigma_sys, n_fixed=n_fixed,
+            beam_coefficient=beam_coeff, beam_floor=beam_floor,
         )
     except ValueError as exc:
         errs.add(path, str(exc))
@@ -406,22 +423,17 @@ def _parse_oracle(node, errs):
 def _parse_interference(node, errs) -> InterferenceSpec | None:
     if not _expect_mapping(node, "interference", errs):
         return None
-    keys = {"zeta_over_beta", "e_field", "omega_pc", "omega_pnc", "detuning"}
-    _reject_unknown(node, keys, "interference", errs)
-    vals = {k: _get_number(node, k, "interference", errs) for k in keys}
-    stark = [k for k in ("zeta_over_beta", "e_field") if vals[k] is not None]
-    rabi = [k for k in ("omega_pc", "omega_pnc", "detuning") if vals[k] is not None]
-    if len(stark) == 1:
-        errs.add("interference", "zeta_over_beta and e_field must appear together")
-    if rabi and len(rabi) != 3:
-        errs.add("interference", "omega_pc, omega_pnc, and detuning must appear together")
-    if not stark and not rabi:
+    spec = InterferenceSpec(**_parse_fields(InterferenceSpec, node, "interference", errs))
+    groups: dict[str, list[str]] = {}
+    for f in fields(InterferenceSpec):
+        groups.setdefault(f.metadata["group"], []).append(f.name)
+    for names in groups.values():
+        given = [name for name in names if name in node]
+        if given and len(given) != len(names):
+            errs.add("interference", f"{', '.join(names)} must appear together")
+    if not node:
         errs.add("interference", "block present but empty")
-    if vals["e_field"] == 0:
-        errs.add("interference.e_field", "must be nonzero")
-    if vals["detuning"] == 0:
-        errs.add("interference.detuning", "must be nonzero")
-    return InterferenceSpec(**vals)
+    return spec
 
 
 _TOP_KEYS = {"chain", "deviation", "protocol", "scans", "oracle", "interference"}
@@ -450,7 +462,7 @@ def parse_scenario_dict(data: dict) -> Scenario:
     protocol = _parse_protocol(data.get("protocol"), errs, scans_present=bool(raw_scans))
     scans = []
     for i, raw in enumerate(raw_scans):
-        spec = _parse_scan(raw, i, errs)
+        spec = _parse_scan(raw, i, errs, len(chain.isotopes) if chain else 1)
         if spec is not None:
             scans.append(spec)
     names = [s.name for s in scans]
@@ -483,42 +495,19 @@ def parse_scenario(path: str | Path) -> Scenario:
     return parse_scenario_dict(data)
 
 
-def _num(value: float):
-    return "inf" if math.isinf(value) else value
-
-
 def scenario_to_dict(s: Scenario) -> dict:
     """Fully explicit, canonical form of a scenario (defaults applied)."""
-    cfg = s.protocol
     out: dict = {
         "chain": {
             "sin2_theta_w": s.chain.sin2_theta_w,
             "ref_A": s.chain.isotopes[s.chain.ref_index].A,
             "isotopes": [
-                {"A": iso.A, "Z": iso.Z, "n_atoms": iso.n_atoms, "epsilon": iso.epsilon}
-                for iso in s.chain.isotopes
+                {"A": iso.A, "Z": iso.Z, "n_atoms": iso.n_atoms} for iso in s.chain.isotopes
             ],
         },
         "deviation": {"h": list(s.deviation.h)},
-        "protocol": {
-            "omega": cfg.omega,
-            "tau": cfg.tau,
-            "c0": cfg.c0,
-            "f1": cfg.f1,
-            "f2": cfg.f2,
-            "p_surv": cfg.p_surv,
-            "t2": _num(cfg.t2),
-            "t2_local": _num(cfg.t2_local),
-            "t2_diff": _num(cfg.t2_diff),
-            "squeezing_db": cfg.squeezing_db,
-            "t_avg": cfg.t_avg,
-            "c_sql": cfg.c_sql,
-            "gate_count_model": cfg.gate_count_model,
-            "dfs_budget": cfg.dfs_budget,
-        },
+        "protocol": _fields_to_dict(s.protocol),
     }
-    if cfg.rep_rate is not None:
-        out["protocol"]["rep_rate"] = cfg.rep_rate
     if s.scans:
         blocks = []
         for spec in s.scans:
@@ -527,7 +516,6 @@ def scenario_to_dict(s: Scenario) -> dict:
                 "axis": spec.axis,
                 "grid": list(spec.grid),
                 "protocols": list(spec.protocols),
-                "allocation": spec.allocation,
             }
             if spec.axis == "time":
                 block["sigma_sys"] = spec.sigma_sys
@@ -544,18 +532,7 @@ def scenario_to_dict(s: Scenario) -> dict:
             oracle["checks"] = list(s.oracle_checks)
         out["oracle"] = oracle
     if s.interference is not None:
-        block = {
-            k: v
-            for k, v in (
-                ("zeta_over_beta", s.interference.zeta_over_beta),
-                ("e_field", s.interference.e_field),
-                ("omega_pc", s.interference.omega_pc),
-                ("omega_pnc", s.interference.omega_pnc),
-                ("detuning", s.interference.detuning),
-            )
-            if v is not None
-        }
-        out["interference"] = block
+        out["interference"] = _fields_to_dict(s.interference)
     return out
 
 

@@ -4,6 +4,7 @@ Each test exercises one headline guarantee at its pinned tolerance and
 prints a single pass/fail line (run with ``pytest tests/test_acceptance.py -v -s``).
 """
 
+import hashlib
 import math
 import time
 
@@ -20,10 +21,10 @@ from apvsim import (
     build_state,
     cfi_parity,
     common_noise_check,
-    cross_cat_sensitivity,
     crossover_finder,
     parse_scenario,
     project_deviation,
+    protocol_table,
     qfi,
     run,
     run_oracle_checks,
@@ -98,7 +99,7 @@ def test_03_cat_qfi_identity():
         )
         gen = build_generator(chain, proj, cfg.tau, cfg.omega)
         state = build_state("cross_cat", chain, proj, phase=float(rng.uniform(0, 2 * math.pi)))
-        sep = cross_cat_sensitivity(chain, proj, cfg).eigsep
+        sep = protocol_table(chain, h, cfg, ("cross_cat_ideal",))[0].eigsep
         worst = max(worst, abs(qfi(state, gen) / sep**2 - 1.0))
     report("cat_qfi_identity", worst <= 1e-10, f"worst rel dev {worst:.2e} over 100 chains")
 
@@ -215,12 +216,23 @@ def test_09_interference_magnitudes():
     report("interference_magnitudes", ok, f"ratio {ratio:.3e}, reversal-odd fraction {fraction:.3e}")
 
 
+# SHA-256 of the bundled scenario's CSVs as recorded in perfbench/digests.json;
+# a change that moves any printed digit of any row changes them.
+BUNDLED_CSV_SHA256 = {
+    "atoms.csv": "ff2bfc6ac309d8073eab46e4ff09abb25aa6be00ebffae27d566414932aae5ae",
+    "averaging_time.csv": "923aca22a48c7b5c74e08f1718eb7187ce62b2f5540c13542a4f092907eb163f",
+}
+
+
 def test_10_csv_determinism(tmp_path):
     scenario = parse_scenario(bundled_scenario_path())
     run(scenario, tmp_path / "first", quiet=True)
     run(scenario, tmp_path / "second", quiet=True)
     ok = True
-    for name in ("atoms.csv", "averaging_time.csv"):
-        if (tmp_path / "first" / name).read_bytes() != (tmp_path / "second" / name).read_bytes():
+    for name, pinned in BUNDLED_CSV_SHA256.items():
+        first = (tmp_path / "first" / name).read_bytes()
+        if first != (tmp_path / "second" / name).read_bytes():
             ok = False
-    report("csv_determinism", ok, "byte-identical reruns")
+        if hashlib.sha256(first).hexdigest() != pinned:
+            ok = False
+    report("csv_determinism", ok, "byte-identical reruns matching the pinned digests")

@@ -10,9 +10,7 @@ from apvsim import (
     Isotope,
     IsotopeChain,
     build_chain,
-    isotope_ratio,
     project_deviation,
-    reallocate,
     weak_charge,
 )
 from conftest import make_yb_chain, random_chain
@@ -181,34 +179,6 @@ def test_projection_properties_hypothesis(h, counts):
     top = max(1.0, max(abs(x) for x in proj.h_perp))
     assert abs(again.beta) <= 1e-12 * top
     assert again.h_perp == pytest.approx(proj.h_perp, abs=1e-11 * top)
-
-
-class TestIsotopeRatio:
-    def test_self_ratio_is_one(self):
-        chain = make_yb_chain()
-        chain = reallocate(chain, (1, 1, 1, 1))
-        assert isotope_ratio(chain, 2, 2) == 1.0
-
-    def test_yb_170_vs_176(self, yb_chain):
-        # oracle: direct weak-charge ratio, 95.1 / 101.1
-        expected = weak_charge(70, 100, 0.2325) / weak_charge(70, 106, 0.2325)
-        assert isotope_ratio(yb_chain, 0, 3) == pytest.approx(expected, rel=1e-14)
-        assert isotope_ratio(yb_chain, 0, 3) == pytest.approx(0.940652818991098, rel=1e-12)
-
-    def test_epsilon_correction_is_linear(self):
-        isotopes = [
-            Isotope(A=170, Z=70, n_atoms=1, epsilon=0.01),
-            Isotope(A=176, Z=70, n_atoms=1, epsilon=0.0),
-        ]
-        chain = build_chain(isotopes, ref_index=1, sin2_theta_w=0.2325)
-        bare = weak_charge(70, 100, 0.2325) / weak_charge(70, 106, 0.2325)
-        assert isotope_ratio(chain, 0, 1) == pytest.approx(bare * 1.01, rel=1e-14)
-
-    def test_index_out_of_range(self, yb_chain):
-        with pytest.raises(IndexError):
-            isotope_ratio(yb_chain, 4, 0)
-        with pytest.raises(IndexError):
-            isotope_ratio(yb_chain, 0, -1)
 
 
 def test_sign_split_preset_follows_mass_order():

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from apvsim import bundled_scenario_path, parse_scenario, run, validate
+import apvsim
+from apvsim import PROTOCOLS, bundled_scenario_path, parse_scenario, run, validate
 from apvsim.cli import format_sig, main
 
 
@@ -121,6 +126,23 @@ class TestRun:
         assert rows[1]["delta_theta_stat"] not in ("", "error:allocation")
 
 
+    def test_huge_atom_numbers_give_no_contrast_rows(self, tmp_path):
+        data = json.loads(bundled_scenario_path().read_text())
+        data["scans"][0].update(grid=[4, 1000000, 10000000], protocols=list(PROTOCOLS))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        run(parse_scenario(path), tmp_path / "out", quiet=True)
+        underflowed = set()
+        for r in read_csv(tmp_path / "out" / "atoms.csv"):
+            for value in (r["delta_theta_stat"], r["delta_theta_tot"]):
+                if value.startswith("error:"):
+                    assert value == "error:no_contrast"
+                    underflowed.add(r["protocol"])
+                else:
+                    assert math.isfinite(float(value)) and float(value) > 0
+        assert underflowed == {"same_isotope_cat", "cross_cat_noisy", "dfs_cat"}
+
+
 class TestValidate:
     def test_bundled_scenario_passes(self):
         summary = validate(parse_scenario(bundled_scenario_path()), quiet=True)
@@ -203,3 +225,15 @@ class TestMain:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert code == 2
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(apvsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "apvsim", "validate", str(bundled_scenario_path()),
+         "--budget", "1", "--quiet"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

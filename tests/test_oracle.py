@@ -16,9 +16,9 @@ from apvsim import (
     build_state,
     cfi_parity,
     common_noise_check,
-    cross_cat_sensitivity,
     parity_fringe,
     project_deviation,
+    protocol_table,
     qfi,
     ramsey_evolve,
 )
@@ -171,11 +171,11 @@ class TestQfi:
         assert qfi(StateVector(amplitudes=amp, labels=gen.labels), gen) == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_cat_reaches_squared_separation(self):
-        chain, _, proj = small_yb((2, 1, 2, 1))
+        chain, h, proj = small_yb((2, 1, 2, 1))
         cfg = single_shot_cfg(omega=0.9, tau=1.1)
         gen = build_generator(chain, proj, cfg.tau, cfg.omega)
         state = build_state("cross_cat", chain, proj)
-        sep = cross_cat_sensitivity(chain, proj, cfg).eigsep
+        sep = protocol_table(chain, h, cfg, ("cross_cat_ideal",))[0].eigsep
         assert qfi(state, gen) == pytest.approx(sep**2, rel=1e-12)
 
     def test_product_state_variance_adds_per_qubit(self):
@@ -255,11 +255,11 @@ class TestEvolution:
 
 class TestParityReadout:
     def setup_method(self):
-        self.chain, _, self.proj = small_yb((1, 1, 1, 1))
+        self.chain, h, self.proj = small_yb((1, 1, 1, 1))
         self.cfg = single_shot_cfg(omega=0.8, tau=1.2)
         self.gen = build_generator(self.chain, self.proj, self.cfg.tau, self.cfg.omega)
         self.state = build_state("cross_cat", self.chain, self.proj)
-        self.sep = cross_cat_sensitivity(self.chain, self.proj, self.cfg).eigsep
+        self.sep = protocol_table(self.chain, h, self.cfg, ("cross_cat_ideal",))[0].eigsep
 
     def test_full_probability_at_origin(self):
         assert parity_fringe(self.state, self.gen, 0.0) == pytest.approx(1.0, abs=1e-12)

@@ -2,28 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apvsim import (
-    NoiseCounts,
     ProtocolConfig,
     UnidentifiableThetaError,
-    ZeroSignalError,
     cat_contrast,
     combine_classical_fit,
-    cross_cat_sensitivity,
-    dfs_cat_sensitivity,
-    dfs_contrast,
     gate_counts,
     project_deviation,
     protocol_table,
     reallocate,
-    same_isotope_cat_per_isotope,
-    sql_per_isotope,
-    squeezed_per_isotope,
     squeezing_factor,
 )
 from conftest import make_yb_chain, random_chain
 from test_chain import synthetic_chain
+
+H_SPLIT = (-1.0, -1.0, 1.0, 1.0)
 
 
 def single_shot_cfg(**kw):
@@ -31,6 +27,12 @@ def single_shot_cfg(**kw):
                 t2=math.inf, squeezing_db=0.0, rep_rate=1.0, t_avg=1.0, c_sql=1.0)
     base.update(kw)
     return ProtocolConfig(**base)
+
+
+def row(protocol, counts=(1, 1, 1, 1), cfg=None):
+    """One protocol's row on the even-Yb chain with the split-sign pattern."""
+    chain = make_yb_chain(counts=counts)
+    return protocol_table(chain, H_SPLIT, cfg or single_shot_cfg(), (protocol,))[0]
 
 
 class TestSqueezingFactor:
@@ -50,92 +52,93 @@ class TestSqueezingFactor:
 class TestContrastModels:
     def test_lossless_reduces_to_base_contrast(self):
         cfg = single_shot_cfg(c0=0.87)
-        assert cat_contrast(cfg, 50) == 0.87
+        assert cat_contrast(cfg, 50, cfg.t2) == 0.87
 
     def test_single_gate_factor(self):
         cfg = single_shot_cfg(f1=0.9999)
         # linear counts at N=1: one single-qubit gate, no entangling gate
-        assert gate_counts(1, "linear") == NoiseCounts(n1=1, n2=0)
-        assert cat_contrast(cfg, 1) == pytest.approx(0.9999, rel=1e-15)
+        assert gate_counts(1, "linear") == (1, 0)
+        assert cat_contrast(cfg, 1, cfg.t2) == pytest.approx(0.9999, rel=1e-15)
 
     def test_thousand_atom_cat_against_high_precision_product(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
         cfg = single_shot_cfg(f1=0.9999, f2=0.999)
-        got = cat_contrast(cfg, 1000)
+        got = cat_contrast(cfg, 1000, cfg.t2)
         oracle = float(mp.mpf("0.9999") ** 1000 * mp.mpf("0.999") ** 999)
         assert got == pytest.approx(oracle, rel=1e-12)
         assert got == pytest.approx(0.33303595109484500641, rel=1e-12)
 
     def test_decoherence_factor(self):
-        cfg = single_shot_cfg(t2=10.0)
-        assert cat_contrast(cfg, 5, tau=2.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        cfg = single_shot_cfg(t2=10.0, tau=2.0)
+        assert cat_contrast(cfg, 5, cfg.t2) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_log_depth_model_uses_more_single_qubit_gates(self):
         cfg = single_shot_cfg(f1=0.999, gate_count_model="log_depth")
-        assert cat_contrast(cfg, 10) == pytest.approx(0.999**20, rel=1e-13)
+        assert cat_contrast(cfg, 10, cfg.t2) == pytest.approx(0.999**20, rel=1e-13)
 
     def test_dfs_gate_product_only_when_lossless(self):
-        cfg = single_shot_cfg(f1=0.9999, f2=0.999)
-        assert dfs_contrast(cfg, 10) == pytest.approx(0.9999**10 * 0.999**9, rel=1e-13)
+        # "split" budget: one reversal-pair cat over the 10 allocated atoms
+        cfg = single_shot_cfg(f1=0.9999, f2=0.999, dfs_budget="split")
+        contrast = row("dfs_cat", (3, 3, 2, 2), cfg).contrast_used
+        assert contrast == pytest.approx(0.9999**10 * 0.999**9, rel=1e-13)
 
     def test_dfs_residual_term(self):
-        cfg = single_shot_cfg(t2_diff=1.0)
-        assert dfs_contrast(cfg, 7, tau=1.0) == pytest.approx(0.36787944117144233, rel=1e-14)
+        cfg = single_shot_cfg(t2_diff=1.0, tau=1.0, dfs_budget="split")
+        contrast = row("dfs_cat", (2, 2, 2, 1), cfg).contrast_used
+        assert contrast == pytest.approx(0.36787944117144233, rel=1e-14)
 
     def test_dfs_residual_term_is_atom_number_independent(self):
         cfg = single_shot_cfg(t2_diff=3.0)
-        assert dfs_contrast(cfg, 1) == pytest.approx(dfs_contrast(cfg, 64), rel=1e-14)
+        assert row("dfs_cat", (1, 1, 1, 1), cfg).contrast_used == pytest.approx(
+            row("dfs_cat", (16, 16, 16, 16), cfg).contrast_used, rel=1e-14
+        )
 
     def test_invalid_atom_count(self):
         with pytest.raises(ValueError):
-            cat_contrast(single_shot_cfg(), 0)
+            cat_contrast(single_shot_cfg(), 0, math.inf)
 
 
 class TestPerIsotopeUncertainties:
     def test_sql_single_atom_single_shot(self):
-        assert sql_per_isotope(single_shot_cfg(), 1) == pytest.approx(
-            0.15915494309189535, rel=1e-13
-        )
+        assert row("sql").per_isotope[0] == pytest.approx(0.15915494309189535, rel=1e-13)
 
     def test_sql_square_root_scaling(self):
-        cfg = single_shot_cfg()
-        assert sql_per_isotope(cfg, 100) == pytest.approx(sql_per_isotope(cfg, 400) * 2, rel=1e-13)
+        dws = row("sql", (100, 400, 100, 400)).per_isotope
+        assert dws[0] == pytest.approx(dws[1] * 2, rel=1e-13)
 
     def test_sql_contrast_is_inverse_linear(self):
-        assert sql_per_isotope(single_shot_cfg(c_sql=0.5), 9) == pytest.approx(
-            2 * sql_per_isotope(single_shot_cfg(), 9), rel=1e-13
+        assert row("sql", (9, 9, 9, 9), single_shot_cfg(c_sql=0.5)).per_isotope[0] == pytest.approx(
+            2 * row("sql", (9, 9, 9, 9)).per_isotope[0], rel=1e-13
         )
 
     def test_sql_zero_atoms_rejected(self):
-        with pytest.raises(ValueError):
-            sql_per_isotope(single_shot_cfg(), 0)
+        # an isotope without atoms is left out of the fit, not evaluated
+        res = row("sql", (0, 4, 4, 4))
+        assert res.per_isotope[0] == math.inf
+        assert res.error is None and math.isfinite(res.delta_theta)
 
     def test_sql_requires_at_least_one_repetition(self):
-        with pytest.raises(ValueError, match="rep_rate"):
-            sql_per_isotope(single_shot_cfg(t_avg=0.5), 4)
+        rows = protocol_table(make_yb_chain(), H_SPLIT, single_shot_cfg(t_avg=0.5))
+        assert {r.error for r in rows} == {"invalid_config"}
 
     def test_squeezed_matches_sql_at_zero_gain(self):
-        cfg = single_shot_cfg()
-        assert squeezed_per_isotope(cfg, 25) == sql_per_isotope(cfg, 25)
+        assert row("squeezed", (25, 25, 25, 25)).per_isotope == row("sql", (25, 25, 25, 25)).per_isotope
 
     def test_squeezed_four_db(self):
         cfg = single_shot_cfg(squeezing_db=4.0)
-        assert squeezed_per_isotope(cfg, 25) == pytest.approx(
-            0.6309573444801932 * sql_per_isotope(cfg, 25), rel=1e-13
-        )
+        squeezed = row("squeezed", (25, 25, 25, 25), cfg).per_isotope
+        sql = row("sql", (25, 25, 25, 25), cfg).per_isotope
+        assert squeezed == pytest.approx([0.6309573444801932 * x for x in sql], rel=1e-13)
 
     def test_one_atom_cat_is_one_atom(self):
-        cfg = single_shot_cfg(c0=0.91)
-        assert same_isotope_cat_per_isotope(cfg, 1) == pytest.approx(
-            sql_per_isotope(single_shot_cfg(c_sql=0.91), 1), rel=1e-13
+        assert row("same_isotope_cat", cfg=single_shot_cfg(c0=0.91)).per_isotope == pytest.approx(
+            row("sql", cfg=single_shot_cfg(c_sql=0.91)).per_isotope, rel=1e-13
         )
 
     def test_cat_inverse_linear_scaling_when_ideal(self):
-        cfg = single_shot_cfg()
-        assert same_isotope_cat_per_isotope(cfg, 64) == pytest.approx(
-            same_isotope_cat_per_isotope(cfg, 8) / 8, rel=1e-13
-        )
+        dws = row("same_isotope_cat", (64, 8, 64, 8)).per_isotope
+        assert dws[0] == pytest.approx(dws[1] / 8, rel=1e-13)
 
     def test_cat_hundred_atoms_against_high_precision_product(self):
         mp = pytest.importorskip("mpmath")
@@ -143,7 +146,8 @@ class TestPerIsotopeUncertainties:
         cfg = single_shot_cfg(f1=0.9999, f2=0.999)
         contrast = float(mp.mpf("0.9999") ** 100 * mp.mpf("0.999") ** 99)
         expected = 1.0 / (2 * math.pi * contrast * 100)
-        assert same_isotope_cat_per_isotope(cfg, 100) == pytest.approx(expected, rel=1e-12)
+        got = row("same_isotope_cat", (100, 100, 100, 100), cfg).per_isotope[0]
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestClassicalFit:
@@ -186,8 +190,7 @@ class TestClassicalFit:
             proj = project_deviation(chain, h)
             if proj.weighted_l2sq < 1e-12:
                 continue
-            dws = tuple(sql_per_isotope(cfg, n) if n else math.inf for n in chain.n_atoms)
-            fitted = combine_classical_fit(chain, h, dws, cfg)
+            fitted = protocol_table(chain, h, cfg, ("sql",))[0].delta_theta
             closed = 1.0 / (2 * math.pi * cfg.tau * cfg.omega * math.sqrt(proj.weighted_l2sq))
             assert fitted == pytest.approx(closed, rel=1e-10)
 
@@ -195,59 +198,54 @@ class TestClassicalFit:
 class TestCatSensitivities:
     def test_matched_cat_single_shot(self):
         chain = synthetic_chain((1.0, 1.0, 1.0, 1.0), (1, 1, 1, 1))
-        proj = project_deviation(chain, (-1.0, -1.0, 1.0, 1.0))
+        proj = project_deviation(chain, H_SPLIT)
         assert proj.weighted_l1 == 4.0
-        res = cross_cat_sensitivity(chain, proj, single_shot_cfg())
+        res = protocol_table(chain, H_SPLIT, single_shot_cfg(), ("cross_cat_ideal",))[0]
         assert res.delta_theta == pytest.approx(1.0 / (8 * math.pi), rel=1e-13)
         assert res.delta_theta == pytest.approx(0.039788735772973836, rel=1e-12)
         assert res.eigsep == pytest.approx(8 * math.pi, rel=1e-13)
 
     def test_doubling_every_allocation_halves_delta(self, yb_chain, ideal_cfg):
-        h = (-1.0, -1.0, 1.0, 1.0)
         small = reallocate(yb_chain, (10, 10, 10, 10))
         big = reallocate(yb_chain, (20, 20, 20, 20))
-        d_small = cross_cat_sensitivity(small, project_deviation(small, h), ideal_cfg).delta_theta
-        d_big = cross_cat_sensitivity(big, project_deviation(big, h), ideal_cfg).delta_theta
+        d_small = protocol_table(small, H_SPLIT, ideal_cfg, ("cross_cat_ideal",))[0].delta_theta
+        d_big = protocol_table(big, H_SPLIT, ideal_cfg, ("cross_cat_ideal",))[0].delta_theta
         assert d_big == pytest.approx(d_small / 2, rel=1e-13)
 
     def test_noisy_variant_divides_by_global_contrast(self, yb_chain, benchmark_cfg):
-        h = (-1.0, -1.0, 1.0, 1.0)
-        proj = project_deviation(yb_chain, h)
-        ideal = cross_cat_sensitivity(yb_chain, proj, benchmark_cfg, noisy=False)
-        noisy = cross_cat_sensitivity(yb_chain, proj, benchmark_cfg, noisy=True)
-        contrast = cat_contrast(benchmark_cfg, yb_chain.total_atoms)
+        ideal, noisy = protocol_table(
+            yb_chain, H_SPLIT, benchmark_cfg, ("cross_cat_ideal", "cross_cat_noisy")
+        )
+        contrast = cat_contrast(benchmark_cfg, yb_chain.total_atoms, benchmark_cfg.t2)
         assert noisy.delta_theta == pytest.approx(ideal.delta_theta / contrast, rel=1e-13)
         assert noisy.contrast_used == pytest.approx(contrast, rel=1e-14)
 
     def test_parallel_pattern_has_no_signal(self, yb_chain, ideal_cfg):
-        proj = project_deviation(yb_chain, yb_chain.q)
-        with pytest.raises(ZeroSignalError):
-            cross_cat_sensitivity(yb_chain, proj, ideal_cfg)
+        res = protocol_table(yb_chain, yb_chain.q, ideal_cfg, ("cross_cat_ideal",))[0]
+        assert res.error == "no_signal" and math.isnan(res.delta_theta)
 
     def test_dfs_budget_conventions(self, yb_chain):
-        h = (-1.0, -1.0, 1.0, 1.0)
-        proj = project_deviation(yb_chain, h)
-        per_channel = dfs_cat_sensitivity(
-            yb_chain, proj, single_shot_cfg(dfs_budget="per_channel"), noisy=False
-        )
-        split = dfs_cat_sensitivity(
-            yb_chain, proj, single_shot_cfg(dfs_budget="split"), noisy=False
-        )
+        # single_shot_cfg is lossless, so every contrast is exactly 1
+        dfs = ("dfs_cat",)
+        per_channel = protocol_table(yb_chain, H_SPLIT, single_shot_cfg(dfs_budget="per_channel"), dfs)[0]
+        split = protocol_table(yb_chain, H_SPLIT, single_shot_cfg(dfs_budget="split"), dfs)[0]
+        assert per_channel.contrast_used == split.contrast_used == 1.0
         # doubling the budget doubles the separation and halves delta theta
         assert per_channel.eigsep == pytest.approx(2 * split.eigsep, rel=1e-13)
         assert per_channel.delta_theta == pytest.approx(split.delta_theta / 2, rel=1e-13)
-        plain = cross_cat_sensitivity(yb_chain, proj, single_shot_cfg(), noisy=False)
+        plain = protocol_table(yb_chain, H_SPLIT, single_shot_cfg(), ("cross_cat_ideal",))[0]
         assert split.delta_theta == pytest.approx(plain.delta_theta, rel=1e-13)
 
 
 class TestProtocolTable:
     def test_sql_row_is_fit_of_per_isotope_values(self, yb_chain, benchmark_cfg):
-        h = (-1.0, -1.0, 1.0, 1.0)
-        row = protocol_table(yb_chain, h, benchmark_cfg, ("sql",))[0]
-        dws = tuple(sql_per_isotope(benchmark_cfg, n) for n in yb_chain.n_atoms)
-        assert row.per_isotope == pytest.approx(dws, rel=1e-14)
-        assert row.delta_theta == pytest.approx(
-            combine_classical_fit(yb_chain, h, dws, benchmark_cfg), rel=1e-14
+        res = protocol_table(yb_chain, H_SPLIT, benchmark_cfg, ("sql",))[0]
+        # delta omega = 1 / (2 pi C tau sqrt(N_A R T_avg))
+        reps = benchmark_cfg.rep_rate * benchmark_cfg.t_avg
+        dws = tuple(1.0 / (2 * math.pi * math.sqrt(n * reps)) for n in yb_chain.n_atoms)
+        assert res.per_isotope == pytest.approx(dws, rel=1e-14)
+        assert res.delta_theta == pytest.approx(
+            combine_classical_fit(yb_chain, H_SPLIT, dws, benchmark_cfg), rel=1e-14
         )
 
     def test_ideal_matched_cat_is_never_beaten(self):
@@ -326,3 +324,23 @@ class TestProtocolTable:
         better = protocol_table(yb_chain, h, replace(base, **{field: hi_val}))
         for w, b in zip(worse, better):
             assert b.delta_theta <= w.delta_theta * (1 + 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 10**8), min_size=4, max_size=4),
+    f1=st.floats(0.9, 1.0),
+    f2=st.floats(0.9, 1.0),
+    p_surv=st.floats(0.9, 1.0),
+    gate_count_model=st.sampled_from(("linear", "log_depth")),
+)
+def test_every_row_is_finite_or_a_slug(counts, f1, f2, p_surv, gate_count_model):
+    # large cats drive the contrast product below the smallest float; very
+    # unequal cat contrasts leave the fit with one informative isotope
+    cfg = ProtocolConfig(omega=1.0, tau=1.0, f1=f1, f2=f2, p_surv=p_surv, rep_rate=1.0,
+                         t_avg=3600.0, gate_count_model=gate_count_model)
+    for res in protocol_table(make_yb_chain(counts=tuple(counts)), H_SPLIT, cfg):
+        if res.error is None:
+            assert math.isfinite(res.delta_theta) and res.delta_theta > 0, res
+        else:
+            assert res.error in ("no_contrast", "singular_fit") and math.isnan(res.delta_theta), res

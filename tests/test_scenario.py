@@ -1,9 +1,14 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apvsim import (
+    GATE_COUNT_MODELS,
+    ProtocolConfig,
     ScenarioError,
     bundled_scenario_path,
     canonical_json,
@@ -103,6 +108,25 @@ class TestParsing:
             parse_scenario_dict(data)
         assert "chain.isotopes" in error_paths(exc)
 
+    def test_non_finite_list_entries_are_named(self):
+        data = scenario_with(deviation={"h": [float("nan"), 1.0]})
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario_dict(data)
+        assert error_paths(exc) == ["deviation.h[0]"]
+        scan = dict(ATOM_SCAN, axis="time", grid=[1.0, 10.0, float("inf")], sigma_sys=0.0, n_fixed=8)
+        data = scenario_with(scans=[scan], protocol={"omega": 1.0, "tau": 1.0})
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario_dict(data)
+        assert error_paths(exc) == ["scans[0].grid[2]"]
+
+    def test_removed_keys_are_unknown(self):
+        data = scenario_with(scans=[dict(ATOM_SCAN, allocation="equal_split")],
+                             protocol={"omega": 1.0, "tau": 1.0})
+        data["chain"]["isotopes"][0]["epsilon"] = 0.01
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario_dict(data)
+        assert error_paths(exc) == ["chain.isotopes[0].epsilon", "scans[0].allocation"]
+
     def test_multiple_errors_reported_together(self):
         data = scenario_with()
         data["chain"]["sin2_theta_w"] = -1.0
@@ -153,6 +177,15 @@ class TestScanRules:
         scan["grid"] = [16, 8]
         with pytest.raises(ScenarioError):
             parse_scenario_dict(data)
+
+    def test_time_scan_needs_an_atom_per_isotope(self):
+        scan = {"axis": "time", "grid": [1.0], "protocols": ["sql"], "sigma_sys": 0.0, "n_fixed": 1}
+        data = scenario_with(scans=[scan], protocol={"omega": 1.0, "tau": 1.0})
+        with pytest.raises(ScenarioError) as exc:
+            parse_scenario_dict(data)
+        assert error_paths(exc) == ["scans[0].n_fixed"]
+        scan["n_fixed"] = 2
+        parse_scenario_dict(data)
 
     def test_time_only_keys_rejected_on_atom_scans(self):
         scan = dict(ATOM_SCAN, sigma_sys=0.01)
@@ -208,6 +241,8 @@ class TestInterferenceBlock:
         data = scenario_with(interference={"zeta_over_beta": -2.4, "e_field": 1e5})
         s = parse_scenario_dict(data)
         assert s.interference.e_field == 1e5
+        assert scenario_to_dict(s)["interference"] == data["interference"]
+        assert parse_scenario_dict(scenario_to_dict(s)) == s
 
     def test_zero_denominators_rejected(self):
         data = scenario_with(interference={"zeta_over_beta": -2.4, "e_field": 0.0})
@@ -238,3 +273,32 @@ class TestRoundTrip:
         bad.write_text("{nope")
         with pytest.raises(ScenarioError, match="not valid JSON"):
             parse_scenario(bad)
+
+
+_POSITIVE = st.floats(1e-3, 1e3)
+_UNIT = st.floats(1e-6, 1.0)
+_COHERENCE = st.one_of(st.just("inf"), _POSITIVE)
+# t_avg >= 1e4 keeps rep_rate * t_avg and t_avg / tau above one repetition
+PROTOCOL_VALUES = {
+    "omega": _POSITIVE, "tau": _POSITIVE, "c0": _UNIT, "f1": _UNIT, "f2": _UNIT,
+    "p_surv": _UNIT, "t2": _COHERENCE, "t2_local": _COHERENCE, "t2_diff": _COHERENCE,
+    "squeezing_db": st.floats(-30.0, 30.0), "rep_rate": _POSITIVE,
+    "t_avg": st.floats(1e4, 1e7), "c_sql": _UNIT,
+    "gate_count_model": st.sampled_from(GATE_COUNT_MODELS),
+    "dfs_budget": st.sampled_from(("per_channel", "split")),
+}
+
+
+def test_protocol_values_cover_every_config_field():
+    assert set(PROTOCOL_VALUES) == {f.name for f in fields(ProtocolConfig)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=st.fixed_dictionaries({}, optional=PROTOCOL_VALUES))
+def test_protocol_block_round_trips(block):
+    s = parse_scenario_dict(scenario_with(protocol=block))
+    out = scenario_to_dict(s)["protocol"]
+    expected_keys = {f.name for f in fields(ProtocolConfig)} - ({"rep_rate"} - set(block))
+    assert set(out) == expected_keys
+    assert {k: out[k] for k in block} == block
+    assert parse_scenario_dict(scenario_with(protocol=out)) == s
