@@ -15,7 +15,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -34,16 +33,13 @@ __all__ = ["RunSummary", "format_sig", "run", "validate", "main"]
 
 def format_sig(value: float, sig: int = 12) -> str:
     """Plain decimal notation with ``sig`` significant digits."""
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if value == 0.0:
-        return "0"
-    decimals = sig - 1 - math.floor(math.log10(abs(value)))
+    try:
+        decimals = sig - 1 - math.floor(math.log10(abs(value)))
+    except (ValueError, OverflowError):  # zero, nan or +-inf
+        return "0" if value == 0.0 else str(value)
     if decimals <= 0:
-        return f"{round(value, decimals):.0f}"
-    return f"{value:.{decimals}f}"
+        return "%.0f" % round(value, decimals)
+    return "%.*f" % (decimals, value)
 
 
 @dataclass(frozen=True)
@@ -74,20 +70,24 @@ class RunSummary:
 
 
 def _write_scan_csv(path: Path, table: ScanTable):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["axis", "protocol", "delta_theta_stat", "delta_theta_tot"])
-        for row in table.rows:
-            if row.error is not None:
-                marker = f"error:{row.error}"
-                writer.writerow([format_sig(row.axis_value), row.protocol, marker, marker])
+    # No field can need CSV quoting.  The rows of one grid point are adjacent,
+    # so each axis value is formatted once; a tot equal to its stat reuses
+    # the stat text.  Lines are streamed, never joined into one string.
+    def lines():
+        last_axis = axis = None
+        for value, protocol, stat, tot, error in table.rows:
+            if value != last_axis:
+                last_axis, axis = value, format_sig(value)
+            if error is not None:
+                stat_text = tot_text = f"error:{error}"
             else:
-                writer.writerow([
-                    format_sig(row.axis_value),
-                    row.protocol,
-                    format_sig(row.delta_theta_stat),
-                    format_sig(row.delta_theta_tot),
-                ])
+                stat_text = format_sig(stat)
+                tot_text = stat_text if tot == stat else format_sig(tot)
+            yield f"{axis},{protocol},{stat_text},{tot_text}\n"
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("axis,protocol,delta_theta_stat,delta_theta_tot\n")
+        fh.writelines(lines())
 
 
 def _interference_report(scenario: Scenario) -> dict | None:
@@ -132,14 +132,18 @@ def run(scenario: Scenario, out_dir: str | Path, quiet: bool = False) -> RunSumm
             table = atom_scan(scenario.chain, scenario.deviation, scenario.protocol, spec)
         else:
             table = time_scan(scenario.chain, scenario.deviation, scenario.protocol, spec)
+        t1 = time.perf_counter()
         path = out_dir / f"{spec.name}.csv"
         _write_scan_csv(path, table)
+        t2 = time.perf_counter()
         record = {
             "name": spec.name,
             "axis": spec.axis,
             "path": str(path),
             "rows": len(table.rows),
-            "wall_seconds": time.perf_counter() - t0,
+            "scan_seconds": t1 - t0,
+            "write_seconds": t2 - t1,
+            "wall_seconds": t2 - t0,
         }
         scan_records.append(record)
         if not quiet:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
+from typing import NamedTuple
 
 from .chain import DeviationPattern, IsotopeChain, reallocate
 from .protocols import PROTOCOLS, ProtocolConfig, protocol_table
@@ -78,8 +79,7 @@ class ScanSpec:
                 raise ValueError("time scans need an explicit sigma_sys (0 is allowed)")
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     axis_value: float
     protocol: str
     delta_theta_stat: float
@@ -175,17 +175,12 @@ def crossover_finder(table: ScanTable) -> list[tuple[tuple[str, str], float]]:
     the bracketing interval.  Exact ties do not count as crossovers unless
     the sign actually changes across them.
     """
-    series: dict[str, list[tuple[float, float]]] = {}
-    order: list[str] = []
+    series: dict[str, list[tuple[float, float]]] = {}  # in first-seen order
     for row in table.rows:
-        if row.error is not None:
-            continue
-        if row.protocol not in series:
-            series[row.protocol] = []
-            order.append(row.protocol)
-        series[row.protocol].append((row.axis_value, row.delta_theta_stat))
+        if row.error is None:
+            series.setdefault(row.protocol, []).append((row.axis_value, row.delta_theta_stat))
     events: list[tuple[tuple[str, str], float]] = []
-    for a, b in combinations(order, 2):
+    for a, b in combinations(series, 2):
         values_b = dict(series[b])
         prev_sign, prev_x = 0, 0.0
         for x, da in series[a]:

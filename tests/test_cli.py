@@ -7,15 +7,57 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import apvsim
 from apvsim import PROTOCOLS, bundled_scenario_path, parse_scenario, run, validate
-from apvsim.cli import format_sig, main
+from apvsim.cli import _write_scan_csv, format_sig, main
+from apvsim.scans import ScanRow, ScanTable, atom_scan, time_scan
 
 
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _reference_format_sig(value: float, sig: int = 12) -> str:
+    """Reference with explicit nan/inf/zero branches; ``format_sig`` must
+    match it byte for byte."""
+    if math.isnan(value):
+        return "nan"
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    if value == 0.0:
+        return "0"
+    decimals = sig - 1 - math.floor(math.log10(abs(value)))
+    if decimals <= 0:
+        return f"{round(value, decimals):.0f}"
+    return f"{value:.{decimals}f}"
+
+
+def _reference_write_scan_csv(path, table):
+    """The csv.writer definition ``_write_scan_csv`` must match byte for byte."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["axis", "protocol", "delta_theta_stat", "delta_theta_tot"])
+        for row in table.rows:
+            if row.error is not None:
+                marker = f"error:{row.error}"
+                writer.writerow([_reference_format_sig(row.axis_value), row.protocol, marker, marker])
+            else:
+                writer.writerow([
+                    _reference_format_sig(row.axis_value),
+                    row.protocol,
+                    _reference_format_sig(row.delta_theta_stat),
+                    _reference_format_sig(row.delta_theta_tot),
+                ])
+
+
+def _powers_of_ten_and_neighbours():
+    for k in range(-320, 309):
+        p = float(f"1e{k}")
+        yield from (math.nextafter(p, 0.0), p, math.nextafter(p, math.inf))
 
 
 class TestFormat:
@@ -30,6 +72,9 @@ class TestFormat:
             (1512000.0, "1512000.00000"),
             (float("nan"), "nan"),
             (float("inf"), "inf"),
+            (float("-inf"), "-inf"),
+            (-0.0, "0"),
+            (9.99999999999951, "10.00000000000"),
         ],
     )
     def test_twelve_significant_digits(self, value, expected):
@@ -37,6 +82,70 @@ class TestFormat:
 
     def test_large_values_round_to_integer_digits(self):
         assert format_sig(1.23456789012345e15) == "1234567890120000"
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats())
+    @example(float("nan"))
+    @example(float("inf"))
+    @example(float("-inf"))
+    @example(-0.0)
+    @example(5e-324)
+    @example(1.7976931348623157e308)
+    @example(-1.7976931348623157e308)
+    def test_matches_reference_on_every_float(self, value):
+        assert format_sig(value) == _reference_format_sig(value)
+
+    def test_matches_reference_at_powers_of_ten(self):
+        for value in _powers_of_ten_and_neighbours():
+            for signed in (value, -value):
+                assert format_sig(signed) == _reference_format_sig(signed), signed
+
+
+class TestWriteScanCsv:
+    TABLE = ScanTable(axis="time", rows=(
+        ScanRow(1.0, "sql", 2.5e-3, 2.5e-3),
+        ScanRow(1.0, "cross_cat_ideal", 1.25e-4, 3.0e-4),
+        ScanRow(1.0, "dfs_cat", math.nan, math.nan, "no_contrast"),
+        ScanRow(1.0, "beam", 7.0e-2, 7.000001e-2),
+        ScanRow(2.0, "sql", math.nan, 4.0e-3),
+        ScanRow(2.0, "cross_cat_ideal", 0.0, -0.0),
+        ScanRow(2.0, "squeezed", 1e-13, 2e-13),
+        ScanRow(2.0, "dfs_cat", math.nan, math.nan, "allocation"),
+        ScanRow(2.0, "beam", math.inf, math.inf),
+        ScanRow(1.0, "sql", 9.99999999999951, 1e300),
+    ))
+
+    def test_bytes_match_csv_writer_reference(self, tmp_path):
+        _write_scan_csv(tmp_path / "new.csv", self.TABLE)
+        _reference_write_scan_csv(tmp_path / "ref.csv", self.TABLE)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_scan_rows_are_plain_tuples(self):
+        row = ScanRow(4.0, "sql", 1.0, 2.0)
+        assert row == (4.0, "sql", 1.0, 2.0, None)
+        axis_value, protocol, stat, tot, error = row
+        assert (axis_value, protocol, stat, tot, error) == (4.0, "sql", 1.0, 2.0, None)
+        with pytest.raises(AttributeError):
+            row.error = "allocation"
+
+    def test_bundled_run_formats_through_the_module_global(self, tmp_path, monkeypatch):
+        scenario = parse_scenario(bundled_scenario_path())
+        calls = []
+
+        def counting(value, *args):
+            calls.append(value)
+            return format_sig(value, *args)
+
+        monkeypatch.setattr("apvsim.cli.format_sig", counting)
+        run(scenario, tmp_path, quiet=True)
+        expected = 0
+        for spec in scenario.scans:
+            scan = atom_scan if spec.axis == "atom_number" else time_scan
+            rows = scan(scenario.chain, scenario.deviation, scenario.protocol, spec).rows
+            expected += len({r.axis_value for r in rows})
+            expected += sum(1 + (r.delta_theta_tot != r.delta_theta_stat)
+                            for r in rows if r.error is None)
+        assert len(calls) == expected
 
 
 class TestRun:
@@ -55,6 +164,14 @@ class TestRun:
         assert stored["scenario_sha256"] == summary.scenario_sha256
         # interference diagnostics from the bundled block
         assert stored["interference"]["amplitude_ratio"] == pytest.approx(-2.4e-5)
+
+    def test_summary_splits_scan_time_into_scan_and_write(self, tmp_path):
+        run(parse_scenario(bundled_scenario_path()), tmp_path, quiet=True)
+        stored = json.loads((tmp_path / "summary.json").read_text())
+        assert stored["scans"]
+        for record in stored["scans"]:
+            assert record["scan_seconds"] >= 0 and record["write_seconds"] >= 0
+            assert record["scan_seconds"] + record["write_seconds"] <= record["wall_seconds"]
 
     def test_sql_column_halves_between_1000_and_4000(self, tmp_path):
         scenario = parse_scenario(bundled_scenario_path())

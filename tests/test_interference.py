@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apvsim import (
@@ -32,11 +32,14 @@ class TestInterferenceRate:
 
     @settings(max_examples=200, deadline=None)
     @given(ar=finite, ai=finite, br=finite, bi=finite)
+    @example(ar=-916609.0, ai=1.0, br=905561.0, bi=0.0)
     def test_expansion_is_exact(self, ar, ai, br, bi):
         pair = AmplitudePair(a_pc=complex(ar, ai), a_pnc=complex(br, bi))
         out = interference_rate(pair)
+        squares = abs(pair.a_pc) ** 2 + abs(pair.a_pnc) ** 2
         expanded = abs(pair.a_pc) ** 2 + out["reversal_odd"] + abs(pair.a_pnc) ** 2
-        scale = max(out["rate"], expanded, 1e-300)
+        # |a+b|^2 rounds on the scale of |a|^2 + |b|^2, not of the cancelled rate
+        scale = max(out["rate"], expanded, squares, 1e-300)
         assert abs(out["rate"] - expanded) <= 1e-12 * scale
 
     def test_pnc_sign_flip_parity(self):
