@@ -52,6 +52,7 @@ from .oracle import (
 )
 from .scans import (
     AllocationError,
+    BeamSpec,
     ScanRow,
     ScanSpec,
     ScanTable,
@@ -60,7 +61,7 @@ from .scans import (
     crossover_finder,
     time_scan,
 )
-from .checks import KNOWN_CHECKS, CheckResult, run_oracle_checks
+from .checks import KNOWN_CHECKS, CheckResult, OracleSpec, run_oracle_checks
 from .scenario import (
     InterferenceSpec,
     Scenario,

@@ -17,7 +17,7 @@ parallel scan workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 __all__ = [
@@ -31,14 +31,19 @@ __all__ = [
     "project_deviation",
 ]
 
+# A component of h_perp whose magnitude is at most this fraction of the
+# largest one is treated as zero when its sign is taken.
+_SIGN_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Isotope:
-    """One isotope of the chain with its probe allocation."""
+    """One isotope of the chain with its probe allocation; the field
+    metadata is the scenario parser's rule for each key of an entry."""
 
-    A: int
-    Z: int
-    n_atoms: int = 0
+    A: int = field(metadata={"integer": True, "required": True, "minimum": 1})
+    Z: int = field(metadata={"integer": True, "required": True, "minimum": 1})
+    n_atoms: int = field(default=0, metadata={"integer": True, "required": True, "minimum": 0})
 
     def __post_init__(self):
         if self.A < 1:
@@ -150,17 +155,15 @@ class DeviationPattern:
 class ProjectedPattern:
     """Atom-number-weighted decomposition h = beta*q + h_perp.
 
-    ``signs`` holds s_A = sign(h_perp_A), zeroed below the tolerance used at
-    construction.  ``weighted_l1`` = sum_A N_A |h_perp_A| and
-    ``weighted_l2sq`` = sum_A N_A h_perp_A^2 are the norms the sensitivity
-    formulas consume.
+    ``signs`` holds s_A = sign(h_perp_A), zeroed where |h_perp_A| is at most
+    1e-12 times max|h_perp|.  ``weighted_l1`` = sum_A N_A |h_perp_A| is the
+    norm the cat sensitivities consume.
     """
 
     beta: float
     h_perp: tuple[float, ...]
     signs: tuple[int, ...]
     weighted_l1: float
-    weighted_l2sq: float
 
 
 def _pattern_values(h: Sequence[float] | DeviationPattern) -> tuple[float, ...]:
@@ -170,18 +173,13 @@ def _pattern_values(h: Sequence[float] | DeviationPattern) -> tuple[float, ...]:
 
 
 def project_deviation(
-    chain: IsotopeChain,
-    h: Sequence[float] | DeviationPattern,
-    zero_tol: float | None = None,
+    chain: IsotopeChain, h: Sequence[float] | DeviationPattern
 ) -> ProjectedPattern:
     """Remove the common-scale component of h:  h_perp = h - beta*q.
 
     beta = sum_A N_A h_A q_A / sum_A N_A q_A^2, so that
     sum_A N_A h_perp_A q_A = 0.  Isotopes with no atoms are excluded from
     the sums but still get an h_perp entry.
-
-    ``zero_tol`` is the magnitude below which a component's sign is reported
-    as 0; it defaults to 1e-12 * max|h_perp|.
     """
     hv = _pattern_values(h)
     if len(hv) != len(chain.isotopes):
@@ -194,16 +192,8 @@ def project_deviation(
     den = math.fsum(w * qa * qa for w, qa in zip(weights, q))
     beta = num / den
     h_perp = tuple(ha - beta * qa for ha, qa in zip(hv, q))
-    if zero_tol is None:
-        zero_tol = 1e-12 * max((abs(x) for x in h_perp), default=0.0)
+    zero_tol = _SIGN_RTOL * max((abs(x) for x in h_perp), default=0.0)
     signs = tuple(0 if abs(x) <= zero_tol else (1 if x > 0 else -1) for x in h_perp)
     weighted_l1 = math.fsum(w * abs(x) for w, x in zip(weights, h_perp))
-    weighted_l2sq = math.fsum(w * x * x for w, x in zip(weights, h_perp))
-    return ProjectedPattern(
-        beta=beta,
-        h_perp=h_perp,
-        signs=signs,
-        weighted_l1=weighted_l1,
-        weighted_l2sq=weighted_l2sq,
-    )
+    return ProjectedPattern(beta=beta, h_perp=h_perp, signs=signs, weighted_l1=weighted_l1)
 

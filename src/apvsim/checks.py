@@ -10,7 +10,7 @@ Everything is deterministic, so the suite doubles as a CI gate via the CLI
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .oracle import (
 )
 from .protocols import ProtocolConfig, combine_classical_fit, protocol_table
 
-__all__ = ["CheckResult", "KNOWN_CHECKS", "DEFAULT_TOLERANCES", "run_oracle_checks"]
+__all__ = ["CheckResult", "OracleSpec", "KNOWN_CHECKS", "DEFAULT_TOLERANCES", "run_oracle_checks"]
 
 
 @dataclass(frozen=True)
@@ -39,15 +39,6 @@ class CheckResult:
     max_rel_dev: float
     tolerance: float
     qubits: int
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "max_rel_dev": self.max_rel_dev,
-            "tolerance": self.tolerance,
-            "qubits": self.qubits,
-        }
 
 
 DEFAULT_TOLERANCES = {
@@ -66,6 +57,23 @@ DEFAULT_TOLERANCES = {
 }
 
 KNOWN_CHECKS = tuple(DEFAULT_TOLERANCES)
+
+
+@dataclass(frozen=True)
+class OracleSpec:
+    """The arguments of :func:`run_oracle_checks` for one run: ``tolerances``
+    holds (check name, tolerance) overrides sorted by name, and ``checks``
+    None runs every check.  The field metadata is the scenario parser's rule
+    for each key of the ``oracle`` block."""
+
+    budget: int = field(metadata={"integer": True, "required": True, "minimum": 1,
+                                  "maximum": QUBIT_CAP, "max_inclusive": True})
+    # "finite": False admits +inf (the check never fails) and NaN (it always fails)
+    tolerances: tuple[tuple[str, float], ...] = field(
+        default=(), metadata={"keys": KNOWN_CHECKS, "minimum": 0.0, "finite": False}
+    )
+    checks: tuple[str, ...] | None = field(default=None, metadata={"items": KNOWN_CHECKS})
+
 
 # All equivalence checks run with ideal contrast; the oracle does not model
 # decoherence, only state structure.  Under this config every noisy contrast
@@ -352,7 +360,6 @@ _CHECKS = (
 
 def run_oracle_checks(
     budget: int = 10,
-    cap: int = QUBIT_CAP,
     tolerances: dict[str, float] | None = None,
     only: tuple[str, ...] | None = None,
 ) -> list[CheckResult]:
@@ -365,8 +372,8 @@ def run_oracle_checks(
     """
     if budget < 1:
         raise ValueError(f"qubit budget must be >= 1, got {budget}")
-    if budget > cap:
-        raise ValueError(f"qubit budget {budget} exceeds the register cap of {cap}")
+    if budget > QUBIT_CAP:
+        raise ValueError(f"qubit budget {budget} exceeds the register cap of {QUBIT_CAP}")
     overrides = tolerances or {}
     unknown = set(overrides) - set(KNOWN_CHECKS)
     if unknown:

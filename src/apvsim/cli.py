@@ -19,11 +19,11 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
-from .checks import CheckResult, run_oracle_checks
+from .checks import CheckResult, OracleSpec, run_oracle_checks
 from .interference import AmplitudePair, amplitude_ratio, interference_rate, pv_light_shift, ramsey_phase
 from .scans import ScanTable, atom_scan, time_scan
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_sha256
@@ -56,17 +56,11 @@ class RunSummary:
     interference: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "scenario_sha256": self.scenario_sha256,
-            "library_version": self.library_version,
-            "scans": list(self.scans),
-            "checks": [c.to_dict() for c in self.checks],
-            "all_checks_passed": self.all_checks_passed,
-            "wall_seconds": self.wall_seconds,
-        }
-        if self.interference is not None:
-            out["interference"] = self.interference
-        return out
+        """The ``summary.json`` content, one key per field (each check too);
+        ``interference`` is left out when None."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["checks"] = [{f.name: getattr(c, f.name) for f in fields(c)} for c in self.checks]
+        return {key: value for key, value in out.items() if value is not None}
 
 
 def _write_scan_csv(path: Path, table: ScanTable):
@@ -108,15 +102,12 @@ def _interference_report(scenario: Scenario) -> dict | None:
 
 
 def _run_checks(scenario: Scenario, budget_override: int | None):
-    budget = budget_override if budget_override is not None else scenario.oracle_budget
+    oracle = scenario.oracle or OracleSpec(budget=None)  # every check, default tolerances
+    budget = oracle.budget if budget_override is None else budget_override
     if budget is None:
         return ()
     return tuple(
-        run_oracle_checks(
-            budget=budget,
-            tolerances=dict(scenario.oracle_tolerances),
-            only=scenario.oracle_checks,
-        )
+        run_oracle_checks(budget=budget, tolerances=dict(oracle.tolerances), only=oracle.checks)
     )
 
 
@@ -175,7 +166,7 @@ def validate(scenario: Scenario, budget: int | None = None, quiet: bool = False)
     The scenario must carry an oracle block unless an explicit budget is
     given on the command line.
     """
-    if scenario.oracle_budget is None and budget is None:
+    if scenario.oracle is None and budget is None:
         raise ScenarioError([("oracle", "scenario has no oracle block and no --budget was given")])
     t_start = time.perf_counter()
     checks = _run_checks(scenario, budget)

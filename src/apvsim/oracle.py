@@ -42,6 +42,11 @@ __all__ = [
 
 QUBIT_CAP = 14
 
+# cfi_parity: finite-difference step as a fraction of the fringe period, and
+# the distance from 0 or 1 within which the fringe counts as an extremum.
+_CFI_REL_STEP = 1e-6
+_FRINGE_P_TOL = 1e-12
+
 STATE_KINDS = ("product_x", "ghz_per_isotope", "cross_cat", "dfs_cat")
 
 
@@ -104,12 +109,12 @@ def _register(chain: IsotopeChain, dfs: bool) -> tuple[tuple[int, int], ...]:
     return tuple(labels)
 
 
-def _check_register(labels, cap):
+def _check_register(labels):
     m = len(labels)
     if m == 0:
         raise ValueError("register is empty: no isotope carries atoms")
-    if m > cap:
-        raise ValueError(f"register needs {m} qubits, exceeding the cap of {cap}")
+    if m > QUBIT_CAP:
+        raise ValueError(f"register needs {m} qubits, exceeding the cap of {QUBIT_CAP}")
     return m
 
 
@@ -129,7 +134,6 @@ def build_generator(
     tau: float,
     omega: float,
     dfs: bool = False,
-    cap: int = QUBIT_CAP,
 ) -> DiagonalGenerator:
     """Signal generator: g_j = pi tau Omega h_perp_A(j) per qubit.
 
@@ -138,7 +142,7 @@ def build_generator(
     add signal phase while common noise cancels.
     """
     labels = _register(chain, dfs)
-    _check_register(labels, cap)
+    _check_register(labels)
     coeffs = []
     for iso_idx, chan in labels:
         g = math.pi * tau * omega * proj.h_perp[iso_idx]
@@ -153,13 +157,12 @@ def build_common_generator(
     tau: float,
     omega: float,
     dfs: bool = False,
-    cap: int = QUBIT_CAP,
 ) -> DiagonalGenerator:
     """Common-noise generator: the same coefficient pi tau Omega on every
     qubit, with no channel sign flip (ordinary Zeeman or scalar shifts do
     not know about the reversal)."""
     labels = _register(chain, dfs)
-    _check_register(labels, cap)
+    _check_register(labels)
     g = math.pi * tau * omega
     coeffs = [g] * len(labels)
     return DiagonalGenerator(diag=_diag_from_coeffs(coeffs), per_qubit_coeff=tuple(coeffs), labels=labels)
@@ -180,7 +183,6 @@ def build_state(
     chain: IsotopeChain,
     proj: ProjectedPattern | None = None,
     phase: float = 0.0,
-    cap: int = QUBIT_CAP,
 ) -> StateVector:
     """Construct one of the probe states over the chain's register.
 
@@ -197,7 +199,7 @@ def build_state(
     if kind not in STATE_KINDS:
         raise ValueError(f"unknown state kind {kind!r}; choose from {STATE_KINDS}")
     labels = _register(chain, dfs=(kind == "dfs_cat"))
-    m = _check_register(labels, cap)
+    m = _check_register(labels)
     dim = 1 << m
     amp = np.zeros(dim, dtype=np.complex128)
 
@@ -275,17 +277,11 @@ def parity_fringe(state: StateVector, gen: DiagonalGenerator, theta: float) -> f
     return float(abs(a_hi + a_lo) ** 2) / 2.0
 
 
-def cfi_parity(
-    state: StateVector,
-    gen: DiagonalGenerator,
-    theta: float,
-    rel_step: float = 1e-6,
-    p_tol: float = 1e-12,
-) -> float:
+def cfi_parity(state: StateVector, gen: DiagonalGenerator, theta: float) -> float:
     """Classical Fisher information of the branch-parity readout at theta.
 
     (dp/dtheta)^2 / (p (1 - p)) with the slope by central finite difference,
-    step ``rel_step`` times the fringe period.  At a fringe extremum the
+    step 1e-6 times the fringe period.  At a fringe extremum the
     outcome distribution is deterministic and the point carries no slope
     information; that raises :class:`NonInformativePointError`.
     """
@@ -295,9 +291,9 @@ def cfi_parity(
     if dlam <= 0:
         raise ValueError("branches are degenerate; the fringe has no period")
     p = parity_fringe(state, gen, theta)
-    if p <= p_tol or p >= 1.0 - p_tol:
+    if p <= _FRINGE_P_TOL or p >= 1.0 - _FRINGE_P_TOL:
         raise NonInformativePointError(f"fringe probability {p} is at an extremum")
-    step = rel_step * 2.0 * math.pi / dlam
+    step = _CFI_REL_STEP * 2.0 * math.pi / dlam
     slope = (parity_fringe(state, gen, theta + step) - parity_fringe(state, gen, theta - step)) / (
         2.0 * step
     )

@@ -14,7 +14,7 @@ protocol order as requested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import NamedTuple
 
@@ -22,6 +22,7 @@ from .chain import DeviationPattern, IsotopeChain, reallocate
 from .protocols import PROTOCOLS, ProtocolConfig, protocol_table
 
 __all__ = [
+    "BeamSpec",
     "ScanSpec",
     "ScanRow",
     "ScanTable",
@@ -40,23 +41,37 @@ class AllocationError(ValueError):
 
 
 @dataclass(frozen=True)
+class BeamSpec:
+    """A 1/sqrt(T) comparison curve, coefficient / sqrt(T) with ``floor``
+    added in quadrature, emitted by time scans as protocol "beam"."""
+
+    coefficient: float = field(metadata={"required": True, "minimum": 0.0, "exclusive_min": True})
+    floor: float = field(metadata={"required": True, "minimum": 0.0})
+
+
+@dataclass(frozen=True)
 class ScanSpec:
     """One scan request.
 
     ``grid`` values are atom numbers or averaging times (s) and must be
-    positive and strictly increasing.  ``sigma_sys`` and ``n_fixed`` apply
-    to time scans only; ``beam_coefficient``/``beam_floor`` add an optional
-    1/sqrt(T) comparison curve emitted as protocol "beam".
+    positive and strictly increasing.  ``sigma_sys``, ``n_fixed`` and the
+    optional ``beam`` apply to time scans only, where the first two are
+    required.  The field metadata is the scenario parser's rule for each key
+    of a scan block.
     """
 
-    axis: str
-    grid: tuple[float, ...]
-    protocols: tuple[str, ...]
-    name: str = "scan"
-    sigma_sys: float | None = None
-    n_fixed: int | None = None
-    beam_coefficient: float | None = None
-    beam_floor: float | None = None
+    axis: str = field(metadata={"choices": SCAN_AXES, "required": True})
+    grid: tuple[float, ...] = field(metadata={"numbers": True, "positive": True,
+                                              "increasing": True, "required": True})
+    protocols: tuple[str, ...] = field(metadata={"items": PROTOCOLS, "required": True})
+    name: str = field(default="scan", metadata={"label": True})
+    sigma_sys: float | None = field(
+        default=None, metadata={"time_only": True, "required": True, "minimum": 0.0}
+    )
+    n_fixed: int | None = field(
+        default=None, metadata={"time_only": True, "required": True, "integer": True}
+    )
+    beam: BeamSpec | None = field(default=None, metadata={"time_only": True, "block": BeamSpec})
 
     def __post_init__(self):
         if self.axis not in SCAN_AXES:
@@ -161,9 +176,9 @@ def time_scan(
             else:
                 stat = res.delta_theta * scale
                 rows.append(ScanRow(t, res.protocol, stat, math.hypot(stat, sigma)))
-        if spec.beam_coefficient is not None:
-            stat = spec.beam_coefficient / math.sqrt(t)
-            rows.append(ScanRow(t, "beam", stat, math.hypot(stat, spec.beam_floor or 0.0)))
+        if spec.beam is not None:
+            stat = spec.beam.coefficient / math.sqrt(t)
+            rows.append(ScanRow(t, "beam", stat, math.hypot(stat, spec.beam.floor)))
     return ScanTable(axis="time", rows=tuple(rows))
 
 

@@ -6,35 +6,34 @@ offending key path reported):
 ``chain`` (required)
     ``sin2_theta_w``: number in (0, 0.5)
     ``ref_A``: mass number of the reference isotope (must occur exactly once)
-    ``isotopes``: list of ``{"A": int, "Z": int, "n_atoms": int}``
+    ``isotopes``: list of >= 2 :class:`Isotope` entries ``{"A", "Z", "n_atoms"}``
 
 ``deviation`` (required) -- exactly one of
     ``h``: list of finite numbers, one per isotope in chain order, not all zero
     ``preset``: ``"sign_split"`` (-1 on the lighter half, +1 on the heavier)
 
 ``protocol`` (optional) -- any subset of the :class:`ProtocolConfig`
-    fields, each checked against the range in its field metadata.
-    Coherence times accept a number or the string ``"inf"``.  When any scan
-    block is present, ``omega`` and ``tau`` must be written explicitly;
-    they are never defaulted into a scan.
+    fields.  Coherence times accept a number or the string ``"inf"``.  When
+    any scan block is present, ``omega`` and ``tau`` must be written
+    explicitly; they are never defaulted into a scan.
 
-``scans`` (optional) -- list of
-    ``{"name"?: str, "axis": "atom_number"|"time", "grid": [numbers...],
-       "protocols": [names...],
-       "sigma_sys": number (time scans, required; 0 allowed),
-       "n_fixed": int >= number of isotopes (time scans, required),
-       "beam"?: {"coefficient": number, "floor": number} (time scans)}``
+``scans`` (optional) -- list of :class:`ScanSpec` blocks.  ``name``
+    defaults to ``scan<index>``; atom-number grids must be integral;
+    ``sigma_sys``, ``n_fixed`` (at least one atom per isotope) and the
+    :class:`BeamSpec` ``beam`` belong to time scans only.
 
-``oracle`` (optional)
-    ``budget``: int, 1..14; ``tolerances``?: mapping of known check names
-    to overrides; ``checks``?: subset of check names to run.
+``oracle`` (optional) -- an :class:`OracleSpec` block: ``budget``,
+    ``tolerances`` (check name -> tolerance) and ``checks``.
 
-``interference`` (optional) -- diagnostics of the amplitude chain; either
-    or both of the :class:`InterferenceSpec` field groups (``zeta_over_beta``
-    with ``e_field``) and (``omega_pc``, ``omega_pnc``, ``detuning``).
+``interference`` (optional) -- an :class:`InterferenceSpec` block: either
+    or both of its field groups (``zeta_over_beta`` with ``e_field``) and
+    (``omega_pc``, ``omega_pnc``, ``detuning``).
 
-Parsing applies every default, so serializing a parsed scenario yields a
-fully explicit document; parse -> serialize -> parse is the identity.
+Every block that has a dataclass is read and written from that
+dataclass's fields; each field's metadata holds its rule (see
+:func:`_get`).  Parsing applies every default, so serializing a parsed
+scenario yields a fully explicit document; parse -> serialize -> parse is
+the identity.
 """
 
 from __future__ import annotations
@@ -42,15 +41,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
 from .chain import DeviationPattern, Isotope, IsotopeChain, build_chain
-from .checks import KNOWN_CHECKS
-from .oracle import QUBIT_CAP
-from .protocols import PROTOCOLS, ProtocolConfig
-from .scans import SCAN_AXES, ScanSpec
+from .checks import OracleSpec
+from .protocols import ProtocolConfig
+from .scans import ScanSpec
 
 __all__ = [
     "Scenario",
@@ -98,27 +96,13 @@ class Scenario:
     deviation: DeviationPattern
     protocol: ProtocolConfig
     scans: tuple[ScanSpec, ...]
-    oracle_budget: int | None = None
-    oracle_tolerances: tuple[tuple[str, float], ...] = ()
-    oracle_checks: tuple[str, ...] | None = None
+    oracle: OracleSpec | None = None
     interference: InterferenceSpec | None = None
-
-
-class _Collector:
-    def __init__(self):
-        self.errors: list[tuple[str, str]] = []
-
-    def add(self, path: str, reason: str):
-        self.errors.append((path, reason))
-
-    def raise_if_any(self):
-        if self.errors:
-            raise ScenarioError(self.errors)
 
 
 def _expect_mapping(node, path, errs):
     if not isinstance(node, dict):
-        errs.add(path, f"expected an object, got {type(node).__name__}")
+        errs.append((path, f"expected an object, got {type(node).__name__}"))
         return False
     return True
 
@@ -126,131 +110,228 @@ def _expect_mapping(node, path, errs):
 def _reject_unknown(node, allowed, path, errs):
     for key in node:
         if key not in allowed:
-            errs.add(f"{path}.{key}", "unknown key")
+            errs.append((f"{path}.{key}", "unknown key"))
 
 
-def _number(value, where, errs, minimum=None, maximum=None, exclusive_min=False,
-            max_inclusive=False, allow_inf=False, nonzero=False):
-    """``value`` as a float within the bounds, or None after recording why not."""
-    if allow_inf and value == "inf":
+# Each reader below takes (value, key path, errors, rule) and returns the
+# value as the dataclass holds it, or None after recording why not.
+
+
+def _bounded(value, where, errs, rule):
+    """``value`` if it meets ``minimum`` (``exclusive_min``), ``maximum``
+    (``max_inclusive``) and ``nonzero`` of ``rule``."""
+    minimum, exclusive = rule.get("minimum"), rule.get("exclusive_min", False)
+    if minimum is not None and (value <= minimum if exclusive else value < minimum):
+        errs.append((where, f"must be {'>' if exclusive else '>='} {minimum}, got {value}"))
+        return None
+    maximum, inclusive = rule.get("maximum"), rule.get("max_inclusive", False)
+    if maximum is not None and (value > maximum if inclusive else value >= maximum):
+        errs.append((where, f"must be {'<=' if inclusive else '<'} {maximum}, got {value}"))
+        return None
+    if rule.get("nonzero") and value == 0:
+        errs.append((where, "must be nonzero"))
+        return None
+    return value
+
+
+def _number(value, where, errs, rule):
+    """A float within the bounds of ``rule``; ``allow_inf`` admits the string
+    "inf", and ``finite`` (default True) rejects nan and +-inf."""
+    if rule.get("allow_inf") and value == "inf":
         return math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errs.add(where, f"expected a number, got {value!r}")
+        errs.append((where, f"expected a number, got {value!r}"))
         return None
     value = float(value)
-    if not math.isfinite(value):
-        errs.add(where, "must be finite")
+    if rule.get("finite", True) and not math.isfinite(value):
+        errs.append((where, "must be finite"))
         return None
-    if minimum is not None and (value <= minimum if exclusive_min else value < minimum):
-        cmp = ">" if exclusive_min else ">="
-        errs.add(where, f"must be {cmp} {minimum}, got {value}")
-        return None
-    if maximum is not None and (value > maximum if max_inclusive else value >= maximum):
-        cmp = "<=" if max_inclusive else "<"
-        errs.add(where, f"must be {cmp} {maximum}, got {value}")
-        return None
-    if nonzero and value == 0:
-        errs.add(where, "must be nonzero")
-        return None
-    return value
+    return _bounded(value, where, errs, rule)
 
 
-def _get_number(node, key, path, errs, required=False, default=None, **bound):
-    if key not in node:
-        if required:
-            errs.add(f"{path}.{key}", "required key missing")
-        return default
-    value = _number(node[key], f"{path}.{key}", errs, **bound)
-    return default if value is None else value
+def _integer(value, where, errs, rule):
+    """An int (an integral float is converted) within the bounds of ``rule``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        errs.append((where, f"expected an integer, got {value!r}"))
+        return None
+    return _bounded(value, where, errs, rule)
 
 
-def _get_numbers(node, key, path, errs, positive=False):
-    """A nonempty list of finite numbers; every bad entry is reported by its index."""
-    raw = node.get(key)
+def _choice(value, where, errs, rule):
+    if value in rule["choices"]:
+        return value
+    errs.append((where, f"must be one of {list(rule['choices'])}, got {value!r}"))
+    return None
+
+
+def _items(value, where, errs, rule):
+    if not isinstance(value, list) or not value:
+        errs.append((where, "expected a nonempty list of names"))
+        return None
+    bad = [v for v in value if v not in rule["items"]]
+    if bad:
+        errs.append((where, f"unknown names {bad}; choose from {list(rule['items'])}"))
+        return None
+    return tuple(value)
+
+
+def _numbers(raw, where, errs, rule):
+    """A nonempty list of finite numbers (``positive``, ``increasing``), as a
+    tuple of floats; every bad entry is reported by its index."""
     if not isinstance(raw, list) or not raw:
-        errs.add(f"{path}.{key}", "expected a nonempty list of numbers")
+        errs.append((where, "expected a nonempty list of numbers"))
         return None
+    positive = rule.get("positive", False)
     # Screen the whole list first: checking entry by entry would double the
     # parse time of a 5e4-point grid.  Only a list that fails is walked.
+    values = None
     if all(type(x) in (int, float) for x in raw):
         values = tuple(map(float, raw))
-        if all(map(math.isfinite, values)) and not (positive and min(values) <= 0):
-            return values
-    bound = {"minimum": 0.0, "exclusive_min": True} if positive else {}
-    values = tuple(_number(x, f"{path}.{key}[{i}]", errs, **bound) for i, x in enumerate(raw))
-    return None if None in values else values
+        if not all(map(math.isfinite, values)) or (positive and min(values) <= 0):
+            values = None
+    if values is None:
+        entry = {"minimum": 0.0, "exclusive_min": True} if positive else {}
+        values = tuple(_number(x, f"{where}[{i}]", errs, entry) for i, x in enumerate(raw))
+        if None in values:
+            return None
+    if rule.get("increasing") and any(b >= a for a, b in zip(values[1:], values)):
+        errs.append((where, "values must be strictly increasing"))
+        return None
+    return values
 
 
-def _get_int(node, key, path, errs, required=False, default=None, minimum=None, maximum=None):
-    if key not in node:
-        if required:
-            errs.add(f"{path}.{key}", "required key missing")
-        return default
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
+def _keyed_numbers(raw, where, errs, rule):
+    """An object mapping names from ``keys`` to numbers within the bounds of
+    ``rule``, as (name, value) pairs sorted by name."""
+    if not _expect_mapping(raw, where, errs):
+        return None
+    before, pairs = len(errs), []
+    for key in sorted(raw):
+        if key not in rule["keys"]:
+            errs.append((f"{where}.{key}", f"unknown name; choose from {list(rule['keys'])}"))
         else:
-            errs.add(f"{path}.{key}", f"expected an integer, got {value!r}")
-            return default
-    if minimum is not None and value < minimum:
-        errs.add(f"{path}.{key}", f"must be >= {minimum}, got {value}")
-        return default
-    if maximum is not None and value > maximum:
-        errs.add(f"{path}.{key}", f"must be <= {maximum}, got {value}")
-        return default
-    return value
+            pairs.append((key, _number(raw[key], f"{where}.{key}", errs, rule)))
+    return tuple(pairs) if len(errs) == before else None
 
 
-def _get_choice(node, key, path, errs, choices, default=None):
+def _label(value, where, errs, rule):
+    if isinstance(value, str) and value and all(c.isalnum() or c in "_-" for c in value):
+        return value
+    errs.append((where, "must be a nonempty string of [A-Za-z0-9_-]"))
+    return None
+
+
+# The first of these keys found in a rule picks its reader; a rule with none
+# of them is a number, and one with "block" is a nested dataclass.
+_READERS = {
+    "integer": _integer,
+    "choices": _choice,
+    "items": _items,
+    "numbers": _numbers,
+    "keys": _keyed_numbers,
+    "label": _label,
+}
+
+
+def _get(node, key, path, errs, rule, default=None):
+    """``node[key]`` read by ``rule``; ``default`` when the key is absent (an
+    error too if the rule says ``required``), None when it is invalid."""
+    where = f"{path}.{key}"
     if key not in node:
+        if rule.get("required"):
+            errs.append((where, "required key missing"))
         return default
-    value = node[key]
-    if value not in choices:
-        errs.add(f"{path}.{key}", f"must be one of {list(choices)}, got {value!r}")
-        return default
-    return value
+    if "block" in rule:
+        return _parse_block(rule["block"], node[key], where, errs)
+    for kind, reader in _READERS.items():
+        if kind in rule:
+            return reader(node[key], where, errs, rule)
+    return _number(node[key], where, errs, rule)
+
+
+def _parse_fields(cls, node, path, errs, skip=()) -> tuple[dict, bool]:
+    """Keyword arguments for dataclass ``cls`` read from the mapping ``node``
+    by each field's metadata rule (an absent key takes the field default, an
+    invalid one reads as None, ``skip`` is not read), and whether all are valid."""
+    _reject_unknown(node, [f.name for f in fields(cls)], path, errs)
+    kw, valid = {}, True
+    for f in fields(cls):
+        if f.name not in skip:
+            default = None if f.default is MISSING else f.default
+            kw[f.name] = value = _get(node, f.name, path, errs, f.metadata, default)
+            valid &= value is not None if f.name in node else not f.metadata.get("required")
+    return kw, valid
+
+
+def _parse_block(cls, node, path, errs):
+    """Dataclass ``cls`` read from ``node``, or None after recording why not;
+    a ValueError of its constructor is reported at ``path``."""
+    if not _expect_mapping(node, path, errs):
+        return None
+    kw, valid = _parse_fields(cls, node, path, errs)
+    if not valid:
+        return None
+    try:
+        return cls(**kw)
+    except ValueError as exc:
+        errs.append((path, str(exc)))
+        return None
+
+
+def _fields_to_dict(obj) -> dict:
+    """Inverse of :func:`_parse_fields`; fields that are None or empty are left out."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is None or value == ():
+            continue
+        if "block" in f.metadata:
+            value = _fields_to_dict(value)
+        elif "keys" in f.metadata:
+            value = dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        elif value == math.inf:
+            value = "inf"
+        out[f.name] = value
+    return out
+
+
+_SIN2_THETA_W = {"required": True, "minimum": 0.0, "exclusive_min": True, "maximum": 0.5}
+_REF_A = {"integer": True, "required": True, "minimum": 1}
 
 
 def _parse_chain(node, errs) -> IsotopeChain | None:
     if not _expect_mapping(node, "chain", errs):
         return None
     _reject_unknown(node, {"sin2_theta_w", "ref_A", "isotopes"}, "chain", errs)
-    s2w = _get_number(node, "sin2_theta_w", "chain", errs, required=True,
-                      minimum=0.0, maximum=0.5, exclusive_min=True)
-    ref_a = _get_int(node, "ref_A", "chain", errs, required=True, minimum=1)
+    s2w = _get(node, "sin2_theta_w", "chain", errs, _SIN2_THETA_W)
+    ref_a = _get(node, "ref_A", "chain", errs, _REF_A)
     raw = node.get("isotopes")
     if not isinstance(raw, list) or len(raw) < 2:
-        errs.add("chain.isotopes", "need a list of >= 2 isotopes")
+        errs.append(("chain.isotopes", "need a list of >= 2 isotopes"))
         return None
     isotopes = []
     for i, entry in enumerate(raw):
-        path = f"chain.isotopes[{i}]"
-        if not _expect_mapping(entry, path, errs):
+        iso = _parse_block(Isotope, entry, f"chain.isotopes[{i}]", errs)
+        if iso is None:
             return None
-        _reject_unknown(entry, {"A", "Z", "n_atoms"}, path, errs)
-        a = _get_int(entry, "A", path, errs, required=True, minimum=1)
-        z = _get_int(entry, "Z", path, errs, required=True, minimum=1)
-        n = _get_int(entry, "n_atoms", path, errs, required=True, minimum=0)
-        if None in (a, z, n):
-            return None
-        if z > a:
-            errs.add(path, f"Z={z} exceeds A={a}")
-            return None
-        isotopes.append(Isotope(A=a, Z=z, n_atoms=n))
+        isotopes.append(iso)
     if s2w is None or ref_a is None:
         return None
     masses = [iso.A for iso in isotopes]
     if len(set(masses)) != len(masses):
-        errs.add("chain.isotopes", "duplicate mass numbers")
+        errs.append(("chain.isotopes", "duplicate mass numbers"))
         return None
     if masses.count(ref_a) != 1:
-        errs.add("chain.ref_A", f"mass number {ref_a} not found in the isotope list")
+        errs.append(("chain.ref_A", f"mass number {ref_a} not found in the isotope list"))
         return None
     try:
         return build_chain(isotopes, ref_index=masses.index(ref_a), sin2_theta_w=s2w)
     except ValueError as exc:
-        errs.add("chain", str(exc))
+        errs.append(("chain", str(exc)))
         return None
 
 
@@ -260,227 +341,117 @@ def _parse_deviation(node, chain, errs) -> DeviationPattern | None:
     _reject_unknown(node, {"h", "preset"}, "deviation", errs)
     has_h, has_preset = "h" in node, "preset" in node
     if has_h == has_preset:
-        errs.add("deviation", "give exactly one of 'h' or 'preset'")
+        errs.append(("deviation", "give exactly one of 'h' or 'preset'"))
         return None
     if has_preset:
         if node["preset"] != "sign_split":
-            errs.add("deviation.preset", f"unknown preset {node['preset']!r}")
+            errs.append(("deviation.preset", f"unknown preset {node['preset']!r}"))
             return None
         return DeviationPattern.sign_split(chain) if chain else None
-    values = _get_numbers(node, "h", "deviation", errs)
+    values = _get(node, "h", "deviation", errs, {"numbers": True})
     if values is None:
         return None
     if chain and len(values) != len(chain.isotopes):
-        errs.add("deviation.h", f"length {len(values)} does not match chain length {len(chain.isotopes)}")
+        errs.append(("deviation.h", f"length {len(values)} does not match chain length {len(chain.isotopes)}"))
         return None
     if all(x == 0.0 for x in values):
-        errs.add("deviation.h", "pattern must have at least one nonzero entry")
+        errs.append(("deviation.h", "pattern must have at least one nonzero entry"))
         return None
     return DeviationPattern(h=values)
 
 
-def _parse_fields(cls, node, path, errs) -> dict:
-    """Keyword arguments for dataclass ``cls`` from ``node``: absent keys take
-    the field default, present ones are checked against the field metadata
-    (``choices``, or the bounds of :func:`_number`)."""
-    _reject_unknown(node, {f.name for f in fields(cls)}, path, errs)
-    kw = {}
-    for f in fields(cls):
-        bound = {k: v for k, v in f.metadata.items() if k != "group"}
-        if "choices" in bound:
-            kw[f.name] = _get_choice(node, f.name, path, errs, bound["choices"], f.default)
-        else:
-            kw[f.name] = _get_number(node, f.name, path, errs, default=f.default, **bound)
-    return kw
-
-
-def _fields_to_dict(obj) -> dict:
-    """Inverse of :func:`_parse_fields`; fields that are None are left out."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if value is not None:
-            out[f.name] = "inf" if value == math.inf else value
-    return out
-
-
 def _parse_protocol(node, errs, scans_present) -> ProtocolConfig | None:
     node = node if node is not None else {}
-    if not _expect_mapping(node, "protocol", errs):
-        return None
-    if scans_present:
+    if scans_present and isinstance(node, dict):
         for key in ("omega", "tau"):
             if key not in node:
-                errs.add(f"protocol.{key}",
-                         "must be explicit when scans are requested (no silent default)")
-    before = len(errs.errors)
-    cfg = ProtocolConfig(**_parse_fields(ProtocolConfig, node, "protocol", errs))
-    if len(errs.errors) > before:
-        return None
-    if cfg.reps < 1:
-        errs.add("protocol", f"rep_rate * t_avg must be >= 1, got {cfg.reps}")
+                errs.append((f"protocol.{key}",
+                             "must be explicit when scans are requested (no silent default)"))
+    cfg = _parse_block(ProtocolConfig, node, "protocol", errs)
+    if cfg is not None and cfg.reps < 1:
+        errs.append(("protocol", f"rep_rate * t_avg must be >= 1, got {cfg.reps}"))
         return None
     return cfg
 
 
-_SCAN_KEYS = {"name", "axis", "grid", "protocols", "sigma_sys", "n_fixed", "beam"}
+_TIME_ONLY = tuple(f.name for f in fields(ScanSpec) if f.metadata.get("time_only"))
 
 
-def _parse_scan(node, index, errs, n_isotopes) -> ScanSpec | None:
+def _parse_scan(node, index, errs, n_isotopes) -> tuple[str | None, ScanSpec | None]:
+    """The block's name (None if invalid) and its ScanSpec (None if invalid)."""
     path = f"scans[{index}]"
     if not _expect_mapping(node, path, errs):
-        return None
-    _reject_unknown(node, _SCAN_KEYS, path, errs)
-    axis = _get_choice(node, "axis", path, errs, SCAN_AXES)
-    if axis is None:
-        if "axis" not in node:
-            errs.add(f"{path}.axis", "required key missing")
-        return None
-    name = node.get("name", f"scan{index}")
-    if not isinstance(name, str) or not name or not all(c.isalnum() or c in "_-" for c in name):
-        errs.add(f"{path}.name", "must be a nonempty string of [A-Za-z0-9_-]")
-        return None
-    grid = _get_numbers(node, "grid", path, errs, positive=True)
-    if grid is None:
-        return None
-    if any(b >= a for a, b in zip(grid[1:], grid)):
-        errs.add(f"{path}.grid", "values must be strictly increasing")
-        return None
-    if axis == "atom_number" and any(not float(v).is_integer() for v in grid):
-        errs.add(f"{path}.grid", "atom numbers must be integers")
-        return None
-    raw_protocols = node.get("protocols")
-    if not isinstance(raw_protocols, list) or not raw_protocols:
-        errs.add(f"{path}.protocols", "expected a nonempty list of protocol names")
-        return None
-    bad = [p for p in raw_protocols if p not in PROTOCOLS]
-    if bad:
-        errs.add(f"{path}.protocols", f"unknown protocols {bad}; choose from {list(PROTOCOLS)}")
-        return None
-    sigma_sys = n_fixed = beam_coeff = beam_floor = None
-    if axis == "time":
-        sigma_sys = _get_number(node, "sigma_sys", path, errs, required=True, minimum=0.0)
-        # every isotope needs at least one atom
-        n_fixed = _get_int(node, "n_fixed", path, errs, required=True, minimum=n_isotopes)
-        if "beam" in node:
-            beam = node["beam"]
-            if not _expect_mapping(beam, f"{path}.beam", errs):
-                return None
-            _reject_unknown(beam, {"coefficient", "floor"}, f"{path}.beam", errs)
-            beam_coeff = _get_number(beam, "coefficient", f"{path}.beam", errs, required=True,
-                                     minimum=0.0, exclusive_min=True)
-            beam_floor = _get_number(beam, "floor", f"{path}.beam", errs, required=True, minimum=0.0)
-        if sigma_sys is None or n_fixed is None:
-            return None
-    else:
-        for key in ("sigma_sys", "n_fixed", "beam"):
+        return None, None
+    axis = node.get("axis")
+    kw, valid = _parse_fields(ScanSpec, node, path, errs, skip=() if axis == "time" else _TIME_ONLY)
+    if "name" not in node:
+        kw["name"] = f"scan{index}"
+    before = len(errs)
+    if axis == "atom_number":
+        if kw["grid"] is not None and any(not v.is_integer() for v in kw["grid"]):
+            errs.append((f"{path}.grid", "atom numbers must be integers"))
+        for key in _TIME_ONLY:
             if key in node:
-                errs.add(f"{path}.{key}", "only valid for time scans")
-    try:
-        return ScanSpec(
-            axis=axis, grid=grid, protocols=tuple(raw_protocols), name=name,
-            sigma_sys=sigma_sys, n_fixed=n_fixed,
-            beam_coefficient=beam_coeff, beam_floor=beam_floor,
-        )
-    except ValueError as exc:
-        errs.add(path, str(exc))
-        return None
-
-
-def _parse_oracle(node, errs):
-    if not _expect_mapping(node, "oracle", errs):
-        return None, (), None
-    _reject_unknown(node, {"budget", "tolerances", "checks"}, "oracle", errs)
-    budget = _get_int(node, "budget", "oracle", errs, required=True, minimum=1, maximum=QUBIT_CAP)
-    tolerances = []
-    raw = node.get("tolerances", {})
-    if not isinstance(raw, dict):
-        errs.add("oracle.tolerances", "expected an object of check-name -> tolerance")
-    else:
-        for key in sorted(raw):
-            if key not in KNOWN_CHECKS:
-                errs.add(f"oracle.tolerances.{key}", f"unknown check; choose from {list(KNOWN_CHECKS)}")
-                continue
-            value = raw[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-                errs.add(f"oracle.tolerances.{key}", f"expected a number >= 0, got {value!r}")
-                continue
-            tolerances.append((key, float(value)))
-    checks = None
-    if "checks" in node:
-        raw_checks = node["checks"]
-        if not isinstance(raw_checks, list) or not raw_checks:
-            errs.add("oracle.checks", "expected a nonempty list of check names")
-        else:
-            bad = [c for c in raw_checks if c not in KNOWN_CHECKS]
-            if bad:
-                errs.add("oracle.checks", f"unknown checks {bad}; choose from {list(KNOWN_CHECKS)}")
-            else:
-                checks = tuple(raw_checks)
-    return budget, tuple(tolerances), checks
+                errs.append((f"{path}.{key}", "only valid for time scans"))
+    elif kw.get("n_fixed") is not None and kw["n_fixed"] < n_isotopes:
+        errs.append((f"{path}.n_fixed",
+                     f"must be >= {n_isotopes} (one atom per isotope), got {kw['n_fixed']}"))
+    # with every field valid, only the rules above can reject the scan
+    return kw["name"], ScanSpec(**kw) if valid and len(errs) == before else None
 
 
 def _parse_interference(node, errs) -> InterferenceSpec | None:
     if not _expect_mapping(node, "interference", errs):
         return None
-    spec = InterferenceSpec(**_parse_fields(InterferenceSpec, node, "interference", errs))
+    spec = _parse_block(InterferenceSpec, node, "interference", errs)
     groups: dict[str, list[str]] = {}
     for f in fields(InterferenceSpec):
         groups.setdefault(f.metadata["group"], []).append(f.name)
     for names in groups.values():
         given = [name for name in names if name in node]
         if given and len(given) != len(names):
-            errs.add("interference", f"{', '.join(names)} must appear together")
+            errs.append(("interference", f"{', '.join(names)} must appear together"))
     if not node:
-        errs.add("interference", "block present but empty")
+        errs.append(("interference", "block present but empty"))
     return spec
-
-
-_TOP_KEYS = {"chain", "deviation", "protocol", "scans", "oracle", "interference"}
 
 
 def parse_scenario_dict(data: dict) -> Scenario:
     """Validate a scenario tree; raises :class:`ScenarioError` listing every
     problem found (key path plus reason)."""
-    errs = _Collector()
     if not isinstance(data, dict):
-        errs.add("$", f"expected a top-level object, got {type(data).__name__}")
-        errs.raise_if_any()
-    _reject_unknown(data, _TOP_KEYS, "$", errs)
+        raise ScenarioError([("$", f"expected a top-level object, got {type(data).__name__}")])
+    errs: list[tuple[str, str]] = []
+    _reject_unknown(data, [f.name for f in fields(Scenario)], "$", errs)
     missing = [key for key in ("chain", "deviation") if key not in data]
-    for key in missing:
-        errs.add(key, "required section missing")
+    errs.extend((key, "required section missing") for key in missing)
     if missing:
-        errs.raise_if_any()
+        raise ScenarioError(errs)
 
     chain = _parse_chain(data["chain"], errs)
     deviation = _parse_deviation(data["deviation"], chain, errs)
     raw_scans = data.get("scans", [])
     if not isinstance(raw_scans, list):
-        errs.add("scans", "expected a list of scan blocks")
+        errs.append(("scans", "expected a list of scan blocks"))
         raw_scans = []
     protocol = _parse_protocol(data.get("protocol"), errs, scans_present=bool(raw_scans))
-    scans = []
-    for i, raw in enumerate(raw_scans):
-        spec = _parse_scan(raw, i, errs, len(chain.isotopes) if chain else 1)
-        if spec is not None:
-            scans.append(spec)
-    names = [s.name for s in scans]
+    parsed = [_parse_scan(raw, i, errs, len(chain.isotopes) if chain else 1)
+              for i, raw in enumerate(raw_scans)]
+    scans = [spec for _, spec in parsed if spec is not None]
+    # a scan rejected for another reason still claims its name
+    names = [name for name, _ in parsed if name is not None]
     if len(set(names)) != len(names):
-        errs.add("scans", f"duplicate scan names: {sorted(n for n in names if names.count(n) > 1)}")
-    budget, tolerances, check_names = (None, (), None)
-    if "oracle" in data:
-        budget, tolerances, check_names = _parse_oracle(data["oracle"], errs)
+        errs.append(("scans", f"duplicate scan names: {sorted(n for n in names if names.count(n) > 1)}"))
+    oracle = _parse_block(OracleSpec, data["oracle"], "oracle", errs) if "oracle" in data else None
     interference = _parse_interference(data["interference"], errs) if "interference" in data else None
-    errs.raise_if_any()
+    if errs:
+        raise ScenarioError(errs)
     return Scenario(
         chain=chain,
         deviation=deviation,
         protocol=protocol,
         scans=tuple(scans),
-        oracle_budget=budget,
-        oracle_tolerances=tolerances,
-        oracle_checks=check_names,
+        oracle=oracle,
         interference=interference,
     )
 
@@ -501,36 +472,15 @@ def scenario_to_dict(s: Scenario) -> dict:
         "chain": {
             "sin2_theta_w": s.chain.sin2_theta_w,
             "ref_A": s.chain.isotopes[s.chain.ref_index].A,
-            "isotopes": [
-                {"A": iso.A, "Z": iso.Z, "n_atoms": iso.n_atoms} for iso in s.chain.isotopes
-            ],
+            "isotopes": [_fields_to_dict(iso) for iso in s.chain.isotopes],
         },
         "deviation": {"h": list(s.deviation.h)},
         "protocol": _fields_to_dict(s.protocol),
     }
     if s.scans:
-        blocks = []
-        for spec in s.scans:
-            block: dict = {
-                "name": spec.name,
-                "axis": spec.axis,
-                "grid": list(spec.grid),
-                "protocols": list(spec.protocols),
-            }
-            if spec.axis == "time":
-                block["sigma_sys"] = spec.sigma_sys
-                block["n_fixed"] = spec.n_fixed
-                if spec.beam_coefficient is not None:
-                    block["beam"] = {"coefficient": spec.beam_coefficient, "floor": spec.beam_floor}
-            blocks.append(block)
-        out["scans"] = blocks
-    if s.oracle_budget is not None:
-        oracle: dict = {"budget": s.oracle_budget}
-        if s.oracle_tolerances:
-            oracle["tolerances"] = {k: v for k, v in s.oracle_tolerances}
-        if s.oracle_checks is not None:
-            oracle["checks"] = list(s.oracle_checks)
-        out["oracle"] = oracle
+        out["scans"] = [_fields_to_dict(spec) for spec in s.scans]
+    if s.oracle is not None:
+        out["oracle"] = _fields_to_dict(s.oracle)
     if s.interference is not None:
         out["interference"] = _fields_to_dict(s.interference)
     return out

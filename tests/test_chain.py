@@ -97,7 +97,6 @@ class TestProjection:
         assert proj.h_perp == (-1.0, -1.0, 1.0, 1.0)
         assert proj.signs == (-1, -1, 1, 1)
         assert proj.weighted_l1 == pytest.approx(20.0)
-        assert proj.weighted_l2sq == pytest.approx(20.0)
 
     def test_orthogonality_by_direct_summation(self, yb_chain):
         proj = project_deviation(yb_chain, (1.0, 1.0, 1.0, 1.0))

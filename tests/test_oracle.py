@@ -42,7 +42,6 @@ def projected(h_perp, signs=None):
         h_perp=tuple(h_perp),
         signs=tuple(signs),
         weighted_l1=sum(abs(x) for x in h_perp),
-        weighted_l2sq=sum(x * x for x in h_perp),
     )
 
 
@@ -104,7 +103,7 @@ class TestGeneratorConstruction:
     def test_qubit_cap(self):
         chain = make_yb_chain(counts=(4, 4, 4, 4))
         with pytest.raises(ValueError, match="cap"):
-            build_generator(chain, projected((1, -1, 1, -1)), 1.0, 1.0, cap=14)
+            build_generator(chain, projected((1, -1, 1, -1)), 1.0, 1.0)
 
 
 class TestStateConstruction:

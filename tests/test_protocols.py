@@ -188,10 +188,11 @@ class TestClassicalFit:
             chain, h = random_chain(rng, max_total=64)
             cfg = single_shot_cfg(omega=float(rng.uniform(0.2, 3.0)))
             proj = project_deviation(chain, h)
-            if proj.weighted_l2sq < 1e-12:
+            l2sq = math.fsum(n * x * x for n, x in zip(chain.n_atoms, proj.h_perp))
+            if l2sq < 1e-12:
                 continue
             fitted = protocol_table(chain, h, cfg, ("sql",))[0].delta_theta
-            closed = 1.0 / (2 * math.pi * cfg.tau * cfg.omega * math.sqrt(proj.weighted_l2sq))
+            closed = 1.0 / (2 * math.pi * cfg.tau * cfg.omega * math.sqrt(l2sq))
             assert fitted == pytest.approx(closed, rel=1e-10)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from apvsim import (
     AllocationError,
+    BeamSpec,
     ScanSpec,
     allocate_atoms,
     atom_scan,
@@ -156,7 +157,7 @@ class TestTimeScan:
                 assert r.delta_theta_tot - sigma <= r.delta_theta_stat**2 / (2 * sigma)
 
     def test_beam_comparison_curve(self, yb_chain, benchmark_cfg):
-        spec = time_spec([1, 100], sigma=0.0, beam_coefficient=0.02, beam_floor=1e-3)
+        spec = time_spec([1, 100], sigma=0.0, beam=BeamSpec(coefficient=0.02, floor=1e-3))
         table = time_scan(yb_chain, H_SPLIT, benchmark_cfg, spec)
         beam = rows_by_protocol(table, "beam")
         assert beam[0].delta_theta_stat == pytest.approx(0.02)

@@ -1,6 +1,8 @@
 import json
 import math
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,15 +10,24 @@ from hypothesis import strategies as st
 
 from apvsim import (
     GATE_COUNT_MODELS,
+    KNOWN_CHECKS,
+    PROTOCOLS,
+    BeamSpec,
+    InterferenceSpec,
+    Isotope,
+    OracleSpec,
     ProtocolConfig,
+    ScanSpec,
     ScenarioError,
     bundled_scenario_path,
     canonical_json,
     parse_scenario,
     parse_scenario_dict,
+    run,
     scenario_sha256,
     scenario_to_dict,
 )
+from apvsim.scans import SCAN_AXES
 
 MINIMAL = {
     "chain": {
@@ -49,7 +60,7 @@ class TestParsing:
         assert s.protocol.f2 == 0.999
         assert math.isinf(s.protocol.t2)
         assert s.scans == ()
-        assert s.oracle_budget is None
+        assert s.oracle is None
 
     def test_out_of_range_weak_mixing_names_the_key(self):
         data = scenario_with()
@@ -65,7 +76,7 @@ class TestParsing:
         assert s.chain.isotopes[s.chain.ref_index].A == 174
         assert s.deviation.h == (-1.0, -1.0, 1.0, 1.0)
         assert {spec.axis for spec in s.scans} == {"atom_number", "time"}
-        assert s.oracle_budget == 10
+        assert s.oracle.budget == 10
 
     def test_unknown_keys_are_rejected_everywhere(self):
         data = scenario_with(extra={"x": 1})
@@ -220,12 +231,12 @@ class TestOracleBlock:
     def test_tolerance_overrides_survive(self):
         data = scenario_with(oracle={"budget": 4, "tolerances": {"cross_cat_qfi": 1e-8}})
         s = parse_scenario_dict(data)
-        assert s.oracle_tolerances == (("cross_cat_qfi", 1e-8),)
+        assert s.oracle.tolerances == (("cross_cat_qfi", 1e-8),)
 
     def test_check_subset_selection(self):
         data = scenario_with(oracle={"budget": 4, "checks": ["cross_cat_qfi"]})
         s = parse_scenario_dict(data)
-        assert s.oracle_checks == ("cross_cat_qfi",)
+        assert s.oracle.checks == ("cross_cat_qfi",)
         assert parse_scenario_dict(scenario_to_dict(s)) == s
         data["oracle"]["checks"] = ["nope"]
         with pytest.raises(ScenarioError) as exc:
@@ -302,3 +313,305 @@ def test_protocol_block_round_trips(block):
     assert set(out) == expected_keys
     assert {k: out[k] for k in block} == block
     assert parse_scenario_dict(scenario_with(protocol=out)) == s
+
+
+# Every section filled in, so that one edit can break any rule of the parser.
+FULL = {
+    "chain": MINIMAL["chain"],
+    "deviation": {"h": [1.0, -1.0]},
+    "protocol": {"omega": 1.0, "tau": 1.0},
+    "scans": [
+        dict(ATOM_SCAN),
+        {"name": "times", "axis": "time", "grid": [1.0, 10.0], "protocols": ["sql"],
+         "sigma_sys": 0.0, "n_fixed": 8, "beam": {"coefficient": 0.02, "floor": 0.001}},
+    ],
+    "oracle": {"budget": 4, "tolerances": {"cross_cat_qfi": 1e-8}, "checks": ["cross_cat_qfi"]},
+    "interference": {"zeta_over_beta": -2.4, "e_field": 1e5},
+}
+
+_DELETE = object()
+_NAN, _INF = float("nan"), float("inf")
+
+# (id, key path of the one edit, new value or _DELETE, the exact error paths)
+ERROR_CORPUS = [
+    ("valid", None, None, []),
+    ("top-not-object", (), [], ["$"]),
+    ("top-unknown-key", ("extra",), 1, ["$.extra"]),
+    ("chain-missing", ("chain",), _DELETE, ["chain"]),
+    ("deviation-missing", ("deviation",), _DELETE, ["deviation"]),
+    ("chain-not-object", ("chain",), [], ["chain"]),
+    ("chain-unknown-key", ("chain", "bogus"), 1, ["chain.bogus"]),
+    ("s2w-missing", ("chain", "sin2_theta_w"), _DELETE, ["chain.sin2_theta_w"]),
+    ("s2w-above-range", ("chain", "sin2_theta_w"), 0.7, ["chain.sin2_theta_w"]),
+    ("s2w-zero", ("chain", "sin2_theta_w"), 0.0, ["chain.sin2_theta_w"]),
+    ("s2w-not-number", ("chain", "sin2_theta_w"), "x", ["chain.sin2_theta_w"]),
+    ("s2w-nan", ("chain", "sin2_theta_w"), _NAN, ["chain.sin2_theta_w"]),
+    ("ref-a-missing", ("chain", "ref_A"), _DELETE, ["chain.ref_A"]),
+    ("ref-a-fraction", ("chain", "ref_A"), 174.5, ["chain.ref_A"]),
+    ("ref-a-zero", ("chain", "ref_A"), 0, ["chain.ref_A"]),
+    ("ref-a-not-found", ("chain", "ref_A"), 172, ["chain.ref_A"]),
+    ("isotopes-not-list", ("chain", "isotopes"), "x", ["chain.isotopes"]),
+    ("isotopes-too-few", ("chain", "isotopes"), [{"A": 174, "Z": 70, "n_atoms": 1}],
+     ["chain.isotopes"]),
+    ("isotope-not-object", ("chain", "isotopes", 1), 174, ["chain.isotopes[1]"]),
+    ("isotope-unknown-key", ("chain", "isotopes", 0, "epsilon"), 0.01,
+     ["chain.isotopes[0].epsilon"]),
+    ("isotope-a-missing", ("chain", "isotopes", 0, "A"), _DELETE, ["chain.isotopes[0].A"]),
+    ("isotope-a-not-integer", ("chain", "isotopes", 0, "A"), "x", ["chain.isotopes[0].A"]),
+    ("isotope-a-zero", ("chain", "isotopes", 0, "A"), 0, ["chain.isotopes[0].A"]),
+    ("isotope-z-missing", ("chain", "isotopes", 1, "Z"), _DELETE, ["chain.isotopes[1].Z"]),
+    ("isotope-z-zero", ("chain", "isotopes", 1, "Z"), 0, ["chain.isotopes[1].Z"]),
+    ("isotope-z-fraction", ("chain", "isotopes", 1, "Z"), 1.5, ["chain.isotopes[1].Z"]),
+    ("isotope-z-above-a", ("chain", "isotopes", 0, "Z"), 171, ["chain.isotopes[0]"]),
+    ("isotope-n-missing", ("chain", "isotopes", 0, "n_atoms"), _DELETE,
+     ["chain.isotopes[0].n_atoms"]),
+    ("isotope-n-negative", ("chain", "isotopes", 0, "n_atoms"), -1,
+     ["chain.isotopes[0].n_atoms"]),
+    ("isotope-n-bool", ("chain", "isotopes", 0, "n_atoms"), True,
+     ["chain.isotopes[0].n_atoms"]),
+    ("isotopes-duplicate-mass", ("chain", "isotopes", 1, "A"), 170, ["chain.isotopes"]),
+    ("weak-charge-vanishes", ("chain", "isotopes", 0), {"A": 107, "Z": 100, "n_atoms": 10},
+     ["chain"]),
+    ("deviation-not-object", ("deviation",), [1.0, -1.0], ["deviation"]),
+    ("deviation-unknown-key", ("deviation", "junk"), 2, ["deviation.junk"]),
+    ("deviation-h-and-preset", ("deviation", "preset"), "sign_split", ["deviation"]),
+    ("deviation-neither", ("deviation",), {}, ["deviation"]),
+    ("deviation-unknown-preset", ("deviation",), {"preset": "flat"}, ["deviation.preset"]),
+    ("h-not-list", ("deviation", "h"), 1.0, ["deviation.h"]),
+    ("h-empty", ("deviation", "h"), [], ["deviation.h"]),
+    ("h-nan-entry", ("deviation", "h"), [_NAN, 1.0], ["deviation.h[0]"]),
+    ("h-text-entry", ("deviation", "h"), [1.0, "x"], ["deviation.h[1]"]),
+    ("h-wrong-length", ("deviation", "h"), [1.0, -1.0, 0.5], ["deviation.h"]),
+    ("h-all-zero", ("deviation", "h"), [0.0, 0.0], ["deviation.h"]),
+    ("protocol-not-object", ("protocol",), [], ["protocol"]),
+    ("protocol-unknown-key", ("protocol", "bogus"), 1, ["protocol.bogus"]),
+    ("protocol-omega-implicit", ("protocol", "omega"), _DELETE, ["protocol.omega"]),
+    ("protocol-tau-implicit", ("protocol", "tau"), _DELETE, ["protocol.tau"]),
+    ("protocol-omega-zero", ("protocol", "omega"), 0.0, ["protocol.omega"]),
+    ("protocol-c0-above-one", ("protocol", "c0"), 1.5, ["protocol.c0"]),
+    ("protocol-t2-text", ("protocol", "t2"), "never", ["protocol.t2"]),
+    ("protocol-t2-negative", ("protocol", "t2"), -1.0, ["protocol.t2"]),
+    ("protocol-squeezing-text", ("protocol", "squeezing_db"), "x", ["protocol.squeezing_db"]),
+    ("protocol-rep-rate-zero", ("protocol", "rep_rate"), 0.0, ["protocol.rep_rate"]),
+    ("protocol-gate-model", ("protocol", "gate_count_model"), "cubic",
+     ["protocol.gate_count_model"]),
+    ("protocol-dfs-budget", ("protocol", "dfs_budget"), "shared", ["protocol.dfs_budget"]),
+    ("protocol-under-one-rep", ("protocol", "t_avg"), 0.5, ["protocol"]),
+    ("scans-not-list", ("scans",), {}, ["scans"]),
+    ("scan-not-object", ("scans", 0), "atoms", ["scans[0]"]),
+    ("scan-unknown-key", ("scans", 0, "allocation"), "equal_split", ["scans[0].allocation"]),
+    ("scan-axis-missing", ("scans", 0, "axis"), _DELETE, ["scans[0].axis"]),
+    ("scan-axis-unknown", ("scans", 0, "axis"), "energy", ["scans[0].axis"]),
+    ("scan-name-space", ("scans", 0, "name"), "a b", ["scans[0].name"]),
+    ("scan-name-empty", ("scans", 0, "name"), "", ["scans[0].name"]),
+    ("scan-name-number", ("scans", 0, "name"), 5, ["scans[0].name"]),
+    ("scan-grid-missing", ("scans", 0, "grid"), _DELETE, ["scans[0].grid"]),
+    ("scan-grid-not-list", ("scans", 0, "grid"), "x", ["scans[0].grid"]),
+    ("scan-grid-empty", ("scans", 0, "grid"), [], ["scans[0].grid"]),
+    ("scan-grid-zero-entry", ("scans", 0, "grid"), [0, 8], ["scans[0].grid[0]"]),
+    ("scan-grid-inf-entry", ("scans", 1, "grid"), [1.0, _INF], ["scans[1].grid[1]"]),
+    ("scan-grid-text-entry", ("scans", 0, "grid"), ["8", 16], ["scans[0].grid[0]"]),
+    ("scan-grid-decreasing", ("scans", 0, "grid"), [16, 8], ["scans[0].grid"]),
+    ("scan-grid-repeated", ("scans", 1, "grid"), [1.0, 1.0], ["scans[1].grid"]),
+    ("scan-atom-grid-fraction", ("scans", 0, "grid"), [8.5, 16], ["scans[0].grid"]),
+    ("scan-protocols-missing", ("scans", 0, "protocols"), _DELETE, ["scans[0].protocols"]),
+    ("scan-protocols-empty", ("scans", 0, "protocols"), [], ["scans[0].protocols"]),
+    ("scan-protocols-unknown", ("scans", 0, "protocols"), ["sql", "warp"],
+     ["scans[0].protocols"]),
+    ("scan-sigma-missing", ("scans", 1, "sigma_sys"), _DELETE, ["scans[1].sigma_sys"]),
+    ("scan-sigma-negative", ("scans", 1, "sigma_sys"), -1.0, ["scans[1].sigma_sys"]),
+    ("scan-n-fixed-missing", ("scans", 1, "n_fixed"), _DELETE, ["scans[1].n_fixed"]),
+    ("scan-n-fixed-below-isotopes", ("scans", 1, "n_fixed"), 1, ["scans[1].n_fixed"]),
+    ("scan-n-fixed-zero", ("scans", 1, "n_fixed"), 0, ["scans[1].n_fixed"]),
+    ("scan-n-fixed-fraction", ("scans", 1, "n_fixed"), 8.5, ["scans[1].n_fixed"]),
+    ("beam-not-object", ("scans", 1, "beam"), 0.02, ["scans[1].beam"]),
+    ("beam-unknown-key", ("scans", 1, "beam", "width"), 1.0, ["scans[1].beam.width"]),
+    ("beam-coefficient-missing", ("scans", 1, "beam", "coefficient"), _DELETE,
+     ["scans[1].beam.coefficient"]),
+    ("beam-coefficient-zero", ("scans", 1, "beam", "coefficient"), 0.0,
+     ["scans[1].beam.coefficient"]),
+    ("beam-floor-missing", ("scans", 1, "beam", "floor"), _DELETE, ["scans[1].beam.floor"]),
+    ("beam-floor-negative", ("scans", 1, "beam", "floor"), -1e-3, ["scans[1].beam.floor"]),
+    ("atom-scan-sigma", ("scans", 0, "sigma_sys"), 0.01, ["scans[0].sigma_sys"]),
+    ("atom-scan-n-fixed", ("scans", 0, "n_fixed"), 8, ["scans[0].n_fixed"]),
+    ("atom-scan-beam", ("scans", 0, "beam"), {"coefficient": 1.0, "floor": 0.0},
+     ["scans[0].beam"]),
+    ("scan-names-duplicate", ("scans", 1, "name"), "atoms", ["scans"]),
+    ("oracle-not-object", ("oracle",), 4, ["oracle"]),
+    ("oracle-unknown-key", ("oracle", "seed"), 1, ["oracle.seed"]),
+    ("oracle-budget-missing", ("oracle", "budget"), _DELETE, ["oracle.budget"]),
+    ("oracle-budget-zero", ("oracle", "budget"), 0, ["oracle.budget"]),
+    ("oracle-budget-above-cap", ("oracle", "budget"), 15, ["oracle.budget"]),
+    ("oracle-budget-fraction", ("oracle", "budget"), 4.5, ["oracle.budget"]),
+    ("oracle-budget-bool", ("oracle", "budget"), True, ["oracle.budget"]),
+    ("tolerances-not-object", ("oracle", "tolerances"), [1e-8], ["oracle.tolerances"]),
+    ("tolerance-unknown-check", ("oracle", "tolerances", "nope"), 1e-9,
+     ["oracle.tolerances.nope"]),
+    ("tolerance-negative", ("oracle", "tolerances", "cross_cat_qfi"), -1e-9,
+     ["oracle.tolerances.cross_cat_qfi"]),
+    ("tolerance-text", ("oracle", "tolerances", "cfi_bound"), "x",
+     ["oracle.tolerances.cfi_bound"]),
+    ("tolerance-bool", ("oracle", "tolerances", "cfi_bound"), False,
+     ["oracle.tolerances.cfi_bound"]),
+    ("checks-not-list", ("oracle", "checks"), "cfi_bound", ["oracle.checks"]),
+    ("checks-empty", ("oracle", "checks"), [], ["oracle.checks"]),
+    ("checks-unknown", ("oracle", "checks"), ["cfi_bound", "nope"], ["oracle.checks"]),
+    ("interference-not-object", ("interference",), 1.0, ["interference"]),
+    ("interference-unknown-key", ("interference", "gain"), 1.0, ["interference.gain"]),
+    ("interference-empty", ("interference",), {}, ["interference"]),
+    ("interference-group-incomplete", ("interference", "e_field"), _DELETE, ["interference"]),
+    ("interference-e-field-zero", ("interference", "e_field"), 0.0, ["interference.e_field"]),
+    ("interference-detuning-zero", ("interference",),
+     {"omega_pc": 1e6, "omega_pnc": 20.0, "detuning": 0.0}, ["interference.detuning"]),
+    ("interference-text", ("interference", "zeta_over_beta"), "x",
+     ["interference.zeta_over_beta"]),
+]
+
+
+def _mutated(keys, value):
+    if keys is None:
+        return json.loads(json.dumps(FULL))
+    if not keys:
+        return value
+    data = json.loads(json.dumps(FULL))
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("keys,value,expected", [case[1:] for case in ERROR_CORPUS],
+                         ids=[case[0] for case in ERROR_CORPUS])
+def test_error_path_corpus(keys, value, expected):
+    data = _mutated(keys, value)
+    if not expected:
+        parse_scenario_dict(data)
+        return
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario_dict(data)
+    assert error_paths(exc) == expected
+
+
+# A generator of valid scenario dicts over every section.  Each section is
+# drawn from a dict of field strategies, so that the coverage test below can
+# compare their keys with the fields of the dataclass behind the section.
+_FIDELITY = st.one_of(st.floats(1e-6, 1e-3), st.floats(0.999, 1.0), _UNIT)
+SCENARIO_PROTOCOL_VALUES = {
+    **PROTOCOL_VALUES, "c0": _FIDELITY, "f1": _FIDELITY, "f2": _FIDELITY,
+    "p_surv": _FIDELITY, "c_sql": _FIDELITY,
+}
+_ATOM_COUNT = st.integers(0, 10**12)
+BEAM_VALUES = {"coefficient": st.floats(1e-6, 1e3), "floor": st.floats(0.0, 1.0)}
+ORACLE_REQUIRED = {"budget": st.integers(1, 6)}
+ORACLE_OPTIONAL = {
+    "tolerances": st.dictionaries(st.sampled_from(KNOWN_CHECKS), st.floats(0.0, 1.0)),
+    "checks": st.lists(st.sampled_from(KNOWN_CHECKS), min_size=1, max_size=4),
+}
+INTERFERENCE_GROUPS = (
+    {"zeta_over_beta": st.floats(-10.0, 10.0), "e_field": st.floats(1.0, 1e7)},
+    {"omega_pc": st.floats(-1e7, 1e7), "omega_pnc": st.floats(-1e3, 1e3),
+     "detuning": st.one_of(st.floats(-1e8, -1.0), st.floats(1.0, 1e8))},
+)
+
+
+def isotope_values(z, a):
+    return {"A": st.just(a), "Z": st.just(z), "n_atoms": _ATOM_COUNT}
+
+
+def scan_values(axis, n_isotopes, index):
+    """(required, optional) field strategies of block ``index`` of ``scans``."""
+    if axis == "atom_number":
+        points = st.integers(1, 10**12)
+    else:
+        points = st.floats(1e-3, 1e7)
+    required = {
+        "axis": st.just(axis),
+        "grid": st.lists(points, min_size=1, max_size=5, unique=True).map(sorted),
+        "protocols": st.lists(st.sampled_from(PROTOCOLS), min_size=1, max_size=6),
+    }
+    optional = {"name": st.sampled_from((f"s{index}", f"scan-{index}_{axis}"))}
+    if axis == "time":
+        required["sigma_sys"] = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+        required["n_fixed"] = st.integers(n_isotopes, 10**12)
+        optional["beam"] = st.fixed_dictionaries(BEAM_VALUES)
+    return required, optional
+
+
+@st.composite
+def valid_scenarios(draw):
+    k = draw(st.integers(2, 8))
+    z = draw(st.integers(1, 100))
+    # N >= Z keeps every weak charge -N + Z(1 - 4 sin^2) away from zero
+    masses = [z + n for n in draw(st.lists(st.integers(z, z + 80), min_size=k, max_size=k,
+                                           unique=True))]
+    isotopes = [draw(st.fixed_dictionaries(isotope_values(z, a))) for a in masses]
+    if draw(st.booleans()):
+        deviation = {"preset": "sign_split"}
+    else:
+        h = draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k))
+        if not any(h):
+            h[0] = 1.0
+        deviation = {"h": h}
+    data = {
+        "chain": {"sin2_theta_w": draw(st.floats(1e-3, 0.499)),
+                  "ref_A": draw(st.sampled_from(masses)), "isotopes": isotopes},
+        "deviation": deviation,
+        "protocol": draw(st.fixed_dictionaries(
+            {key: v for key, v in SCENARIO_PROTOCOL_VALUES.items() if key in ("omega", "tau")},
+            optional={key: v for key, v in SCENARIO_PROTOCOL_VALUES.items()
+                      if key not in ("omega", "tau")})),
+    }
+    scans = []
+    for i, axis in enumerate(draw(st.lists(st.sampled_from(SCAN_AXES), max_size=3))):
+        required, optional = scan_values(axis, k, i)
+        scans.append(draw(st.fixed_dictionaries(required, optional=optional)))
+    if scans:
+        data["scans"] = scans
+    if draw(st.booleans()):
+        data["oracle"] = draw(st.fixed_dictionaries(ORACLE_REQUIRED, optional=ORACLE_OPTIONAL))
+    groups = [g for g in INTERFERENCE_GROUPS if draw(st.booleans())]
+    if groups:
+        data["interference"] = draw(st.fixed_dictionaries({key: v for g in groups
+                                                           for key, v in g.items()}))
+    return data
+
+
+def test_generator_covers_every_field():
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    assert set(isotope_values(70, 170)) == names(Isotope)
+    required, optional = scan_values("time", 2, 0)
+    assert set(required) | set(optional) == names(ScanSpec)
+    assert set(BEAM_VALUES) == names(BeamSpec)
+    assert set(ORACLE_REQUIRED) | set(ORACLE_OPTIONAL) == names(OracleSpec)
+    assert set(SCENARIO_PROTOCOL_VALUES) == names(ProtocolConfig)
+    assert set().union(*INTERFERENCE_GROUPS) == names(InterferenceSpec)
+
+
+DOCUMENTED_SLUGS = {"allocation", "singular_fit", "no_signal", "no_contrast", "invalid_config"}
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=valid_scenarios())
+def test_generated_scenarios_round_trip_and_run(data):
+    s = parse_scenario_dict(data)
+    again = parse_scenario_dict(scenario_to_dict(s))
+    assert again == s
+    assert canonical_json(again) == canonical_json(s)
+    with tempfile.TemporaryDirectory() as out:
+        summary = run(s, out, quiet=True)
+        for record in summary.scans:
+            lines = Path(record["path"]).read_text(encoding="utf-8").splitlines()
+            assert len(lines) == record["rows"] + 1
+            for line in lines[1:]:
+                axis, protocol, stat, tot = line.split(",")
+                if stat.startswith("error:"):
+                    assert tot == stat and stat[len("error:"):] in DOCUMENTED_SLUGS, line
+                else:
+                    for text in (stat, tot):
+                        assert math.isfinite(float(text)) and float(text) > 0, line
