@@ -8,7 +8,8 @@ with q_A the weak-charge pattern normalized to a reference isotope, Omega an
 unknown common scale, and theta a deviation from weak-charge scaling.  Any
 part of a deviation pattern h_A proportional to q_A is indistinguishable from
 a change of Omega, so the measurable direction is the atom-number weighted
-component of h orthogonal to q; ``project_deviation`` extracts it.
+component of h orthogonal to q; ``project_deviation`` extracts it, for the
+chain's own allocation or for a G x k matrix of allocations at once.
 
 All types here are immutable after construction and safe to share across
 parallel scan workers.
@@ -18,7 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain as chain_from
 from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "Isotope",
@@ -157,13 +161,15 @@ class ProjectedPattern:
 
     ``signs`` holds s_A = sign(h_perp_A), zeroed where |h_perp_A| is at most
     1e-12 times max|h_perp|.  ``weighted_l1`` = sum_A N_A |h_perp_A| is the
-    norm the cat sensitivities consume.
+    norm the cat sensitivities consume.  For a matrix of allocations the
+    fields are arrays with a leading grid axis, and ``signs``, which only
+    the oracle reads, is None.
     """
 
-    beta: float
-    h_perp: tuple[float, ...]
-    signs: tuple[int, ...]
-    weighted_l1: float
+    beta: float | np.ndarray
+    h_perp: tuple[float, ...] | np.ndarray
+    signs: tuple[int, ...] | None
+    weighted_l1: float | np.ndarray
 
 
 def _pattern_values(h: Sequence[float] | DeviationPattern) -> tuple[float, ...]:
@@ -172,28 +178,56 @@ def _pattern_values(h: Sequence[float] | DeviationPattern) -> tuple[float, ...]:
     return tuple(float(x) for x in h)
 
 
+# Rows turned into Python floats at a time by _row_fsums, which bounds the
+# memory a large grid takes on the way.
+_FSUM_BLOCK = 1024
+
+
+def _row_fsums(terms: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a 2-D array: the correctly rounded sum that
+    a per-row Python loop gives, raising where it raises."""
+    blocks = (map(math.fsum, terms[start:start + _FSUM_BLOCK].tolist())
+              for start in range(0, len(terms), _FSUM_BLOCK))
+    return np.fromiter(chain_from.from_iterable(blocks), dtype=float, count=len(terms))
+
+
 def project_deviation(
-    chain: IsotopeChain, h: Sequence[float] | DeviationPattern
+    chain: IsotopeChain, h: Sequence[float] | DeviationPattern, counts: np.ndarray | None = None
 ) -> ProjectedPattern:
     """Remove the common-scale component of h:  h_perp = h - beta*q.
 
     beta = sum_A N_A h_A q_A / sum_A N_A q_A^2, so that
     sum_A N_A h_perp_A q_A = 0.  Isotopes with no atoms are excluded from
     the sums but still get an h_perp entry.
+
+    N_A is the chain's allocation, or each row of the G x k array
+    ``counts`` (integers or their float values), in which case the fields
+    of the result have a leading grid axis and ``signs`` is None.
     """
     hv = _pattern_values(h)
-    if len(hv) != len(chain.isotopes):
-        raise ValueError(f"pattern length {len(hv)} does not match chain length {len(chain.isotopes)}")
-    weights = [float(iso.n_atoms) for iso in chain.isotopes]
-    if sum(weights) == 0:
+    k = len(chain.isotopes)
+    if len(hv) != k:
+        raise ValueError(f"pattern length {len(hv)} does not match chain length {k}")
+    if counts is None:
+        weights = np.array([[float(iso.n_atoms) for iso in chain.isotopes]])
+    else:
+        weights = counts.astype(float)
+    hq = np.array((hv, chain.q))
+    q = hq[1]
+    # N_A h_A q_A and N_A q_A q_A: the products, in the order, of a Python sum
+    terms = weights[:, None, :] * hq
+    terms *= q
+    num, den = _row_fsums(terms.reshape(-1, k)).reshape(-1, 2).T
+    del terms
+    if not den.all():  # q_A is never zero, so only an allocation without atoms
         raise ValueError("all isotopes have zero atoms; projection weights undefined")
-    q = chain.q
-    num = math.fsum(w * ha * qa for w, ha, qa in zip(weights, hv, q))
-    den = math.fsum(w * qa * qa for w, qa in zip(weights, q))
     beta = num / den
-    h_perp = tuple(ha - beta * qa for ha, qa in zip(hv, q))
-    zero_tol = _SIGN_RTOL * max((abs(x) for x in h_perp), default=0.0)
-    signs = tuple(0 if abs(x) <= zero_tol else (1 if x > 0 else -1) for x in h_perp)
-    weighted_l1 = math.fsum(w * abs(x) for w, x in zip(weights, h_perp))
-    return ProjectedPattern(beta=beta, h_perp=h_perp, signs=signs, weighted_l1=weighted_l1)
-
+    h_perp = hq[0] - beta[:, None] * q
+    magnitude = np.abs(h_perp)
+    weighted_l1 = _row_fsums(weights * magnitude)
+    if counts is not None:  # no protocol reads the signs: only the oracle does
+        return ProjectedPattern(beta=beta, h_perp=h_perp, signs=None, weighted_l1=weighted_l1)
+    signs = np.where(h_perp > 0, 1, -1)
+    signs[magnitude <= _SIGN_RTOL * magnitude.max(axis=1, keepdims=True)] = 0
+    return ProjectedPattern(beta=beta.item(), h_perp=tuple(h_perp[0].tolist()),
+                            signs=tuple(signs[0].tolist()), weighted_l1=weighted_l1.item())

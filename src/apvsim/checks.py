@@ -9,12 +9,20 @@ Everything is deterministic, so the suite doubles as a CI gate via the CLI
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import DeviationPattern, Isotope, IsotopeChain, build_chain, project_deviation
+from .chain import (
+    DeviationPattern,
+    Isotope,
+    IsotopeChain,
+    ProjectedPattern,
+    build_chain,
+    project_deviation,
+)
 from .oracle import (
     QUBIT_CAP,
     StateVector,
@@ -27,7 +35,7 @@ from .oracle import (
     qfi,
     ramsey_evolve,
 )
-from .protocols import ProtocolConfig, combine_classical_fit, protocol_table
+from .protocols import ProtocolConfig, SensitivityResult, combine_classical_fit, protocol_table
 
 __all__ = ["CheckResult", "OracleSpec", "KNOWN_CHECKS", "DEFAULT_TOLERANCES", "run_oracle_checks"]
 
@@ -68,7 +76,7 @@ class OracleSpec:
 
     budget: int = field(metadata={"integer": True, "required": True, "minimum": 1,
                                   "maximum": QUBIT_CAP, "max_inclusive": True})
-    # "finite": False admits +inf (the check never fails) and NaN (it always fails)
+    # "finite": False admits +inf: the check never fails
     tolerances: tuple[tuple[str, float], ...] = field(
         default=(), metadata={"keys": KNOWN_CHECKS, "minimum": 0.0, "finite": False}
     )
@@ -128,13 +136,47 @@ def _dfs_instances(budget):
     return [(c, h) for c, h in candidates if 2 * c.total_atoms <= budget]
 
 
+class _Shared:
+    """The instance lists of one suite run, with each instance's projection
+    and analytic rows evaluated once however many checks read them."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._protocols: dict[int, tuple[str, ...]] = {}
+        self._projections: dict[int, ProjectedPattern] = {}
+        self._rows: dict[int, dict[str, SensitivityResult]] = {}
+
+    def _instances(self, instances, protocols):
+        self._protocols.update((id(chain), protocols) for chain, _ in instances)
+        return instances
+
+    @functools.cached_property
+    def plain(self):
+        return self._instances(_plain_instances(self.budget),
+                               ("sql", "same_isotope_cat", "cross_cat_ideal"))
+
+    @functools.cached_property
+    def dfs(self):
+        return self._instances(_dfs_instances(self.budget), ("cross_cat_ideal", "dfs_cat"))
+
+    def projection(self, chain, h) -> ProjectedPattern:
+        """project_deviation of an instance of :attr:`plain` or :attr:`dfs`."""
+        if id(chain) not in self._projections:
+            self._projections[id(chain)] = project_deviation(chain, h)
+        return self._projections[id(chain)]
+
+    def analytic(self, chain, h, protocol) -> SensitivityResult:
+        """The closed-form row of ``protocol`` on an instance at the ideal
+        config; one table holds every protocol the checks compare on it."""
+        if id(chain) not in self._rows:
+            table = protocol_table(chain, h, _IDEAL_CFG, self._protocols[id(chain)])
+            self._rows[id(chain)] = {row.protocol: row for row in table}
+        return self._rows[id(chain)][protocol]
+
+
 def _rel(a, b):
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale else 0.0
-
-
-def _analytic(chain, h, protocol):
-    return protocol_table(chain, h, _IDEAL_CFG, (protocol,))[0]
 
 
 def _oracle_delta_theta(state, gen, cfg):
@@ -146,7 +188,7 @@ def _oracle_delta_theta(state, gen, cfg):
 # ---------------------------------------------------------------------------
 
 
-def _check_single_qubit_ramsey(budget):
+def _check_single_qubit_ramsey(shared):
     cfg = _IDEAL_CFG
     chain = _chain(_SR, (1, 0), ref=1)
     gen = build_common_generator(chain, cfg.tau, cfg.omega)
@@ -163,13 +205,13 @@ def _check_single_qubit_ramsey(budget):
     return dev, 1
 
 
-def _signal_generators(budget):
+def _signal_generators(shared):
     """(chain, generator) pairs; falls back to a one-qubit register when the
     budget admits nothing larger."""
     cfg = _IDEAL_CFG
     out = []
-    for chain, h in _plain_instances(budget):
-        proj = project_deviation(chain, h)
+    for chain, h in shared.plain:
+        proj = shared.projection(chain, h)
         out.append((chain, build_generator(chain, proj, cfg.tau, cfg.omega)))
     if not out:
         chain = _chain(_SR, (1, 0), ref=1)
@@ -177,8 +219,8 @@ def _signal_generators(budget):
     return out
 
 
-def _check_eigenstate_qfi_zero(budget):
-    _, gen = _signal_generators(budget)[-1]
+def _check_eigenstate_qfi_zero(shared):
+    _, gen = _signal_generators(shared)[-1]
     m = len(gen.labels)
     scale = float(np.max(gen.diag) - np.min(gen.diag)) ** 2
     dev = 0.0
@@ -190,9 +232,9 @@ def _check_eigenstate_qfi_zero(budget):
     return dev, m
 
 
-def _check_product_qfi_independence(budget):
+def _check_product_qfi_independence(shared):
     dev, used = 0.0, 0
-    for chain, gen in _signal_generators(budget):
+    for chain, gen in _signal_generators(shared):
         state = build_state("product_x", chain)
         expected = 4.0 * math.fsum(g * g for g in gen.per_qubit_coeff)
         dev = max(dev, _rel(qfi(state, gen), expected))
@@ -200,27 +242,27 @@ def _check_product_qfi_independence(budget):
     return dev, used
 
 
-def _check_cross_cat_qfi(budget):
+def _check_cross_cat_qfi(shared):
     cfg = _IDEAL_CFG
     dev, used = 0.0, 0
-    for chain, h in _plain_instances(budget):
-        proj = project_deviation(chain, h)
+    for chain, h in shared.plain:
+        proj = shared.projection(chain, h)
         gen = build_generator(chain, proj, cfg.tau, cfg.omega)
         state = build_state("cross_cat", chain, proj)
-        sep = _analytic(chain, h, "cross_cat_ideal").eigsep
+        sep = shared.analytic(chain, h, "cross_cat_ideal").eigsep
         dev = max(dev, _rel(qfi(state, gen), sep**2))
         used = max(used, len(gen.labels))
     return dev, used
 
 
-def _check_sql_oracle_equiv(budget):
+def _check_sql_oracle_equiv(shared):
     cfg = _IDEAL_CFG
     dev, used = 0.0, 0
-    for chain, h in _plain_instances(budget):
-        proj = project_deviation(chain, h)
+    for chain, h in shared.plain:
+        proj = shared.projection(chain, h)
         gen = build_generator(chain, proj, cfg.tau, cfg.omega)
         state = build_state("product_x", chain)
-        analytic = _analytic(chain, h, "sql").delta_theta
+        analytic = shared.analytic(chain, h, "sql").delta_theta
         dev = max(dev, _rel(_oracle_delta_theta(state, gen, cfg), analytic))
         used = max(used, len(gen.labels))
     return dev, used
@@ -233,10 +275,10 @@ def _single_isotope_view(chain, index):
     return reallocate(chain, counts)
 
 
-def _check_same_isotope_cat_oracle_equiv(budget):
+def _check_same_isotope_cat_oracle_equiv(shared):
     cfg = _IDEAL_CFG
     dev, used = 0.0, 0
-    for chain, h in _plain_instances(budget):
+    for chain, h in shared.plain:
         # per-isotope frequency sensitivity from each subarray's own cat,
         # pushed through the same classical fit as the analytic path
         dws = []
@@ -249,64 +291,64 @@ def _check_same_isotope_cat_oracle_equiv(budget):
             freq_gen = build_common_generator(sub, cfg.tau, 1.0)
             dws.append(1.0 / math.sqrt(qfi(st, freq_gen) * cfg.reps))
         oracle = combine_classical_fit(chain, h, tuple(dws), cfg)
-        analytic = _analytic(chain, h, "same_isotope_cat").delta_theta
+        analytic = shared.analytic(chain, h, "same_isotope_cat").delta_theta
         dev = max(dev, _rel(oracle, analytic))
         used = max(used, chain.total_atoms)
         counts = {iso.n_atoms for iso in chain.isotopes}
         if len(counts) == 1:
             # equal allocation: the joint product-of-cats state agrees directly
-            proj = project_deviation(chain, h)
+            proj = shared.projection(chain, h)
             gen = build_generator(chain, proj, cfg.tau, cfg.omega)
             joint = build_state("ghz_per_isotope", chain)
             dev = max(dev, _rel(_oracle_delta_theta(joint, gen, cfg), analytic))
     return dev, used
 
 
-def _check_cross_cat_oracle_equiv(budget):
+def _check_cross_cat_oracle_equiv(shared):
     cfg = _IDEAL_CFG
     dev, used = 0.0, 0
-    for chain, h in _plain_instances(budget):
-        proj = project_deviation(chain, h)
+    for chain, h in shared.plain:
+        proj = shared.projection(chain, h)
         gen = build_generator(chain, proj, cfg.tau, cfg.omega)
         state = build_state("cross_cat", chain, proj)
-        analytic = _analytic(chain, h, "cross_cat_ideal").delta_theta
+        analytic = shared.analytic(chain, h, "cross_cat_ideal").delta_theta
         dev = max(dev, _rel(_oracle_delta_theta(state, gen, cfg), analytic))
         used = max(used, len(gen.labels))
     return dev, used
 
 
-def _check_dfs_oracle_equiv(budget):
+def _check_dfs_oracle_equiv(shared):
     cfg = _IDEAL_CFG  # per_channel accounting matches the paired register
     dev, used = 0.0, 0
-    for chain, h in _dfs_instances(budget):
-        proj = project_deviation(chain, h)
+    for chain, h in shared.dfs:
+        proj = shared.projection(chain, h)
         gen = build_generator(chain, proj, cfg.tau, cfg.omega, dfs=True)
         state = build_state("dfs_cat", chain, proj)
-        analytic = _analytic(chain, h, "dfs_cat").delta_theta
+        analytic = shared.analytic(chain, h, "dfs_cat").delta_theta
         dev = max(dev, _rel(_oracle_delta_theta(state, gen, cfg), analytic))
         used = max(used, len(gen.labels))
     return dev, used
 
 
-def _largest_cross_cat(budget):
+def _largest_cross_cat(shared):
     cfg = _IDEAL_CFG
-    chain, h = _plain_instances(budget)[-1]
-    proj = project_deviation(chain, h)
+    chain, h = shared.plain[-1]
+    proj = shared.projection(chain, h)
     gen = build_generator(chain, proj, cfg.tau, cfg.omega)
     state = build_state("cross_cat", chain, proj)
     sep = float(np.max(gen.diag) - np.min(gen.diag))
     return state, gen, sep
 
 
-def _check_cfi_saturation(budget):
-    state, gen, sep = _largest_cross_cat(budget)
+def _check_cfi_saturation(shared):
+    state, gen, sep = _largest_cross_cat(shared)
     theta_mid = math.pi / (2.0 * sep)
     dev = _rel(cfi_parity(state, gen, theta_mid), qfi(state, gen))
     return dev, len(gen.labels)
 
 
-def _check_cfi_bound(budget):
-    state, gen, sep = _largest_cross_cat(budget)
+def _check_cfi_bound(shared):
+    state, gen, sep = _largest_cross_cat(shared)
     f_q = qfi(state, gen)
     period = 2.0 * math.pi / sep
     dev = 0.0
@@ -316,11 +358,11 @@ def _check_cfi_bound(budget):
     return dev, len(gen.labels)
 
 
-def _check_dfs_common_noise(budget):
+def _check_dfs_common_noise(shared):
     cfg = _IDEAL_CFG
     dev, used = 0.0, 0
-    for chain, h in _dfs_instances(budget):
-        proj = project_deviation(chain, h)
+    for chain, h in shared.dfs:
+        proj = shared.projection(chain, h)
         state = build_state("dfs_cat", chain, proj, phase=0.4)
         common = build_common_generator(chain, cfg.tau, cfg.omega, dfs=True)
         for phase in (0.0, 0.37, 1.234, math.pi / 2, 2.9, 17.0):
@@ -329,14 +371,14 @@ def _check_dfs_common_noise(budget):
     return dev, used
 
 
-def _check_dfs_apv_separation(budget):
+def _check_dfs_apv_separation(shared):
     cfg = _IDEAL_CFG
     dev, used = 0.0, 0
-    for chain, h in _dfs_instances(budget):
-        proj = project_deviation(chain, h)
+    for chain, h in shared.dfs:
+        proj = shared.projection(chain, h)
         gen = build_generator(chain, proj, cfg.tau, cfg.omega, dfs=True)
         sep_dfs = float(np.max(gen.diag) - np.min(gen.diag))
-        sep_plain = _analytic(chain, h, "cross_cat_ideal").eigsep
+        sep_plain = shared.analytic(chain, h, "cross_cat_ideal").eigsep
         dev = max(dev, _rel(sep_dfs, 2.0 * sep_plain))
         used = max(used, len(gen.labels))
     return dev, used
@@ -382,14 +424,14 @@ def run_oracle_checks(
         unknown = set(only) - set(KNOWN_CHECKS)
         if unknown:
             raise ValueError(f"unknown check names requested: {sorted(unknown)}")
-    results = []
+    shared, results = _Shared(budget), []
     for name, min_qubits, fn in _CHECKS:
         if min_qubits > budget:
             continue
         if only is not None and name not in only:
             continue
         tol = overrides.get(name, DEFAULT_TOLERANCES[name])
-        dev, used = fn(budget)
+        dev, used = fn(shared)
         results.append(
             CheckResult(name=name, passed=dev <= tol, max_rel_dev=dev, tolerance=tol, qubits=used)
         )

@@ -132,6 +132,7 @@ def run(scenario: Scenario, out_dir: str | Path, quiet: bool = False) -> RunSumm
             "axis": spec.axis,
             "path": str(path),
             "rows": len(table.rows),
+            "error_rows": dict(sorted(table.error_rows.items())),
             "scan_seconds": t1 - t0,
             "write_seconds": t2 - t1,
             "wall_seconds": t2 - t0,

@@ -2,10 +2,11 @@
 
 Atom scans re-allocate the probe budget at every grid point and re-evaluate
 each protocol from scratch (the projection weights move with the
-allocation).  Time scans evaluate once at the first grid time and rescale
-statistically by sqrt(T0/T), adding an optional non-averaging systematic
-floor in quadrature; the rescaling is exactly equivalent to re-evaluating
-with a larger repetition count.
+allocation), all grid points at once over one matrix of atom counts.  Time
+scans evaluate once at the first grid time and rescale statistically by
+sqrt(T0/T), adding an optional non-averaging systematic floor in
+quadrature; the rescaling is exactly equivalent to re-evaluating with a
+larger repetition count.
 
 Rows are independent and emitted in deterministic order: grid point major,
 protocol order as requested.
@@ -14,12 +15,15 @@ protocol order as requested.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import combinations
-from typing import NamedTuple
+from itertools import chain as chain_from, combinations, cycle, repeat
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .chain import DeviationPattern, IsotopeChain, reallocate
-from .protocols import PROTOCOLS, ProtocolConfig, protocol_table
+from .protocols import PROTOCOLS, ProtocolConfig, protocol_grid, protocol_table
 
 __all__ = [
     "BeamSpec",
@@ -104,24 +108,36 @@ class ScanRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ScanTable:
+    """A scan's rows, and how many of them carry each error slug."""
+
     axis: str
     rows: tuple[ScanRow, ...]
+    error_rows: dict[str, int] = field(default_factory=dict)
 
 
-def allocate_atoms(chain: IsotopeChain, total: int) -> tuple[int, ...]:
+def allocate_atoms(chain: IsotopeChain, total: int | Sequence[int]) -> tuple[int, ...] | np.ndarray:
     """Equal split of ``total`` probes over the chain, remainder to lowest A.
 
-    Every isotope must receive at least one atom.
+    Every isotope must receive at least one atom.  A sequence of G totals
+    gives the G x k count matrix: int64, or Python ints (dtype object) once
+    a total reaches 2^62, so that row sums stay exact.
     """
     k = len(chain.isotopes)
-    if total < k:
-        raise AllocationError(f"cannot give each of {k} isotopes an atom out of {total}")
-    base, rem = divmod(int(total), k)
-    counts = [base] * k
+    totals = [int(t) for t in np.atleast_1d(total).tolist()]
+    if min(totals) < k:
+        raise AllocationError(f"cannot give each of {k} isotopes an atom out of {min(totals)}")
     by_mass = sorted(range(k), key=lambda i: (chain.isotopes[i].A, i))
-    for r in range(rem):
-        counts[by_mass[r]] += 1
-    return tuple(counts)
+    rank = np.argsort(by_mass)  # position of each isotope in mass order
+    base_rem = np.array([divmod(t, k) for t in totals],
+                        dtype=np.int64 if max(totals) < 2**62 else object)
+    counts = base_rem[:, :1] + (rank < base_rem[:, 1:])
+    return tuple(counts[0].tolist()) if np.ndim(total) == 0 else counts
+
+
+# Grid points evaluated and turned into rows at once by atom_scan: enough to
+# amortize the numpy calls, few enough that a long scan's intermediates stay
+# small.
+_GRID_BLOCK = 1024
 
 
 def atom_scan(
@@ -133,21 +149,28 @@ def atom_scan(
     """delta theta versus total atom number at fixed averaging time."""
     if spec.axis != "atom_number":
         raise ValueError(f"atom_scan needs axis 'atom_number', got {spec.axis!r}")
+    protocols = spec.protocols
+    errors: Counter[str] = Counter()
     rows: list[ScanRow] = []
-    for value in spec.grid:
-        try:
-            counts = allocate_atoms(chain, int(round(value)))
-        except AllocationError:
-            rows.extend(
-                ScanRow(value, p, math.nan, math.nan, "allocation") for p in spec.protocols
-            )
-            continue
-        table = protocol_table(reallocate(chain, counts), h, cfg, spec.protocols)
-        for res in table:
-            rows.append(
-                ScanRow(value, res.protocol, res.delta_theta, res.delta_theta, res.error)
-            )
-    return ScanTable(axis="atom_number", rows=tuple(rows))
+    for start in range(0, len(spec.grid), _GRID_BLOCK):
+        values = spec.grid[start:start + _GRID_BLOCK]
+        totals = [int(round(value)) for value in values]
+        placed = np.flatnonzero([total >= len(chain.isotopes) for total in totals])
+        deltas = np.full((len(values), len(protocols)), math.nan)
+        slugs = np.full(deltas.shape, None, dtype=object)
+        slugs[:] = "allocation"  # one shared str; np.full would make one per cell
+        if len(placed):
+            counts = allocate_atoms(chain, [totals[i] for i in placed.tolist()])
+            for j, column in enumerate(protocol_grid(chain, h, cfg, counts, protocols)):
+                deltas[placed, j] = column.delta_theta
+                slugs[placed, j] = column.error  # None when no row failed
+        # grid point major, protocol minor: the row order
+        deltas, slugs = deltas.ravel().tolist(), slugs.ravel().tolist()
+        errors.update(filter(None, slugs))
+        axis = chain_from.from_iterable(repeat(value, len(protocols)) for value in values)
+        rows.extend(map(tuple.__new__, repeat(ScanRow),
+                        zip(axis, cycle(protocols), deltas, deltas, slugs)))
+    return ScanTable(axis="atom_number", rows=tuple(rows), error_rows=dict(errors))
 
 
 def time_scan(
@@ -167,6 +190,7 @@ def time_scan(
     t0 = spec.grid[0]
     base = protocol_table(chain_n, h, replace(cfg, t_avg=t0), spec.protocols)
     sigma = spec.sigma_sys or 0.0
+    errors = Counter(res.error for res in base if res.error is not None)
     rows: list[ScanRow] = []
     for t in spec.grid:
         scale = math.sqrt(t0 / t)
@@ -179,7 +203,8 @@ def time_scan(
         if spec.beam is not None:
             stat = spec.beam.coefficient / math.sqrt(t)
             rows.append(ScanRow(t, "beam", stat, math.hypot(stat, spec.beam.floor)))
-    return ScanTable(axis="time", rows=tuple(rows))
+    return ScanTable(axis="time", rows=tuple(rows),
+                     error_rows={slug: n * len(spec.grid) for slug, n in errors.items()})
 
 
 def crossover_finder(table: ScanTable) -> list[tuple[tuple[str, str], float]]:

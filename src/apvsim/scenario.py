@@ -134,27 +134,42 @@ def _bounded(value, where, errs, rule):
     return value
 
 
+def _fits_float(value, where, errs) -> bool:
+    """Whether a JSON number converts to a float; a larger integer is an error."""
+    try:
+        float(value)
+    except OverflowError:
+        errs.append((where, "is beyond the range of a float"))
+        return False
+    return True
+
+
 def _number(value, where, errs, rule):
     """A float within the bounds of ``rule``; ``allow_inf`` admits the string
-    "inf", and ``finite`` (default True) rejects nan and +-inf."""
+    "inf", ``finite`` (default True) rejects +-inf, and nan is never valid."""
     if rule.get("allow_inf") and value == "inf":
         return math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errs.append((where, f"expected a number, got {value!r}"))
         return None
+    if not _fits_float(value, where, errs):
+        return None
     value = float(value)
-    if rule.get("finite", True) and not math.isfinite(value):
-        errs.append((where, "must be finite"))
+    if math.isnan(value) or (rule.get("finite", True) and math.isinf(value)):
+        errs.append((where, "must be finite" if rule.get("finite", True) else "must not be nan"))
         return None
     return _bounded(value, where, errs, rule)
 
 
 def _integer(value, where, errs, rule):
-    """An int (an integral float is converted) within the bounds of ``rule``."""
+    """An int (an integral float is converted) within the bounds of ``rule``
+    and the range of a float, which every count is converted to."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         errs.append((where, f"expected an integer, got {value!r}"))
+        return None
+    if not _fits_float(value, where, errs):
         return None
     return _bounded(value, where, errs, rule)
 
@@ -188,9 +203,13 @@ def _numbers(raw, where, errs, rule):
     # parse time of a 5e4-point grid.  Only a list that fails is walked.
     values = None
     if all(type(x) in (int, float) for x in raw):
-        values = tuple(map(float, raw))
-        if not all(map(math.isfinite, values)) or (positive and min(values) <= 0):
-            values = None
+        try:
+            values = tuple(map(float, raw))
+        except OverflowError:  # an integer beyond a float, named by the walk below
+            pass
+        else:
+            if not all(map(math.isfinite, values)) or (positive and min(values) <= 0):
+                values = None
     if values is None:
         entry = {"minimum": 0.0, "exclusive_min": True} if positive else {}
         values = tuple(_number(x, f"{where}[{i}]", errs, entry) for i, x in enumerate(raw))
@@ -217,7 +236,9 @@ def _keyed_numbers(raw, where, errs, rule):
 
 
 def _label(value, where, errs, rule):
-    if isinstance(value, str) and value and all(c.isalnum() or c in "_-" for c in value):
+    if isinstance(value, str) and value and value.isascii() and all(
+        c.isalnum() or c in "_-" for c in value
+    ):
         return value
     errs.append((where, "must be a nonempty string of [A-Za-z0-9_-]"))
     return None
@@ -461,7 +482,7 @@ def parse_scenario(path: str | Path) -> Scenario:
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise ScenarioError([("$", f"not valid JSON: {exc}")]) from exc
     return parse_scenario_dict(data)
 

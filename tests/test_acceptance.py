@@ -236,3 +236,39 @@ def test_10_csv_determinism(tmp_path):
         if hashlib.sha256(first).hexdigest() != pinned:
             ok = False
     report("csv_determinism", ok, "byte-identical reruns matching the pinned digests")
+
+
+# A 7-isotope Sn chain over 2,000 atom numbers, from allocation failures
+# (fewer atoms than isotopes) to cats whose contrast underflows, with every
+# protocol.  The digest was recorded with the per-grid-point scalar
+# evaluation that the grid evaluation replaced: the bytes must not move.
+SN_SCAN_SHA256 = "7b21302509291b62c63d374f9b9bd7db1a6e8e734daeaeac67268284321fb501"
+
+
+def sn_scan_scenario():
+    grid = list(range(1, 1001)) + [round(1000 * 10 ** (6 * i / 1000)) for i in range(1, 1001)]
+    return {
+        "chain": {
+            "sin2_theta_w": 0.2325,
+            "ref_A": 118,
+            "isotopes": [{"A": a, "Z": 50, "n_atoms": 1} for a in range(112, 126, 2)],
+        },
+        "deviation": {"h": [0.3, -0.8, 0.1, 0.9, -0.4, 0.6, -0.2]},
+        "protocol": {"omega": 0.7, "tau": 0.5, "f1": 0.99999, "f2": 0.9995, "p_surv": 0.999999,
+                     "t2": 2e4, "t2_local": 5e4, "t2_diff": 30.0, "rep_rate": 1.5,
+                     "t_avg": 7200.0, "dfs_budget": "split", "gate_count_model": "log_depth"},
+        "scans": [{"name": "sn_atoms", "axis": "atom_number", "grid": grid,
+                   "protocols": ["sql", "squeezed", "same_isotope_cat", "cross_cat_ideal",
+                                 "cross_cat_noisy", "dfs_cat"]}],
+    }
+
+
+def test_11_grid_scan_bytes(tmp_path):
+    from apvsim import parse_scenario_dict
+
+    run(parse_scenario_dict(sn_scan_scenario()), tmp_path, quiet=True)
+    data = (tmp_path / "sn_atoms.csv").read_bytes()
+    slugs = {line.split(b",")[2] for line in data.splitlines() if b",error:" in line}
+    ok = (hashlib.sha256(data).hexdigest() == SN_SCAN_SHA256
+          and slugs == {b"error:allocation", b"error:no_contrast"})
+    report("grid_scan_bytes", ok, f"12,001 lines, slugs {sorted(s.decode() for s in slugs)}")

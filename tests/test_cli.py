@@ -259,6 +259,24 @@ class TestRun:
                     assert math.isfinite(float(value)) and float(value) > 0
         assert underflowed == {"same_isotope_cat", "cross_cat_noisy", "dfs_cat"}
 
+    def test_summary_counts_error_rows_per_slug(self, tmp_path):
+        data = json.loads(bundled_scenario_path().read_text())
+        data["scans"][0].update(grid=[1, 3, 4, 1000000, 10000000], protocols=list(PROTOCOLS))
+        path = tmp_path / "slugs.json"
+        path.write_text(json.dumps(data))
+        run(parse_scenario(path), tmp_path / "out", quiet=True)
+        stored = json.loads((tmp_path / "out" / "summary.json").read_text())
+        records = {record["name"]: record for record in stored["scans"]}
+        counted = {}
+        for r in read_csv(tmp_path / "out" / "atoms.csv"):
+            if r["delta_theta_stat"].startswith("error:"):
+                slug = r["delta_theta_stat"][len("error:"):]
+                counted[slug] = counted.get(slug, 0) + 1
+        assert records["atoms"]["error_rows"] == counted
+        assert counted["allocation"] == 2 * len(PROTOCOLS)
+        assert counted["no_contrast"] > 0
+        assert records["averaging_time"]["error_rows"] == {}
+
 
 class TestValidate:
     def test_bundled_scenario_passes(self):
@@ -338,6 +356,13 @@ class TestMain:
         code = main(["validate", str(bundled_scenario_path()), "--budget", "20", "--quiet"])
         assert code == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_integer_too_long_for_json_exits_2(self, tmp_path, capsys):
+        text = bundled_scenario_path().read_text().replace('"n_fixed": 1000', '"n_fixed": 1' + "0" * 5000)
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])

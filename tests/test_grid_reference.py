@@ -1,0 +1,277 @@
+"""The grid evaluation against a per-row scalar reference.
+
+``_reference_*`` below is a frozen copy of the scalar path that evaluated
+one allocation at a time before the atom scan became one grid evaluation:
+a projection, a fit and a contrast written with ``math`` on Python floats,
+one ``protocol_table`` per grid point on a reallocated chain.  The grid
+must give every row the same value, bit for bit (compared by ``repr``),
+and the same error slug.
+"""
+
+import math
+import sys
+from dataclasses import replace
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from apvsim import Isotope, ProtocolConfig, build_chain
+from apvsim.chain import _pattern_values
+from apvsim.protocols import (
+    PROTOCOLS,
+    SensitivityResult,
+    UnidentifiableThetaError,
+    ZeroSignalError,
+    protocol_table,
+)
+from apvsim.scans import AllocationError, ScanRow, ScanSpec, atom_scan
+
+# --- the scalar reference -----------------------------------------------------
+
+
+def _reference_project(chain, h):
+    hv = _pattern_values(h)
+    weights = [float(iso.n_atoms) for iso in chain.isotopes]
+    if sum(weights) == 0:
+        raise ValueError("all isotopes have zero atoms")
+    num = math.fsum(w * ha * qa for w, ha, qa in zip(weights, hv, chain.q))
+    den = math.fsum(w * qa * qa for w, qa in zip(weights, chain.q))
+    beta = num / den
+    h_perp = tuple(ha - beta * qa for ha, qa in zip(hv, chain.q))
+    weighted_l1 = math.fsum(w * abs(x) for w, x in zip(weights, h_perp))
+    return beta, h_perp, weighted_l1
+
+
+def _reference_contrast(cfg, n_atoms, t2, t2_once=math.inf):
+    if t2 <= 0 or t2_once <= 0:
+        raise ValueError("coherence times must be positive")
+    if n_atoms < 1:
+        raise ValueError("need at least one atom")
+    n1, n2 = (n_atoms, n_atoms - 1) if cfg.gate_count_model == "linear" else (2 * n_atoms, n_atoms - 1)
+    return (
+        cfg.c0 * cfg.f1**n1 * cfg.f2**n2 * cfg.p_surv**n_atoms
+        * math.exp(-n_atoms * cfg.tau / t2) * math.exp(-cfg.tau / t2_once)
+    )
+
+
+def _reference_fit(chain, h, per_isotope, cfg):
+    rows = []
+    for qa, ha, dw in zip(chain.q, _pattern_values(h), per_isotope):
+        if dw is None or not math.isfinite(dw):
+            continue
+        if dw <= 0:
+            raise ValueError("frequency uncertainties must be positive")
+        rows.append((qa, cfg.omega * ha, 1.0 / dw**2))
+    if len(rows) < 2:
+        raise ValueError("need >= 2 isotopes with finite uncertainties")
+    f_qq = math.fsum(w * x * x for x, _, w in rows)
+    f_qt = math.fsum(w * x * y for x, y, w in rows)
+    f_tt = math.fsum(w * y * y for _, y, w in rows)
+    if 0.0 < f_tt and f_qq * f_tt < sys.float_info.min:
+        raise ArithmeticError("the fit weights underflow")
+    det = f_qq * f_tt - f_qt * f_qt
+    if det <= 1e-12 * f_qq * f_tt:
+        raise UnidentifiableThetaError("parallel")
+    return math.sqrt(f_qq / det)
+
+
+def _reference_row(name, chain, h, proj, cfg, reps, xi):
+    beta, h_perp, weighted_l1 = proj
+    if name in ("sql", "squeezed", "same_isotope_cat"):
+        factor = xi if name == "squeezed" else 1.0
+        dws = []
+        for iso in chain.isotopes:
+            n = iso.n_atoms
+            if n < 1:
+                dws.append(math.inf)
+            elif name == "same_isotope_cat":
+                contrast = _reference_contrast(cfg, n, cfg.t2)
+                dws.append(factor * (1.0 / (2.0 * math.pi * contrast * cfg.tau * n * math.sqrt(reps))))
+            else:
+                dws.append(factor * (1.0 / (2.0 * math.pi * cfg.c_sql * cfg.tau * math.sqrt(n * reps))))
+        dws = tuple(dws)
+        if any(d == math.inf and iso.n_atoms >= 1 for d, iso in zip(dws, chain.isotopes)):
+            raise ArithmeticError("a per-isotope frequency uncertainty is not finite")
+        delta = _reference_fit(chain, h, dws, cfg)
+        return SensitivityResult(protocol=name, delta_theta=delta, per_isotope=dws)
+    scale = math.fsum(iso.n_atoms * abs(hp + beta * qa)
+                      for iso, hp, qa in zip(chain.isotopes, h_perp, chain.q))
+    if weighted_l1 <= 1e-12 * scale:
+        raise ZeroSignalError("no orthogonal component")
+    k, t2, t2_once = 1.0, cfg.t2, math.inf
+    if name == "dfs_cat":
+        k = 2.0 if cfg.dfs_budget == "per_channel" else 1.0
+        t2, t2_once = cfg.t2_local, cfg.t2_diff
+    sep = 2.0 * math.pi * cfg.tau * cfg.omega * k * weighted_l1
+    contrast = 1.0 if name == "cross_cat_ideal" else _reference_contrast(
+        cfg, k * chain.total_atoms, t2, t2_once)
+    return SensitivityResult(protocol=name, delta_theta=1.0 / (sep * contrast * math.sqrt(reps)),
+                             contrast_used=contrast, eigsep=sep)
+
+
+_SLUGS = ((UnidentifiableThetaError, "singular_fit"), (ZeroSignalError, "no_signal"),
+          (ArithmeticError, "no_contrast"), (ValueError, "invalid_config"))
+
+
+def _reference_table(chain, h, cfg, protocols=PROTOCOLS):
+    proj = _reference_project(chain, h)
+    xi = 10.0 ** (-cfg.squeezing_db / 20.0)
+    reps = cfg.reps
+    out = []
+    for name in protocols:
+        try:
+            if reps < 1:
+                raise ValueError("need rep_rate * t_avg >= 1")
+            row = _reference_row(name, chain, h, proj, cfg, reps, xi)
+            if not math.isfinite(row.delta_theta):
+                raise ArithmeticError("delta theta is not finite")
+        except (ValueError, ArithmeticError) as exc:
+            slug = next(slug for cls, slug in _SLUGS if isinstance(exc, cls))
+            row = SensitivityResult(protocol=name, delta_theta=math.nan, error=slug)
+        out.append(row)
+    return out
+
+
+def _reference_allocation(chain, total):
+    k = len(chain.isotopes)
+    if total < k:
+        raise AllocationError("too few atoms")
+    base, rem = divmod(int(total), k)
+    counts = [base] * k
+    for r in sorted(range(k), key=lambda i: (chain.isotopes[i].A, i))[:rem]:
+        counts[r] += 1
+    return counts
+
+
+def _reference_scan(chain, h, cfg, spec):
+    rows = []
+    for value in spec.grid:
+        try:
+            counts = _reference_allocation(chain, int(round(value)))
+        except AllocationError:
+            rows.extend(ScanRow(value, p, math.nan, math.nan, "allocation") for p in spec.protocols)
+            continue
+        isotopes = tuple(replace(iso, n_atoms=n) for iso, n in zip(chain.isotopes, counts))
+        for res in _reference_table(replace(chain, isotopes=isotopes), h, cfg, spec.protocols):
+            rows.append(ScanRow(value, res.protocol, res.delta_theta, res.delta_theta, res.error))
+    return tuple(rows)
+
+
+# --- generated chains and configs ---------------------------------------------
+
+# Near 1 most of the time, so that most rows are finite; near 0 for underflow.
+_NEAR_ONE = st.floats(0.999, 1.0)
+_FIDELITY = st.one_of(_NEAR_ONE, _NEAR_ONE, st.floats(1e-6, 1e-3), st.floats(1e-6, 1.0))
+_TIME = st.floats(1e-3, 1e3)
+_COHERENCE = st.one_of(st.just(math.inf), _TIME)
+
+
+@st.composite
+def chains(draw, min_count=0):
+    k = draw(st.integers(2, 8))
+    z = draw(st.integers(10, 80))
+    masses = sorted(draw(st.lists(st.integers(2 * z, 2 * z + 40), min_size=k, max_size=k,
+                                  unique=True)))
+    counts = draw(st.lists(st.one_of(st.integers(min_count, 20), st.integers(min_count, 2000),
+                                     st.integers(min_count, 10**12)), min_size=k, max_size=k))
+    if not any(counts):
+        counts[0] = 1
+    chain = build_chain([Isotope(A=a, Z=z, n_atoms=n) for a, n in zip(masses, counts)],
+                        ref_index=draw(st.integers(0, k - 1)), sin2_theta_w=0.2325)
+    if draw(st.booleans()):
+        h = chain.q  # parallel to q: singular fits and no signal
+    else:
+        h = tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=k, max_size=k)))
+    return chain, h
+
+
+@st.composite
+def configs(draw):
+    return ProtocolConfig(
+        omega=draw(_TIME), tau=draw(_TIME), c0=draw(_FIDELITY), f1=draw(_FIDELITY),
+        f2=draw(_FIDELITY),
+        p_surv=draw(st.one_of(st.floats(0.99, 0.999999), st.floats(1e-6, 0.999999), st.just(1.0))),
+        t2=draw(_COHERENCE), t2_local=draw(_COHERENCE), t2_diff=draw(_COHERENCE),
+        squeezing_db=draw(st.floats(-10.0, 20.0)),
+        # R T_avg below 1 now and then: every row is invalid_config
+        rep_rate=draw(st.one_of(st.none(), st.floats(1.0, 1e3))),
+        t_avg=draw(st.one_of(st.floats(1.0, 1e5), st.floats(1e-3, 1.0))),
+        c_sql=draw(_FIDELITY), gate_count_model=draw(st.sampled_from(("linear", "log_depth"))),
+        dfs_budget=draw(st.sampled_from(("per_channel", "split"))),
+    )
+
+
+def _yb(counts):
+    yb = ((170, 70), (172, 70), (174, 70), (176, 70))
+    return build_chain([Isotope(A=a, Z=z, n_atoms=n) for (a, z), n in zip(yb, counts)],
+                       ref_index=2, sin2_theta_w=0.2325)
+
+
+_SPLIT = (-1.0, -1.0, 1.0, 1.0)
+_LOSSY = ProtocolConfig(omega=1.0, tau=1.0, f1=0.5, f2=0.5, rep_rate=1.0, t_avg=3600.0)
+_ONE_REP = ProtocolConfig(omega=1.0, tau=1.0, rep_rate=1.0, t_avg=0.5)
+_PLAIN = ProtocolConfig(omega=1.0, tau=1.0, rep_rate=1.0, t_avg=3600.0)
+
+
+def _same(got, want):
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instance=chains(), cfg=configs())
+@example(instance=(_yb((10, 10, 10, 10)), _SPLIT), cfg=_PLAIN)  # every row finite
+@example(instance=(_yb((10, 10, 10, 10)), _yb((1, 1, 1, 1)).q), cfg=_PLAIN)  # singular_fit, no_signal
+@example(instance=(_yb((3000, 3000, 3000, 3000)), _SPLIT), cfg=_LOSSY)  # no_contrast
+@example(instance=(_yb((10, 10, 10, 10)), _SPLIT), cfg=_ONE_REP)  # invalid_config
+@example(instance=(_yb((1, 0, 0, 0)), _SPLIT), cfg=_PLAIN)  # one measured isotope: invalid_config
+# Omega h_A overflows on an isotope without atoms, which the fit leaves out
+@example(instance=(_yb((5, 0, 5, 5)), (1.0, 1e200, -1.0, 0.5)), cfg=replace(_PLAIN, omega=1e147))
+# xi = 0 and a zero SQL denominator: the division by zero decides, not 0 * inf
+@example(instance=(_yb((5, 5, 5, 5)), _SPLIT),
+         cfg=replace(_PLAIN, tau=5e-324, c_sql=1e-6, squeezing_db=7000.0))
+def test_protocol_table_matches_the_scalar_reference(instance, cfg):
+    chain, h = instance
+    _same(protocol_table(chain, h, cfg), _reference_table(chain, h, cfg))
+
+
+_GRIDS = st.lists(st.one_of(st.integers(1, 100), st.integers(1, 10**12)),
+                  min_size=1, max_size=40, unique=True)
+_PROTOCOL_LISTS = st.lists(st.sampled_from(PROTOCOLS), min_size=1, max_size=6, unique=True)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instance=chains(min_count=1), cfg=configs(), grid=_GRIDS, protocols=_PROTOCOL_LISTS)
+@example(instance=(_yb((1, 1, 1, 1)), _SPLIT), cfg=_LOSSY, grid=[1, 3, 4, 9, 10**6],
+         protocols=list(PROTOCOLS))  # allocation rows, then no_contrast at large N
+def test_atom_scan_matches_the_scalar_reference(instance, cfg, grid, protocols):
+    chain, h = instance
+    spec = ScanSpec(axis="atom_number", grid=tuple(float(v) for v in sorted(grid)),
+                    protocols=tuple(protocols))
+    table = atom_scan(chain, h, cfg, spec)
+    want = _reference_scan(chain, h, cfg, spec)
+    assert [repr(r) for r in table.rows] == [repr(r) for r in want]
+    counted = {}
+    for row in want:
+        if row.error is not None:
+            counted[row.error] = counted.get(row.error, 0) + 1
+    assert table.error_rows == counted
+
+
+def test_examples_reach_every_slug():
+    tables = [
+        _reference_table(_yb((10, 10, 10, 10)), _yb((1, 1, 1, 1)).q, _PLAIN),
+        _reference_table(_yb((3000, 3000, 3000, 3000)), _SPLIT, _LOSSY),
+        _reference_table(_yb((10, 10, 10, 10)), _SPLIT, _ONE_REP),
+    ]
+    slugs = {row.error for table in tables for row in table}
+    spec = ScanSpec(axis="atom_number", grid=(1.0, 8.0), protocols=("sql",))
+    slugs |= {row.error for row in _reference_scan(_yb((1, 1, 1, 1)), _SPLIT, _PLAIN, spec)}
+    assert slugs >= {"singular_fit", "no_signal", "no_contrast", "invalid_config", "allocation"}
+
+
+@pytest.mark.parametrize("counts", [(2**53 + 1, 2**53, 3, 1), (10**20, 10**20 + 1, 10**19, 7)])
+def test_counts_beyond_two_to_the_53(counts):
+    # n - 1 of an own cat stays an integer: float(n - 1) differs from float(n) - 1 here
+    cfg = replace(_PLAIN, f1=0.999999999, f2=0.9999999999)
+    _same(protocol_table(_yb(counts), _SPLIT, cfg), _reference_table(_yb(counts), _SPLIT, cfg))

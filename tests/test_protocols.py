@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -345,3 +346,89 @@ def test_every_row_is_finite_or_a_slug(counts, f1, f2, p_surv, gate_count_model)
             assert math.isfinite(res.delta_theta) and res.delta_theta > 0, res
         else:
             assert res.error in ("no_contrast", "singular_fit") and math.isnan(res.delta_theta), res
+
+
+# --- the closed forms at contrasts of about 1e-300, against mpmath -------------
+
+mpmath = pytest.importorskip("mpmath")
+mp = mpmath.mp
+
+
+def mp_contrast(cfg, n_atoms, t2=math.inf):
+    n1 = n_atoms if cfg.gate_count_model == "linear" else 2 * n_atoms
+    c = mp.mpf(cfg.c0) * mp.mpf(cfg.f1) ** n1 * mp.mpf(cfg.f2) ** (n_atoms - 1)
+    c *= mp.mpf(cfg.p_surv) ** n_atoms
+    return c if t2 == math.inf else c * mp.exp(-n_atoms * mp.mpf(cfg.tau) / t2)
+
+
+def mp_own_cat_delta(chain, h, cfg):
+    """The classical fit of one cat per isotope, every step in mpmath."""
+    reps = mp.mpf(cfg.reps)
+    f_qq = f_qt = f_tt = mp.mpf(0)
+    for iso, qa, ha in zip(chain.isotopes, chain.q, h):
+        n = iso.n_atoms
+        dw = 1 / (2 * mp.pi * mp_contrast(cfg, n) * cfg.tau * n * mp.sqrt(reps))
+        x, y, w = mp.mpf(qa), cfg.omega * mp.mpf(ha), 1 / dw**2
+        f_qq, f_qt, f_tt = f_qq + w * x * x, f_qt + w * x * y, f_tt + w * y * y
+    return mp.sqrt(f_qq / (f_qq * f_tt - f_qt**2))
+
+
+def mp_cross_cat_delta(chain, h, cfg):
+    """One noisy cat over the chain: 1 / (sep C sqrt(R T)), every step in mpmath."""
+    n = [mp.mpf(iso.n_atoms) for iso in chain.isotopes]
+    q, hv = [mp.mpf(x) for x in chain.q], [mp.mpf(x) for x in h]
+    beta = mp.fsum(a * b * c for a, b, c in zip(n, hv, q)) / mp.fsum(a * c * c for a, c in zip(n, q))
+    l1 = mp.fsum(a * abs(b - beta * c) for a, b, c in zip(n, hv, q))
+    sep = 2 * mp.pi * cfg.tau * cfg.omega * l1
+    return 1 / (sep * mp_contrast(cfg, chain.total_atoms) * mp.sqrt(mp.mpf(cfg.reps)))
+
+
+def fidelity_for(contrast_exponent, gates):
+    """f with f**gates = 10**contrast_exponent."""
+    return 10.0 ** (contrast_exponent / gates)
+
+
+class TestContrastNearUnderflow:
+    # every probe pays F^n1 F^n2 with F1 = F2 = f, so a cat of n atoms has
+    # contrast f^(2n - 1)
+
+    def test_own_cat_fit_at_contrast_1e_300(self):
+        n = 10**12
+        f = fidelity_for(-300, 2 * n - 1)
+        # a long interrogation at a high repetition count keeps 1 / delta omega^2
+        # and the fit's products inside the float range
+        cfg = ProtocolConfig(omega=1.0, tau=1e60, f1=f, f2=f, rep_rate=1e150, t_avg=1e150)
+        chain = make_yb_chain(counts=(n, n, n, n))
+        with mp.workdps(60):
+            assert 1e-302 < mp_contrast(cfg, n) < 1e-298
+            expected = mp_own_cat_delta(chain, H_SPLIT, cfg)
+            rows = {r.protocol: r for r in protocol_table(chain, H_SPLIT, cfg)}
+            own = rows["same_isotope_cat"]
+            assert own.error is None
+            assert abs(own.delta_theta - expected) <= 1e-12 * expected
+            # one cat over all 4n atoms has contrast ~1e-1200: past underflow
+            assert mp_contrast(cfg, 4 * n) < mp.mpf(sys.float_info.min) * sys.float_info.epsilon
+        for name in ("cross_cat_noisy", "dfs_cat"):
+            assert rows[name].error == "no_contrast" and math.isnan(rows[name].delta_theta)
+
+    @pytest.mark.parametrize("dfs_budget", ["per_channel", "split"])
+    def test_cross_cat_at_contrast_1e_300(self, dfs_budget):
+        n = 10**6
+        f = fidelity_for(-300, 2 * 4 * n - 1)
+        cfg = ProtocolConfig(omega=1.0, tau=1.0, f1=f, f2=f, rep_rate=1.0, t_avg=3600.0,
+                             dfs_budget=dfs_budget)
+        chain = make_yb_chain(counts=(n, n, n, n))
+        rows = {r.protocol: r for r in protocol_table(chain, H_SPLIT, cfg)}
+        with mp.workdps(60):
+            assert 1e-302 < mp_contrast(cfg, 4 * n) < 1e-298
+            expected = mp_cross_cat_delta(chain, H_SPLIT, cfg)
+            got = rows["cross_cat_noisy"]
+            assert got.error is None
+            assert abs(got.delta_theta - expected) <= 1e-12 * expected
+            assert abs(got.contrast_used - mp_contrast(cfg, 4 * n)) <= 1e-12 * got.contrast_used
+        # the reversal-pair cat of 2 x 4n atoms (per channel) is past underflow;
+        # the split budget keeps 4n atoms and the same contrast
+        if dfs_budget == "per_channel":
+            assert rows["dfs_cat"].error == "no_contrast"
+        else:
+            assert rows["dfs_cat"].delta_theta == got.delta_theta

@@ -465,6 +465,22 @@ ERROR_CORPUS = [
      {"omega_pc": 1e6, "omega_pnc": 20.0, "detuning": 0.0}, ["interference.detuning"]),
     ("interference-text", ("interference", "zeta_over_beta"), "x",
      ["interference.zeta_over_beta"]),
+    # JSON integers beyond a float's range (~1.8e308), wherever a number is read
+    ("s2w-beyond-float", ("chain", "sin2_theta_w"), 10**400, ["chain.sin2_theta_w"]),
+    ("protocol-omega-beyond-float", ("protocol", "omega"), 10**400, ["protocol.omega"]),
+    ("h-beyond-float", ("deviation", "h"), [1.0, -(10**400)], ["deviation.h[1]"]),
+    ("scan-grid-beyond-float", ("scans", 0, "grid"), [8, 16, 10**400], ["scans[0].grid[2]"]),
+    ("tolerance-beyond-float", ("oracle", "tolerances", "cross_cat_qfi"), 10**400,
+     ["oracle.tolerances.cross_cat_qfi"]),
+    ("isotope-a-beyond-float", ("chain", "isotopes", 0, "A"), 10**400, ["chain.isotopes[0].A"]),
+    ("isotope-n-beyond-float", ("chain", "isotopes", 1, "n_atoms"), 10**400,
+     ["chain.isotopes[1].n_atoms"]),
+    ("scan-n-fixed-beyond-float", ("scans", 1, "n_fixed"), 10**400, ["scans[1].n_fixed"]),
+    ("isotope-n-largest-float", ("chain", "isotopes", 1, "n_atoms"), 10**308, []),
+    ("tolerance-nan", ("oracle", "tolerances", "cross_cat_qfi"), _NAN,
+     ["oracle.tolerances.cross_cat_qfi"]),
+    ("tolerance-inf", ("oracle", "tolerances", "cross_cat_qfi"), _INF, []),
+    ("scan-name-non-ascii", ("scans", 0, "name"), "\u00e9\u0663\u00df", ["scans[0].name"]),
 ]
 
 
