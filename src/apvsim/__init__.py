@@ -16,6 +16,7 @@ from .chain import (
 )
 from .interference import (
     AmplitudePair,
+    InterferenceSpec,
     amplitude_ratio,
     interference_rate,
     pv_light_shift,
@@ -63,7 +64,6 @@ from .scans import (
 )
 from .checks import KNOWN_CHECKS, CheckResult, OracleSpec, run_oracle_checks
 from .scenario import (
-    InterferenceSpec,
     Scenario,
     ScenarioError,
     bundled_scenario_path,

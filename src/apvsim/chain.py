@@ -11,8 +11,7 @@ a change of Omega, so the measurable direction is the atom-number weighted
 component of h orthogonal to q; ``project_deviation`` extracts it, for the
 chain's own allocation or for a G x k matrix of allocations at once.
 
-All types here are immutable after construction and safe to share across
-parallel scan workers.
+All types here are immutable after construction.
 """
 
 from __future__ import annotations
@@ -183,12 +182,28 @@ def _pattern_values(h: Sequence[float] | DeviationPattern) -> tuple[float, ...]:
 _FSUM_BLOCK = 1024
 
 
-def _row_fsums(terms: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of a 2-D array: the correctly rounded sum that
-    a per-row Python loop gives, raising where it raises."""
-    blocks = (map(math.fsum, terms[start:start + _FSUM_BLOCK].tolist())
-              for start in range(0, len(terms), _FSUM_BLOCK))
-    return np.fromiter(chain_from.from_iterable(blocks), dtype=float, count=len(terms))
+def _row_fsums(terms: np.ndarray, stages: list | None = None) -> np.ndarray:
+    """math.fsum over the last axis of ``terms``, as a Python loop gives it and
+    raising where it raises; or, given a ``stages`` list, NaN sums on each
+    grid row (first axis) with a sum that raises, and one (row mask,
+    exception) pair in ``stages`` per class of the row's first exception."""
+    rows = terms.reshape(-1, terms.shape[-1])
+    blocks = (map(math.fsum, rows[start:start + _FSUM_BLOCK].tolist())
+              for start in range(0, len(rows), _FSUM_BLOCK))
+    try:
+        return np.fromiter(chain_from.from_iterable(blocks), float, len(rows)).reshape(terms.shape[:-1])
+    except (ValueError, ArithmeticError):
+        if stages is None:
+            raise
+    sums = np.full(terms.shape[:-1], math.nan)
+    raised: dict[type, tuple[np.ndarray, Exception]] = {}
+    for row, parts in enumerate(terms.reshape(len(terms), -1, terms.shape[-1]).tolist()):
+        try:
+            sums.reshape(len(terms), -1)[row] = [math.fsum(part) for part in parts]
+        except (ValueError, ArithmeticError) as exc:
+            raised.setdefault(type(exc), (np.zeros(len(terms), dtype=bool), exc))[0][row] = True
+    stages.extend(raised.values())
+    return sums
 
 
 def project_deviation(
@@ -217,7 +232,7 @@ def project_deviation(
     # N_A h_A q_A and N_A q_A q_A: the products, in the order, of a Python sum
     terms = weights[:, None, :] * hq
     terms *= q
-    num, den = _row_fsums(terms.reshape(-1, k)).reshape(-1, 2).T
+    num, den = _row_fsums(terms).T
     del terms
     if not den.all():  # q_A is never zero, so only an allocation without atoms
         raise ValueError("all isotopes have zero atoms; projection weights undefined")

@@ -19,12 +19,11 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
 from .checks import CheckResult, OracleSpec, run_oracle_checks
-from .interference import AmplitudePair, amplitude_ratio, interference_rate, pv_light_shift, ramsey_phase
 from .scans import ScanTable, atom_scan, time_scan
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_sha256
 
@@ -57,9 +56,11 @@ class RunSummary:
 
     def to_dict(self) -> dict:
         """The ``summary.json`` content, one key per field (each check too);
-        ``interference`` is left out when None."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["checks"] = [{f.name: getattr(c, f.name) for f in fields(c)} for c in self.checks]
+        ``interference`` is left out when None.  JSON has no infinity, so an
+        infinite tolerance (a check that never fails) is written "inf"."""
+        out = asdict(self)
+        for check in out["checks"]:
+            check["tolerance"] = "inf" if check["tolerance"] == math.inf else check["tolerance"]
         return {key: value for key, value in out.items() if value is not None}
 
 
@@ -84,30 +85,28 @@ def _write_scan_csv(path: Path, table: ScanTable):
         fh.writelines(lines())
 
 
-def _interference_report(scenario: Scenario) -> dict | None:
-    spec = scenario.interference
-    if spec is None:
-        return None
-    report: dict = {}
-    if spec.zeta_over_beta is not None:
-        report["amplitude_ratio"] = amplitude_ratio(spec.zeta_over_beta, spec.e_field)
-        report["reversal_odd_fraction"] = 2.0 * report["amplitude_ratio"]
-    if spec.omega_pc is not None:
-        pair = AmplitudePair(a_pc=spec.omega_pc, a_pnc=spec.omega_pnc)
-        shifts = pv_light_shift(pair, spec.detuning)
-        report.update(shifts)
-        report["ramsey_phase"] = ramsey_phase(shifts["pv_shift"], scenario.protocol.tau)
-        report["rate_terms"] = interference_rate(pair)
-    return report
-
-
-def _run_checks(scenario: Scenario, budget_override: int | None):
+def _run_checks(scenario: Scenario, budget_override: int | None, quiet: bool):
     oracle = scenario.oracle or OracleSpec(budget=None)  # every check, default tolerances
     budget = oracle.budget if budget_override is None else budget_override
     if budget is None:
         return ()
-    return tuple(
-        run_oracle_checks(budget=budget, tolerances=dict(oracle.tolerances), only=oracle.checks)
+    checks = tuple(run_oracle_checks(budget=budget, tolerances=dict(oracle.tolerances), only=oracle.checks))
+    if not quiet:
+        for c in checks:
+            print(f"check {c.name}: {'PASS' if c.passed else 'FAIL'} "
+                  f"(max rel dev {c.max_rel_dev:.3e}, tol {c.tolerance:.1e}, M={c.qubits})")
+    return checks
+
+
+def _summary(scenario: Scenario, scans: list[dict], checks: tuple, t_start: float) -> RunSummary:
+    return RunSummary(
+        scenario_sha256=scenario_sha256(scenario),
+        library_version=__version__,
+        scans=tuple(scans),
+        checks=checks,
+        all_checks_passed=all(c.passed for c in checks),
+        wall_seconds=time.perf_counter() - t_start,
+        interference=scenario.interference and scenario.interference.report(scenario.protocol.tau),
     )
 
 
@@ -127,7 +126,7 @@ def run(scenario: Scenario, out_dir: str | Path, quiet: bool = False) -> RunSumm
         path = out_dir / f"{spec.name}.csv"
         _write_scan_csv(path, table)
         t2 = time.perf_counter()
-        record = {
+        scan_records.append({
             "name": spec.name,
             "axis": spec.axis,
             "path": str(path),
@@ -136,27 +135,12 @@ def run(scenario: Scenario, out_dir: str | Path, quiet: bool = False) -> RunSumm
             "scan_seconds": t1 - t0,
             "write_seconds": t2 - t1,
             "wall_seconds": t2 - t0,
-        }
-        scan_records.append(record)
+        })
         if not quiet:
             print(f"scan {spec.name}: {len(table.rows)} rows -> {path}")
-    checks = _run_checks(scenario, None)
-    all_passed = all(c.passed for c in checks)
-    if not quiet:
-        for c in checks:
-            print(f"check {c.name}: {'PASS' if c.passed else 'FAIL'} "
-                  f"(max rel dev {c.max_rel_dev:.3e}, tol {c.tolerance:.1e}, M={c.qubits})")
-    summary = RunSummary(
-        scenario_sha256=scenario_sha256(scenario),
-        library_version=__version__,
-        scans=tuple(scan_records),
-        checks=checks,
-        all_checks_passed=all_passed,
-        wall_seconds=time.perf_counter() - t_start,
-        interference=_interference_report(scenario),
-    )
+    summary = _summary(scenario, scan_records, _run_checks(scenario, None, quiet), t_start)
     with open(out_dir / "summary.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return summary
 
@@ -170,20 +154,7 @@ def validate(scenario: Scenario, budget: int | None = None, quiet: bool = False)
     if scenario.oracle is None and budget is None:
         raise ScenarioError([("oracle", "scenario has no oracle block and no --budget was given")])
     t_start = time.perf_counter()
-    checks = _run_checks(scenario, budget)
-    if not quiet:
-        for c in checks:
-            print(f"check {c.name}: {'PASS' if c.passed else 'FAIL'} "
-                  f"(max rel dev {c.max_rel_dev:.3e}, tol {c.tolerance:.1e}, M={c.qubits})")
-    return RunSummary(
-        scenario_sha256=scenario_sha256(scenario),
-        library_version=__version__,
-        scans=(),
-        checks=checks,
-        all_checks_passed=all(c.passed for c in checks),
-        wall_seconds=time.perf_counter() - t_start,
-        interference=_interference_report(scenario),
-    )
+    return _summary(scenario, [], _run_checks(scenario, budget, quiet), t_start)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,10 +12,11 @@ over hbar) so no dimensional constants appear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "AmplitudePair",
+    "InterferenceSpec",
     "interference_rate",
     "amplitude_ratio",
     "pv_light_shift",
@@ -86,3 +87,35 @@ def ramsey_phase(pv_shift: float, tau: float) -> float:
     if tau < 0:
         raise ValueError(f"interrogation time must be >= 0, got {tau}")
     return pv_shift * tau
+
+
+def _grouped(group: str, **bound):
+    return field(default=None, metadata={"group": group, **bound})
+
+
+@dataclass(frozen=True)
+class InterferenceSpec:
+    """The optional ``interference`` block of a scenario: the fields of a
+    group appear together or not at all, and each field's metadata is the
+    scenario parser's rule for its key."""
+
+    zeta_over_beta: float | None = _grouped("stark")
+    e_field: float | None = _grouped("stark", nonzero=True)
+    omega_pc: float | None = _grouped("rabi")
+    omega_pnc: float | None = _grouped("rabi")
+    detuning: float | None = _grouped("rabi", nonzero=True)
+
+    def report(self, tau: float) -> dict:
+        """The diagnostics of each group given, as ``summary.json`` records
+        them; ``tau`` is the Ramsey time of the protocol."""
+        report: dict = {}
+        if self.zeta_over_beta is not None:
+            report["amplitude_ratio"] = amplitude_ratio(self.zeta_over_beta, self.e_field)
+            report["reversal_odd_fraction"] = 2.0 * report["amplitude_ratio"]
+        if self.omega_pc is not None:
+            pair = AmplitudePair(a_pc=self.omega_pc, a_pnc=self.omega_pnc)
+            shifts = pv_light_shift(pair, self.detuning)
+            report.update(shifts)
+            report["ramsey_phase"] = ramsey_phase(shifts["pv_shift"], tau)
+            report["rate_terms"] = interference_rate(pair)
+        return report

@@ -22,14 +22,12 @@ omega_A = Omega (q_A + theta h_A):
                             noise cancels, with its own contrast model
 
 All functions are pure; delta theta scales exactly as (R * T_avg)^(-1/2).
-The evaluation runs over a G x k matrix of atom counts at once
-(:func:`protocol_grid`); :func:`protocol_table` is its one-row case, and
-the grid gives every row the value and error slug of a one-row call.
+:func:`protocol_grid` evaluates a G x k matrix of atom counts at once, and
+:func:`protocol_table` is its one-row case.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -40,7 +38,6 @@ import numpy as np
 from .chain import (
     DeviationPattern,
     IsotopeChain,
-    ProjectedPattern,
     _pattern_values,
     _row_fsums,
     project_deviation,
@@ -205,73 +202,44 @@ def cat_contrast(cfg: ProtocolConfig, n_atoms, t2: float, t2_once: float = math.
     return _map_distinct(contrast, np.asarray(n_atoms))
 
 
-class _Failures:
-    """The failures of a grid evaluation, stage by stage in the order a
-    one-row evaluation meets them: each row keeps its first."""
-
-    def __init__(self, rows: int):
-        self.rows = rows
-        self.stages: list[tuple[np.ndarray, object]] = []
-
-    def add(self, failed: np.ndarray | bool, exc):
-        """Rows ``failed`` (True: every row) raise ``exc``, an exception or
-        an object array of one exception (or None) per row."""
-        if failed is True:
-            failed = np.ones(self.rows, dtype=bool)
-        elif not failed.any():
-            return
-        self.stages.append((failed, exc))
-
-    def first(self, name=lambda exc: exc, delta: np.ndarray | None = None) -> np.ndarray | None:
-        """Per row, ``name`` of its first exception or None; None when no row
-        failed.  ``delta`` is set to NaN on the rows that failed."""
-        if not self.stages:
-            return None
-        out = np.full(self.rows, None, dtype=object)
-        open_rows = np.ones(self.rows, dtype=bool)
-        for failed, exc in self.stages:
-            rows = failed & open_rows
-            if isinstance(exc, np.ndarray):
-                out[rows] = [name(e) for e in exc[rows].tolist()]
-            else:
-                out[rows] = name(exc)
-            open_rows &= ~failed
-        if delta is not None:
-            delta[~open_rows] = math.nan
-        return out
-
-
-def _fsums(terms: np.ndarray, per: int, failures: _Failures) -> np.ndarray:
-    """math.fsum of each row of ``terms``, ``per`` rows to a grid row; a sum
-    that raises is NaN, and its grid row fails with the first exception."""
+def _square(dw: float) -> float:
+    """dw**2 as Python computes it; math.inf where that overflows."""
     try:
-        return _row_fsums(terms)
-    except (ValueError, ArithmeticError):
-        pass
-    sums = np.empty(len(terms))
-    raised = np.full(len(terms) // per, None, dtype=object)
-    for i, row in enumerate(terms.tolist()):
-        try:
-            sums[i] = math.fsum(row)
-        except (ValueError, ArithmeticError) as exc:
-            sums[i] = math.nan
-            if raised[i // per] is None:
-                raised[i // per] = exc
-    failures.add(np.not_equal(raised, None), raised)
-    return sums
+        return dw**2
+    except OverflowError:
+        return math.inf
 
 
-def _fit_weight(dw: float) -> float:
-    """1 / dw^2; 0.0 for an unmeasured isotope, -1.0 for dw <= 0, and NaN
-    where 1 / dw^2 raises."""
-    if not math.isfinite(dw):
-        return 0.0
-    if dw <= 0:
-        return -1.0
-    try:
-        return 1.0 / dw**2
-    except ArithmeticError:  # dw**2 overflows, or underflows to zero
-        return math.nan
+def _grid_fit(chain: IsotopeChain, h, dws: np.ndarray, cfg: ProtocolConfig):
+    """:func:`combine_classical_fit` at every row of the G x k ``dws``, numpy
+    float errors ignored: G delta thetas and the (row mask, exception) stages."""
+    square = _map_distinct(_square, dws)
+    y = tuple(cfg.omega * ha for ha in _pattern_values(h))
+    factors = np.array(((chain.q, chain.q, y), (chain.q, y, y)))
+    # w_A q_A q_A, w_A q_A y_A and w_A y_A y_A of every row, summed per row
+    terms = (1.0 / square)[:, None, :] * factors[0] * factors[1]
+    stages = []
+    if not (dws.min() > 0 and 0.0 < square.min() and square.max() < math.inf):  # bad or unmeasured isotope
+        measured = np.isfinite(dws)
+        np.copyto(terms, 0.0, where=~measured[:, None, :])  # even where Omega h_A is inf
+        # a row fails at its first measured isotope with dw <= 0, or with
+        # a 1 / dw**2 that raises: dw**2 overflows, or underflows to zero
+        nonpositive = measured & (dws <= 0)
+        bad = nonpositive | (measured & ((square == 0) | (square == math.inf)))
+        stages = [
+            (nonpositive[np.arange(len(dws)), bad.argmax(axis=1)],
+             ValueError("frequency uncertainties must be positive")),
+            (bad.any(axis=1), ArithmeticError("a fit weight 1 / delta omega^2 is out of range")),
+            (measured.sum(axis=1) < 2, ValueError("need >= 2 isotopes with finite uncertainties")),
+        ]
+    f_qq, f_qt, f_tt = _row_fsums(terms, stages).T
+    det = f_qq * f_tt - f_qt * f_qt
+    stages.append(((0.0 < f_tt) & (f_qq * f_tt < sys.float_info.min),
+                   ArithmeticError("the fit weights underflow")))
+    # det above the threshold is positive, so the square root is defined
+    stages.append((det <= 1e-12 * f_qq * f_tt, UnidentifiableThetaError(
+        "deviation pattern is parallel to the weak-charge pattern under these weights")))
+    return np.sqrt(f_qq / det), stages
 
 
 def combine_classical_fit(
@@ -279,7 +247,7 @@ def combine_classical_fit(
     h: DeviationPattern | tuple[float, ...] | list[float],
     per_isotope,
     cfg: ProtocolConfig,
-):
+) -> float:
     """Extract delta theta from per-isotope frequency uncertainties.
 
     Weighted least squares of omega_A = Omega(q_A + theta h_A) around
@@ -291,125 +259,46 @@ def combine_classical_fit(
     as unmeasured.  Raises :class:`UnidentifiableThetaError` when h is
     parallel to q under the given weights, and ArithmeticError when the
     weights are too small for that test to be made in floating point.
-
-    A G x k ``per_isotope`` fits every row: the result is then the G delta
-    thetas (NaN where a row fails) and an object array holding, per row,
-    the exception a one-row call would raise or None (None for all rows
-    when none fails).
     """
-    hv = _pattern_values(h)
-    k = len(chain.isotopes)
-    dws = np.asarray(per_isotope, dtype=float)
-    if len(hv) != k or dws.shape[-1] != k:
+    dws = np.array([per_isotope], dtype=float)
+    if len(_pattern_values(h)) != len(chain.isotopes) or dws.shape != (1, len(chain.isotopes)):
         raise ValueError("h and per_isotope must match the chain length")
-    weights = _map_distinct(_fit_weight, dws.reshape(-1, k))
-    failures = _Failures(len(weights))
-    if not (weights > 0).all():  # some isotope is unmeasured, or bad
-        bad = ~(weights >= 0)
-        if bad.any():  # the first bad isotope of a row decides, as in a loop
-            rows = bad.any(axis=1)
-            first = weights[np.arange(len(weights)), bad.argmax(axis=1)]
-            failures.add(rows & (first < 0), ValueError("frequency uncertainties must be positive"))
-            failures.add(rows, ArithmeticError("a fit weight 1 / delta omega^2 is out of range"))
-        failures.add((weights != 0).sum(axis=1) < 2,
-                     ValueError("need >= 2 isotopes with finite uncertainties"))
-    y = tuple(cfg.omega * ha for ha in hv)
-    factors = np.array(((chain.q, chain.q, y), (chain.q, y, y)))
-    with np.errstate(all="ignore"):  # the rows that overflow or divide by zero fail
-        # w_A q_A q_A, w_A q_A y_A and w_A y_A y_A of every row, summed per row
-        terms = weights[:, None, :] * factors[0] * factors[1]
-        if not all(map(math.isfinite, y)):  # 0 * inf must not reach a sum
-            terms[np.broadcast_to((weights == 0)[:, None, :], terms.shape)] = 0.0
-        f_qq, f_qt, f_tt = _fsums(terms.reshape(-1, k), 3, failures).reshape(-1, 3).T
-        del terms
-        product = f_qq * f_tt
-        failures.add((0.0 < f_tt) & (product < sys.float_info.min),
-                     ArithmeticError("the fit weights underflow"))
-        det = product - f_qt * f_qt
-        # det above the threshold is positive, so the square root is defined
-        failures.add(det <= 1e-12 * f_qq * f_tt, UnidentifiableThetaError(
-            "deviation pattern is parallel to the weak-charge pattern under these weights"))
-        delta = np.sqrt(f_qq / det)
-    raised = failures.first(delta=delta)
-    if dws.ndim > 1:
-        return delta, raised
-    if raised is not None:
-        raise raised[0]
+    with np.errstate(all="ignore"):
+        delta, stages = _grid_fit(chain, h, dws, cfg)
+    for failed, exc in stages:  # the first stage that fails the row
+        if failed[0]:
+            raise exc
     return delta.item()
-
-
-class _Allocations:
-    """The G x k atom counts a grid evaluation runs over (None: the chain's
-    own), with the float forms the formulas use: N_A, and each row's total."""
-
-    def __init__(self, chain: IsotopeChain, counts: np.ndarray | None):
-        self.chain = chain
-        if counts is None:
-            self.weights = np.array([[float(iso.n_atoms) for iso in chain.isotopes]])
-        else:
-            self.counts = counts
-            self.weights = counts.astype(float)
-        self.rows = len(self.weights)
-        self._scale = None
-
-    @functools.cached_property
-    def counts(self) -> np.ndarray:
-        # int64 keeps row sums exact up to 2^62 atoms; Python ints beyond
-        wide = self.chain.total_atoms >= 2**62
-        return np.array([self.chain.n_atoms], dtype=object if wide else np.int64)
-
-    @functools.cached_property
-    def totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1).astype(float)
-
-    def input_scale(self, proj: ProjectedPattern) -> tuple[np.ndarray, _Failures]:
-        """Reconstructed sum_A N_A |h_A| per row, used to decide whether h_perp
-        is just rounding dust left over from an h parallel to q, with the
-        rows whose sum fails."""
-        if self._scale is None:
-            failures = _Failures(self.rows)
-            terms = self.weights * np.abs(proj.h_perp + proj.beta[:, None] * np.array(self.chain.q))
-            self._scale = _fsums(terms, 1, failures), failures
-        return self._scale
-
-
-def _probe_denominator(cfg: ProtocolConfig, alloc: _Allocations, present: np.ndarray, reps: float):
-    """Standard quantum limit: delta omega_A = 1 / (2 pi C tau sqrt(N_A R T_avg))."""
-    return 2.0 * math.pi * cfg.c_sql * cfg.tau * np.sqrt(alloc.weights * reps)
-
-
-def _own_cat_denominator(cfg: ProtocolConfig, alloc: _Allocations, present: np.ndarray, reps: float):
-    """One cat per isotope: delta omega_A = 1 / (2 pi C_{N_A} tau N_A sqrt(R T_avg));
-    the subarray pays only its own contrast C_{N_A}."""
-    contrast = np.ones(alloc.weights.shape)
-    contrast[present] = cat_contrast(cfg, alloc.counts[present], cfg.t2)
-    return 2.0 * math.pi * contrast * cfg.tau * alloc.weights * math.sqrt(reps)
 
 
 @dataclass(frozen=True)
 class _PerIsotope:
-    """delta omega_A = factor / denominator(cfg, N_A, R T_avg) for every
-    isotope with atoms, fed to :func:`combine_classical_fit`; factor is xi
-    when squeezed."""
+    """delta omega_A of every isotope with atoms, fed to the classical fit:
+    1 / (2 pi C tau sqrt(N_A R T_avg)) at the standard quantum limit, xi
+    times that when ``squeezed``, and 1 / (2 pi C_{N_A} tau N_A sqrt(R T_avg))
+    for one cat per isotope (``own_cat``), paying only its own contrast."""
 
-    denominator: Callable
     squeezed: bool = False
+    own_cat: bool = False
 
-    def evaluate(self, chain, h, proj, alloc, cfg, reps, xi, failures) -> dict:
-        present = alloc.weights >= 1
-        den = self.denominator(cfg, alloc, present, reps)
+    def evaluate(self, chain, h, counts, weights, cfg, reps, xi, stages) -> tuple[np.ndarray, dict]:
+        present = weights >= 1
+        if self.own_cat:  # the contrast of one atom stands in on an isotope without
+            contrast = cat_contrast(cfg, np.maximum(counts, 1), cfg.t2)
+            den = 2.0 * math.pi * contrast * cfg.tau * weights * math.sqrt(reps)
+        else:
+            den = 2.0 * math.pi * cfg.c_sql * cfg.tau * np.sqrt(weights * reps)
         dws = 1.0 / den
         if self.squeezed:
             dws *= xi
         dws[~present] = math.inf
-        # math.inf marks isotopes without atoms; on any other it is an
-        # overflow, or a division by zero that a scalar loop raises
-        failures.add((present & ((den == 0) | (dws == math.inf))).any(axis=1),
-                     ArithmeticError("a per-isotope frequency uncertainty is not finite"))
-        delta, raised = combine_classical_fit(chain, h, dws, cfg)
-        if raised is not None:
-            failures.add(np.not_equal(raised, None), raised)
-        return {"delta_theta": delta, "per_isotope": dws}
+        # on an isotope with atoms, math.inf is an overflow, or a division
+        # by zero that a scalar loop raises
+        stages.append(((present & ((den == 0) | (dws == math.inf))).any(axis=1),
+                       ArithmeticError("a per-isotope frequency uncertainty is not finite")))
+        delta, fit = _grid_fit(chain, h, dws, cfg)
+        stages += fit
+        return delta, {"per_isotope": dws}
 
 
 @dataclass(frozen=True)
@@ -429,30 +318,22 @@ class _GlobalCat:
     noisy: bool
     paired: bool = False
 
-    def evaluate(self, chain, h, proj, alloc, cfg, reps, xi, failures) -> dict:
-        scale, scale_failures = alloc.input_scale(proj)
-        failures.stages.extend(scale_failures.stages)
-        failures.add(proj.weighted_l1 <= 1e-12 * scale,
-                     ZeroSignalError("deviation pattern has no weighted component orthogonal to q"))
+    def evaluate(self, weighted_l1, totals, cfg, reps) -> tuple[np.ndarray, dict]:
         k, t2, t2_once = 1.0, cfg.t2, math.inf
         if self.paired:
             if cfg.dfs_budget not in DFS_BUDGET_MODES:
                 raise ValueError(f"unknown dfs budget mode {cfg.dfs_budget!r}; choose from {DFS_BUDGET_MODES}")
             k = 2.0 if cfg.dfs_budget == "per_channel" else 1.0
             t2, t2_once = cfg.t2_local, cfg.t2_diff
-        sep = 2.0 * math.pi * cfg.tau * cfg.omega * k * proj.weighted_l1
-        if self.noisy:
-            contrast = cat_contrast(cfg, k * alloc.totals, t2, t2_once)
-        else:
-            contrast = np.ones(alloc.rows)
-        return {"delta_theta": 1.0 / (sep * contrast * math.sqrt(reps)),
-                "contrast_used": contrast, "eigsep": sep}
+        sep = 2.0 * math.pi * cfg.tau * cfg.omega * k * weighted_l1
+        contrast = cat_contrast(cfg, k * totals, t2, t2_once) if self.noisy else np.ones(len(totals))
+        return 1.0 / (sep * contrast * math.sqrt(reps)), {"contrast_used": contrast, "eigsep": sep}
 
 
 _REGISTRY = {
-    "sql": _PerIsotope(_probe_denominator),
-    "squeezed": _PerIsotope(_probe_denominator, squeezed=True),
-    "same_isotope_cat": _PerIsotope(_own_cat_denominator),
+    "sql": _PerIsotope(),
+    "squeezed": _PerIsotope(squeezed=True),
+    "same_isotope_cat": _PerIsotope(own_cat=True),
     "cross_cat_ideal": _GlobalCat(noisy=False),
     "cross_cat_noisy": _GlobalCat(noisy=True),
     "dfs_cat": _GlobalCat(noisy=True, paired=True),
@@ -470,38 +351,36 @@ _ERROR_SLUGS = (
 )
 
 
-def _slug(exc: Exception) -> str:
-    return next(slug for cls, slug in _ERROR_SLUGS if isinstance(exc, cls))
+def _slugs(stages: list, delta: np.ndarray) -> np.ndarray:
+    """Per row, the slug of the first stage whose mask holds it (or None); NaN in ``delta`` there."""
+    out = np.empty(len(delta), dtype=object)  # every row None
+    held = np.array([failed for failed, _ in stages]).any(axis=1).tolist()
+    for (failed, exc), hit in zip(stages[::-1], held[::-1]):  # an earlier stage overwrites a later one
+        if hit:
+            out[failed] = next(slug for cls, slug in _ERROR_SLUGS if isinstance(exc, cls))
+            delta[failed] = math.nan
+    return out
 
 
 @dataclass(frozen=True)
 class ProtocolColumn:
-    """One protocol evaluated at G allocations.
-
-    ``delta_theta`` holds the G values, NaN where ``error`` holds a slug
-    (None elsewhere; ``error`` is None when no row failed).  ``per_isotope``
-    (G x k), ``contrast_used`` and ``eigsep`` (G) are the intermediates of
-    :class:`SensitivityResult`, for the protocols that have them.
-    """
+    """One protocol at G allocations: ``delta_theta`` holds the G values, NaN
+    where ``error`` holds a slug (None elsewhere); ``intermediates`` holds the
+    protocol's other :class:`SensitivityResult` fields over the grid, either
+    ``per_isotope`` (G x k) or ``contrast_used`` and ``eigsep`` (G)."""
 
     protocol: str
     delta_theta: np.ndarray
-    error: np.ndarray | None
-    per_isotope: np.ndarray | None = None
-    contrast_used: np.ndarray | None = None
-    eigsep: np.ndarray | None = None
+    error: np.ndarray
+    intermediates: dict[str, np.ndarray]
 
     def result(self, row: int) -> SensitivityResult:
         """The :class:`SensitivityResult` of one grid row."""
-        if self.error is not None and self.error[row] is not None:
+        if self.error[row] is not None:
             return SensitivityResult(protocol=self.protocol, delta_theta=math.nan, error=self.error[row])
-        return SensitivityResult(
-            protocol=self.protocol,
-            delta_theta=self.delta_theta[row].item(),
-            per_isotope=None if self.per_isotope is None else tuple(self.per_isotope[row].tolist()),
-            contrast_used=None if self.contrast_used is None else self.contrast_used[row].item(),
-            eigsep=None if self.eigsep is None else self.eigsep[row].item(),
-        )
+        values = {name: tuple(value[row].tolist()) if value.ndim > 1 else value[row].item()
+                  for name, value in self.intermediates.items()}
+        return SensitivityResult(protocol=self.protocol, delta_theta=self.delta_theta[row].item(), **values)
 
 
 def protocol_grid(
@@ -512,40 +391,47 @@ def protocol_grid(
     protocols: tuple[str, ...] = PROTOCOLS,
 ) -> Iterator[ProtocolColumn]:
     """Evaluate the requested protocols at every row of the G x k atom
-    ``counts``, as :func:`apvsim.scans.allocate_atoms` makes them (None is
-    the chain's own allocation).
-
-    A row that cannot be evaluated gets the error slug of the first failure
-    a one-row evaluation meets instead of aborting the grid.  The columns
-    come one protocol at a time, in the requested order, so that a large
-    grid holds the intermediates of one protocol at once.
-    """
+    ``counts`` made by :func:`apvsim.scans.allocate_atoms` (None: the chain's
+    own), one column at a time in request order, so that a grid holds one
+    protocol's intermediates at once.  Each protocol lists its failures as
+    (row mask, exception) stages in the order a one-row evaluation meets
+    them; a failed row gets the slug of its first stage, not an abort."""
     unknown = [name for name in protocols if name not in _REGISTRY]
     if unknown:
         raise ValueError(f"unknown protocols {unknown}; choose from {PROTOCOLS}")
-    alloc = _Allocations(chain, counts)
-    proj = project_deviation(chain, h, alloc.weights)
-    return _columns(chain, h, cfg, protocols, alloc, proj)
-
-
-def _columns(chain, h, cfg, protocols, alloc, proj) -> Iterator[ProtocolColumn]:
+    if counts is None:
+        # int64 keeps row sums exact up to 2^62 atoms; Python ints beyond
+        counts = np.array([chain.n_atoms], dtype=object if chain.total_atoms >= 2**62 else np.int64)
+    weights = counts.astype(float)
+    proj = project_deviation(chain, h, weights)
     xi = squeezing_factor(cfg.squeezing_db)
     reps = cfg.reps
+    invalid = ValueError(f"need rep_rate * t_avg >= 1 for a meaningful estimate, got {reps}")
+    signal: list = []
+    if any(isinstance(_REGISTRY[name], _GlobalCat) for name in protocols):
+        # A global cat fails first where the reconstructed sum_A N_A |h_A|
+        # shows h_perp to be rounding dust left over from an h parallel to q.
+        totals = counts.sum(axis=1).astype(float)
+        with np.errstate(all="ignore"):
+            scale = _row_fsums(weights * np.abs(proj.h_perp + proj.beta[:, None] * np.array(chain.q)), signal)
+        signal.append((proj.weighted_l1 <= 1e-12 * scale,
+                       ZeroSignalError("deviation pattern has no weighted component orthogonal to q")))
     for name in protocols:
-        failures = _Failures(alloc.rows)
+        model = _REGISTRY[name]
         with np.errstate(all="ignore"):  # the rows that overflow or divide by zero fail
+            stages = [(np.ones(len(counts), dtype=bool), invalid)] if reps < 1 else []
             try:
-                if reps < 1:
-                    raise ValueError(f"need rep_rate * t_avg >= 1 for a meaningful estimate, got {reps}")
-                values = _REGISTRY[name].evaluate(chain, h, proj, alloc, cfg, reps, xi, failures)
+                if isinstance(model, _PerIsotope):
+                    delta, intermediates = model.evaluate(chain, h, counts, weights, cfg, reps, xi, stages)
+                else:
+                    stages += signal
+                    delta, intermediates = model.evaluate(proj.weighted_l1, totals, cfg, reps)
             except (ValueError, ArithmeticError) as exc:  # every row not failed yet
-                failures.add(True, exc)
-                values = {"delta_theta": np.full(alloc.rows, math.nan)}
-        delta = values["delta_theta"]
-        finite = np.isfinite(delta)
-        if not finite.all():
-            failures.add(~finite, ArithmeticError("delta theta is not finite"))
-        yield ProtocolColumn(protocol=name, error=failures.first(_slug, delta), **values)
+                stages.append((np.ones(len(counts), dtype=bool), exc))
+                delta, intermediates = np.full(len(counts), math.nan), {}
+            stages.append((~np.isfinite(delta), ArithmeticError("delta theta is not finite")))
+            error = _slugs(stages, delta)
+        yield ProtocolColumn(name, delta, error, intermediates)
 
 
 def protocol_table(

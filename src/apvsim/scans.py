@@ -163,7 +163,7 @@ def atom_scan(
             counts = allocate_atoms(chain, [totals[i] for i in placed.tolist()])
             for j, column in enumerate(protocol_grid(chain, h, cfg, counts, protocols)):
                 deltas[placed, j] = column.delta_theta
-                slugs[placed, j] = column.error  # None when no row failed
+                slugs[placed, j] = column.error
         # grid point major, protocol minor: the row order
         deltas, slugs = deltas.ravel().tolist(), slugs.ravel().tolist()
         errors.update(filter(None, slugs))

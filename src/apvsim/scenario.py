@@ -41,18 +41,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 from .chain import DeviationPattern, Isotope, IsotopeChain, build_chain
 from .checks import OracleSpec
+from .interference import InterferenceSpec
 from .protocols import ProtocolConfig
 from .scans import ScanSpec
 
 __all__ = [
     "Scenario",
-    "InterferenceSpec",
     "ScenarioError",
     "parse_scenario",
     "parse_scenario_dict",
@@ -70,24 +70,6 @@ class ScenarioError(ValueError):
         self.errors = list(errors)
         lines = "\n".join(f"  {path}: {reason}" for path, reason in self.errors)
         super().__init__(f"invalid scenario:\n{lines}")
-
-
-def _grouped(group: str, **bound):
-    return field(default=None, metadata={"group": group, **bound})
-
-
-@dataclass(frozen=True)
-class InterferenceSpec:
-    """Optional physical-amplitude diagnostics block.
-
-    The fields of a group appear together or not at all.
-    """
-
-    zeta_over_beta: float | None = _grouped("stark")
-    e_field: float | None = _grouped("stark", nonzero=True)
-    omega_pc: float | None = _grouped("rabi")
-    omega_pnc: float | None = _grouped("rabi")
-    detuning: float | None = _grouped("rabi", nonzero=True)
 
 
 @dataclass(frozen=True)
@@ -421,9 +403,12 @@ def _parse_scan(node, index, errs, n_isotopes) -> tuple[str | None, ScanSpec | N
     return kw["name"], ScanSpec(**kw) if valid and len(errs) == before else None
 
 
-def _parse_interference(node, errs) -> InterferenceSpec | None:
+def _parse_interference(node, errs, tau: float | None) -> InterferenceSpec | None:
+    """The block, or None after recording why not; its diagnostics at Ramsey
+    time ``tau`` (None: the protocol block is invalid) must fit in floats."""
     if not _expect_mapping(node, "interference", errs):
         return None
+    before = len(errs)
     spec = _parse_block(InterferenceSpec, node, "interference", errs)
     groups: dict[str, list[str]] = {}
     for f in fields(InterferenceSpec):
@@ -434,7 +419,16 @@ def _parse_interference(node, errs) -> InterferenceSpec | None:
             errs.append(("interference", f"{', '.join(names)} must appear together"))
     if not node:
         errs.append(("interference", "block present but empty"))
-    return spec
+    if len(errs) > before or tau is None:
+        return None
+    try:
+        report = spec.report(tau)
+        if all(map(math.isfinite, [*report.pop("rate_terms", {}).values(), *report.values()])):
+            return spec
+    except OverflowError:  # |omega_pc + omega_pnc|^2
+        pass
+    errs.append(("interference", "its diagnostics are beyond the range of a float"))
+    return None
 
 
 def parse_scenario_dict(data: dict) -> Scenario:
@@ -464,7 +458,8 @@ def parse_scenario_dict(data: dict) -> Scenario:
     if len(set(names)) != len(names):
         errs.append(("scans", f"duplicate scan names: {sorted(n for n in names if names.count(n) > 1)}"))
     oracle = _parse_block(OracleSpec, data["oracle"], "oracle", errs) if "oracle" in data else None
-    interference = _parse_interference(data["interference"], errs) if "interference" in data else None
+    tau = protocol.tau if protocol is not None else None
+    interference = _parse_interference(data["interference"], errs, tau) if "interference" in data else None
     if errs:
         raise ScenarioError(errs)
     return Scenario(

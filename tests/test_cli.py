@@ -364,6 +364,29 @@ class TestMain:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_interference_beyond_a_float_exits_2(self, tmp_path, capsys):
+        data = json.loads(bundled_scenario_path().read_text())
+        data["interference"] = {"omega_pc": 1e200, "omega_pnc": 20.0, "detuning": 1.0}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "interference: its diagnostics are beyond the range of a float" in capsys.readouterr().err
+
+    def test_infinite_tolerance_writes_strict_json(self, tmp_path):
+        data = json.loads(bundled_scenario_path().read_text())
+        data["oracle"] = {"budget": 2, "tolerances": {"single_qubit_ramsey": math.inf}}
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) == 0
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        stored = json.loads((out / "summary.json").read_text(), parse_constant=no_constant)
+        tolerances = {c["name"]: c["tolerance"] for c in stored["checks"]}
+        assert tolerances["single_qubit_ramsey"] == "inf"
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert code == 2

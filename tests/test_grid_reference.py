@@ -230,6 +230,9 @@ def _same(got, want):
 # xi = 0 and a zero SQL denominator: the division by zero decides, not 0 * inf
 @example(instance=(_yb((5, 5, 5, 5)), _SPLIT),
          cfg=replace(_PLAIN, tau=5e-324, c_sql=1e-6, squeezing_db=7000.0))
+@example(instance=(_yb((10**12, 1, 1, 1)), _SPLIT), cfg=replace(_PLAIN, tau=1e301))  # first dw 0
+@example(instance=(_yb((1, 1, 1, 10**12)), _SPLIT), cfg=replace(_PLAIN, tau=1e301))  # first dw**2 0
+@example(instance=(_yb((1, 1, 1, 1)), (4.5e307,) * 4), cfg=_PLAIN)  # sum_A N_A |h_A| overflows
 def test_protocol_table_matches_the_scalar_reference(instance, cfg):
     chain, h = instance
     _same(protocol_table(chain, h, cfg), _reference_table(chain, h, cfg))

@@ -465,6 +465,15 @@ ERROR_CORPUS = [
      {"omega_pc": 1e6, "omega_pnc": 20.0, "detuning": 0.0}, ["interference.detuning"]),
     ("interference-text", ("interference", "zeta_over_beta"), "x",
      ["interference.zeta_over_beta"]),
+    # diagnostics beyond the range of a float: |omega_pc + omega_pnc|^2 overflows,
+    # zeta / (beta E) is infinite, and so is the Ramsey phase pv_shift * tau
+    ("interference-rabi-overflow", ("interference",),
+     {"omega_pc": 1e200, "omega_pnc": 20.0, "detuning": 1.0}, ["interference"]),
+    ("interference-ratio-infinite", ("interference",),
+     {"zeta_over_beta": 1e300, "e_field": 1e-300}, ["interference"]),
+    ("interference-ramsey-phase-infinite", (),
+     {**FULL, "protocol": {"omega": 1.0, "tau": 1e303, "rep_rate": 1.0},
+      "interference": {"omega_pc": 1e6, "omega_pnc": 20.0, "detuning": 1.0}}, ["interference"]),
     # JSON integers beyond a float's range (~1.8e308), wherever a number is read
     ("s2w-beyond-float", ("chain", "sin2_theta_w"), 10**400, ["chain.sin2_theta_w"]),
     ("protocol-omega-beyond-float", ("protocol", "omega"), 10**400, ["protocol.omega"]),
