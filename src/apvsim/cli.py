@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .checks import CheckResult, OracleSpec, run_oracle_checks
-from .scans import ScanTable, atom_scan, time_scan
+from .scans import GRID_BLOCK, ScanTable, atom_scan, time_scan
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_sha256
 
 __all__ = ["RunSummary", "format_sig", "run", "validate", "main"]
@@ -64,25 +64,29 @@ class RunSummary:
         return {key: value for key, value in out.items() if value is not None}
 
 
-def _write_scan_csv(path: Path, table: ScanTable):
-    # No field can need CSV quoting.  The rows of one grid point are adjacent,
-    # so each axis value is formatted once; a tot equal to its stat reuses
-    # the stat text.  Lines are streamed, never joined into one string.
-    def lines():
-        last_axis = axis = None
-        for value, protocol, stat, tot, error in table.rows:
-            if value != last_axis:
-                last_axis, axis = value, format_sig(value)
-            if error is not None:
-                stat_text = tot_text = f"error:{error}"
-            else:
-                stat_text = format_sig(stat)
-                tot_text = stat_text if tot == stat else format_sig(tot)
-            yield f"{axis},{protocol},{stat_text},{tot_text}\n"
+def _cells(protocol: str, stats: list, tots: list, slugs: list) -> list[str]:
+    """``protocol,stat,tot`` and a line feed for each grid point of one column;
+    a slug fills both fields, and a tot equal to its stat reuses its text."""
+    texts = [format_sig(stat) if slug is None else f"error:{slug}" for stat, slug in zip(stats, slugs)]
+    return [f"{protocol},{text},{text if slug is not None or tot == stat else format_sig(tot)}\n"
+            for text, stat, tot, slug in zip(texts, stats, tots, slugs)]
 
+
+def _write_scan_csv(path: Path, table: ScanTable):
+    # No field can need CSV quoting.  Lines are made from the columns one
+    # block of grid points at a time, so that the text held at once stays
+    # small, and each grid point's axis value is formatted once.
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("axis,protocol,delta_theta_stat,delta_theta_tot\n")
-        fh.writelines(lines())
+        for start in range(0, len(table.values), GRID_BLOCK):
+            block = slice(start, start + GRID_BLOCK)
+            columns = zip(table.protocols, table.stat[block].T.tolist(),
+                          table.tot[block].T.tolist(), table.errors[block].T.tolist())
+            lines = []
+            for value, cells in zip(table.values[block], zip(*[_cells(*c) for c in columns])):
+                axis = f"{format_sig(value)},"
+                lines.append(axis + axis.join(cells))
+            fh.writelines(lines)
 
 
 def _run_checks(scenario: Scenario, budget_override: int | None, quiet: bool):
@@ -118,10 +122,8 @@ def run(scenario: Scenario, out_dir: str | Path, quiet: bool = False) -> RunSumm
     scan_records = []
     for spec in scenario.scans:
         t0 = time.perf_counter()
-        if spec.axis == "atom_number":
-            table = atom_scan(scenario.chain, scenario.deviation, scenario.protocol, spec)
-        else:
-            table = time_scan(scenario.chain, scenario.deviation, scenario.protocol, spec)
+        scan = atom_scan if spec.axis == "atom_number" else time_scan
+        table = scan(scenario.chain, scenario.deviation, scenario.protocol, spec)
         t1 = time.perf_counter()
         path = out_dir / f"{spec.name}.csv"
         _write_scan_csv(path, table)
@@ -130,14 +132,14 @@ def run(scenario: Scenario, out_dir: str | Path, quiet: bool = False) -> RunSumm
             "name": spec.name,
             "axis": spec.axis,
             "path": str(path),
-            "rows": len(table.rows),
+            "rows": len(table),
             "error_rows": dict(sorted(table.error_rows.items())),
             "scan_seconds": t1 - t0,
             "write_seconds": t2 - t1,
             "wall_seconds": t2 - t0,
         })
         if not quiet:
-            print(f"scan {spec.name}: {len(table.rows)} rows -> {path}")
+            print(f"scan {spec.name}: {len(table)} rows -> {path}")
     summary = _summary(scenario, scan_records, _run_checks(scenario, None, quiet), t_start)
     with open(out_dir / "summary.json", "w", encoding="utf-8", newline="") as fh:
         json.dump(summary.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)

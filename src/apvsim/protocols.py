@@ -76,6 +76,8 @@ class ZeroSignalError(ValueError):
 _POSITIVE = {"minimum": 0.0, "exclusive_min": True}
 _UNIT = {"minimum": 0.0, "exclusive_min": True, "maximum": 1.0, "max_inclusive": True}
 _COHERENCE = {**_POSITIVE, "allow_inf": True}
+# |G| <= 6000 dB keeps xi = 10^(-G/20) a finite, nonzero float
+_SQUEEZING = {"minimum": -6000.0, "maximum": 6000.0, "max_inclusive": True}
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ class ProtocolConfig:
     t2: float = field(default=math.inf, metadata=_COHERENCE)
     t2_local: float = field(default=math.inf, metadata=_COHERENCE)
     t2_diff: float = field(default=math.inf, metadata=_COHERENCE)
-    squeezing_db: float = 4.0
+    squeezing_db: float = field(default=4.0, metadata=_SQUEEZING)
     rep_rate: float | None = field(default=None, metadata=_POSITIVE)
     t_avg: float = field(default=3600.0, metadata=_POSITIVE)
     c_sql: float = field(default=1.0, metadata=_UNIT)

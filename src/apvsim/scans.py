@@ -8,8 +8,8 @@ sqrt(T0/T), adding an optional non-averaging systematic floor in
 quadrature; the rescaling is exactly equivalent to re-evaluating with a
 larger repetition count.
 
-Rows are independent and emitted in deterministic order: grid point major,
-protocol order as requested.
+A scan returns one column per protocol; its rows are read in deterministic
+order: grid point major, protocol order as requested.
 """
 
 from __future__ import annotations
@@ -106,13 +106,35 @@ class ScanRow(NamedTuple):
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanTable:
-    """A scan's rows, and how many of them carry each error slug."""
+    """A scan as columns: G grid ``values`` by P ``protocols`` ("beam" last
+    on a time scan), ``stat`` and ``tot`` G x P float arrays (NaN at a slug),
+    ``errors`` one slug or None per cell (a time scan broadcasts one per
+    column), and the row count of each slug in ``error_rows``."""
 
     axis: str
-    rows: tuple[ScanRow, ...]
+    values: tuple[float, ...]
+    protocols: tuple[str, ...]
+    stat: np.ndarray
+    tot: np.ndarray
+    errors: np.ndarray
     error_rows: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for array in (self.stat, self.tot, self.errors):
+            array.flags.writeable = False  # frozen, like the rest of the table
+
+    def __len__(self) -> int:
+        return len(self.values) * len(self.protocols)
+
+    @property
+    def rows(self) -> tuple[ScanRow, ...]:
+        """The rows as :class:`ScanRow` s of Python values, grid point major."""
+        axis = chain_from.from_iterable(repeat(v, len(self.protocols)) for v in self.values)
+        return tuple(map(ScanRow._make, zip(
+            axis, cycle(self.protocols), self.stat.ravel().tolist(), self.tot.ravel().tolist(),
+            self.errors.ravel().tolist())))
 
 
 def allocate_atoms(chain: IsotopeChain, total: int | Sequence[int]) -> tuple[int, ...] | np.ndarray:
@@ -134,10 +156,9 @@ def allocate_atoms(chain: IsotopeChain, total: int | Sequence[int]) -> tuple[int
     return tuple(counts[0].tolist()) if np.ndim(total) == 0 else counts
 
 
-# Grid points evaluated and turned into rows at once by atom_scan: enough to
-# amortize the numpy calls, few enough that a long scan's intermediates stay
-# small.
-_GRID_BLOCK = 1024
+# Grid points evaluated, or written out, at once: enough to amortize the
+# numpy calls, few enough that a long scan's intermediates stay small.
+GRID_BLOCK = 1024
 
 
 def atom_scan(
@@ -150,27 +171,19 @@ def atom_scan(
     if spec.axis != "atom_number":
         raise ValueError(f"atom_scan needs axis 'atom_number', got {spec.axis!r}")
     protocols = spec.protocols
-    errors: Counter[str] = Counter()
-    rows: list[ScanRow] = []
-    for start in range(0, len(spec.grid), _GRID_BLOCK):
-        values = spec.grid[start:start + _GRID_BLOCK]
-        totals = [int(round(value)) for value in values]
+    deltas = np.full((len(spec.grid), len(protocols)), math.nan)
+    slugs = np.full(deltas.shape, None, dtype=object)
+    slugs[:] = "allocation"  # one shared str; np.full would make one per cell
+    for start in range(0, len(spec.grid), GRID_BLOCK):
+        totals = [int(round(value)) for value in spec.grid[start:start + GRID_BLOCK]]
         placed = np.flatnonzero([total >= len(chain.isotopes) for total in totals])
-        deltas = np.full((len(values), len(protocols)), math.nan)
-        slugs = np.full(deltas.shape, None, dtype=object)
-        slugs[:] = "allocation"  # one shared str; np.full would make one per cell
         if len(placed):
             counts = allocate_atoms(chain, [totals[i] for i in placed.tolist()])
             for j, column in enumerate(protocol_grid(chain, h, cfg, counts, protocols)):
-                deltas[placed, j] = column.delta_theta
-                slugs[placed, j] = column.error
-        # grid point major, protocol minor: the row order
-        deltas, slugs = deltas.ravel().tolist(), slugs.ravel().tolist()
-        errors.update(filter(None, slugs))
-        axis = chain_from.from_iterable(repeat(value, len(protocols)) for value in values)
-        rows.extend(map(tuple.__new__, repeat(ScanRow),
-                        zip(axis, cycle(protocols), deltas, deltas, slugs)))
-    return ScanTable(axis="atom_number", rows=tuple(rows), error_rows=dict(errors))
+                deltas[start + placed, j] = column.delta_theta
+                slugs[start + placed, j] = column.error
+    errors = Counter(filter(None, slugs.ravel().tolist()))
+    return ScanTable("atom_number", spec.grid, protocols, deltas, deltas, slugs, dict(errors))
 
 
 def time_scan(
@@ -189,22 +202,21 @@ def time_scan(
     chain_n = reallocate(chain, allocate_atoms(chain, spec.n_fixed))
     t0 = spec.grid[0]
     base = protocol_table(chain_n, h, replace(cfg, t_avg=t0), spec.protocols)
-    sigma = spec.sigma_sys or 0.0
-    errors = Counter(res.error for res in base if res.error is not None)
-    rows: list[ScanRow] = []
-    for t in spec.grid:
-        scale = math.sqrt(t0 / t)
-        for res in base:
-            if res.error is not None:
-                rows.append(ScanRow(t, res.protocol, math.nan, math.nan, res.error))
-            else:
-                stat = res.delta_theta * scale
-                rows.append(ScanRow(t, res.protocol, stat, math.hypot(stat, sigma)))
-        if spec.beam is not None:
-            stat = spec.beam.coefficient / math.sqrt(t)
-            rows.append(ScanRow(t, "beam", stat, math.hypot(stat, spec.beam.floor)))
-    return ScanTable(axis="time", rows=tuple(rows),
-                     error_rows={slug: n * len(spec.grid) for slug, n in errors.items()})
+    grid = np.array(spec.grid)
+    scale = np.sqrt(t0 / grid)
+    columns = [(res.delta_theta * scale, spec.sigma_sys or 0.0, res.error) for res in base]
+    if spec.beam is not None:
+        columns.append((spec.beam.coefficient / np.sqrt(grid), spec.beam.floor, None))
+    stat = np.empty((len(grid), len(columns)))
+    tot = np.full(stat.shape, math.nan)
+    for j, (column, floor, slug) in enumerate(columns):
+        stat[:, j] = column
+        if slug is None:  # math.hypot per value: np.hypot rounds some pairs differently
+            tot[:, j] = np.fromiter(map(math.hypot, column.tolist(), repeat(floor)), float, len(grid))
+    slugs = np.array([slug for *_, slug in columns], dtype=object)
+    errors = Counter(filter(None, slugs.tolist()))
+    return ScanTable("time", spec.grid, spec.protocols + ("beam",) * (spec.beam is not None), stat, tot,
+                     np.broadcast_to(slugs, stat.shape), {slug: n * len(grid) for slug, n in errors.items()})
 
 
 def crossover_finder(table: ScanTable) -> list[tuple[tuple[str, str], float]]:
@@ -215,22 +227,19 @@ def crossover_finder(table: ScanTable) -> list[tuple[tuple[str, str], float]]:
     the bracketing interval.  Exact ties do not count as crossovers unless
     the sign actually changes across them.
     """
-    series: dict[str, list[tuple[float, float]]] = {}  # in first-seen order
-    for row in table.rows:
-        if row.error is None:
-            series.setdefault(row.protocol, []).append((row.axis_value, row.delta_theta_stat))
+    measured = np.equal(table.errors, None)
+    # the columns in the order the rows first show a value of theirs; a
+    # protocol requested twice has two equal columns and is counted once
+    first = {j: int(np.argmax(column)) for j, column in enumerate(measured.T)
+             if column.any() and table.protocols.index(table.protocols[j]) == j}
     events: list[tuple[tuple[str, str], float]] = []
-    for a, b in combinations(series, 2):
-        values_b = dict(series[b])
-        prev_sign, prev_x = 0, 0.0
-        for x, da in series[a]:
-            if x not in values_b:
-                continue
-            d = da - values_b[x]
-            sign = (d > 0) - (d < 0)
-            if sign == 0:
-                continue
-            if prev_sign != 0 and sign != prev_sign:
-                events.append(((a, b), math.exp((math.log(prev_x) + math.log(x)) / 2.0)))
-            prev_sign, prev_x = sign, x
+    for a, b in combinations(sorted(first, key=first.get), 2):
+        both = measured[:, a] & measured[:, b]
+        d = table.stat[both, a] - table.stat[both, b]
+        sign = (d > 0).astype(int) - (d < 0)
+        x = np.array(table.values)[both][sign != 0].tolist()
+        sign = sign[sign != 0]
+        for i in np.flatnonzero(sign[1:] != sign[:-1]).tolist():
+            events.append(((table.protocols[a], table.protocols[b]),
+                           math.exp((math.log(x[i]) + math.log(x[i + 1])) / 2.0)))
     return events

@@ -4,8 +4,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 import apvsim
 from apvsim import PROTOCOLS, bundled_scenario_path, parse_scenario, run, validate
 from apvsim.cli import _write_scan_csv, format_sig, main
-from apvsim.scans import ScanRow, ScanTable, atom_scan, time_scan
+from apvsim.scans import BeamSpec, ScanRow, ScanSpec, ScanTable, atom_scan, time_scan
+from conftest import make_yb_chain
 
 
 def read_csv(path):
@@ -102,23 +105,46 @@ class TestFormat:
 
 
 class TestWriteScanCsv:
-    TABLE = ScanTable(axis="time", rows=(
-        ScanRow(1.0, "sql", 2.5e-3, 2.5e-3),
-        ScanRow(1.0, "cross_cat_ideal", 1.25e-4, 3.0e-4),
-        ScanRow(1.0, "dfs_cat", math.nan, math.nan, "no_contrast"),
-        ScanRow(1.0, "beam", 7.0e-2, 7.000001e-2),
-        ScanRow(2.0, "sql", math.nan, 4.0e-3),
-        ScanRow(2.0, "cross_cat_ideal", 0.0, -0.0),
-        ScanRow(2.0, "squeezed", 1e-13, 2e-13),
-        ScanRow(2.0, "dfs_cat", math.nan, math.nan, "allocation"),
-        ScanRow(2.0, "beam", math.inf, math.inf),
-        ScanRow(1.0, "sql", 9.99999999999951, 1e300),
-    ))
+    # Columns sql, cross_cat_ideal, squeezed, dfs_cat, beam at a repeated
+    # axis value: NaN stat with a finite tot, 0.0 / -0.0, values that round
+    # up a decade, inf, and both slugs.
+    NAN, INF = math.nan, math.inf
+    TABLE = ScanTable(
+        axis="time",
+        values=(1.0, 2.0, 1.0),
+        protocols=("sql", "cross_cat_ideal", "squeezed", "dfs_cat", "beam"),
+        stat=np.array([[2.5e-3, 1.25e-4, 1.9e-3, NAN, 7.0e-2],
+                       [NAN, 0.0, 1e-13, NAN, INF],
+                       [9.99999999999951, 1.0e-4, 3.3e-3, 1.2e-4, 7.0e-2]]),
+        tot=np.array([[2.5e-3, 3.0e-4, 2.6e-3, NAN, 7.000001e-2],
+                      [4.0e-3, -0.0, 2e-13, NAN, INF],
+                      [1e300, 1.0e-4, 3.3e-3, 2.2e-4, 7.0e-2]]),
+        errors=np.array([[None, None, None, "no_contrast", None],
+                         [None, None, None, "allocation", None],
+                         [None, None, None, None, None]], dtype=object),
+    )
 
     def test_bytes_match_csv_writer_reference(self, tmp_path):
         _write_scan_csv(tmp_path / "new.csv", self.TABLE)
         _reference_write_scan_csv(tmp_path / "ref.csv", self.TABLE)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_long_time_scan_is_written_in_bounded_memory(self, tmp_path, benchmark_cfg):
+        # 5e4 grid times, 6 protocols and beam: 350,000 rows, whose text or
+        # row tuples held at once would take several times the bound
+        spec = ScanSpec(axis="time", grid=tuple(np.geomspace(1.0, 1.512e6, 50_000).tolist()),
+                        protocols=PROTOCOLS, sigma_sys=1e-3, n_fixed=1000,
+                        beam=BeamSpec(coefficient=0.02, floor=1e-4))
+        chain = make_yb_chain()
+        tracemalloc.start()
+        try:
+            table = time_scan(chain, (-1.0, -1.0, 1.0, 1.0), benchmark_cfg, spec)
+            _write_scan_csv(tmp_path / "long.csv", table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert len(table) == 350_000
 
     def test_scan_rows_are_plain_tuples(self):
         row = ScanRow(4.0, "sql", 1.0, 2.0)
@@ -351,6 +377,15 @@ class TestMain:
         code = main(["run", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "chain.sin2_theta_w" in capsys.readouterr().err
+
+    def test_squeezing_beyond_range_exits_2(self, tmp_path, capsys):
+        data = json.loads(bundled_scenario_path().read_text())
+        data["protocol"]["squeezing_db"] = -7000
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", str(path), "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        assert "protocol.squeezing_db" in capsys.readouterr().err
 
     def test_budget_above_cap_exits_2(self, capsys):
         code = main(["validate", str(bundled_scenario_path()), "--budget", "20", "--quiet"])

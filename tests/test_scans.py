@@ -200,3 +200,20 @@ class TestCrossoverFinder:
     def test_error_rows_are_ignored(self, yb_chain, benchmark_cfg):
         table = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([2, 8, 16]))
         assert crossover_finder(table) == []
+
+    def test_protocol_requested_twice_counts_once(self, yb_chain, benchmark_cfg):
+        grid = [2**k for k in range(2, 14)]
+        once = atom_scan(yb_chain, H_SPLIT, benchmark_cfg,
+                         atom_spec(grid, protocols=("same_isotope_cat", "cross_cat_noisy")))
+        twice = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec(
+            grid, protocols=("same_isotope_cat", "same_isotope_cat", "cross_cat_noisy")))
+        assert crossover_finder(twice) == crossover_finder(once)
+
+
+def test_scan_tables_are_read_only(yb_chain, benchmark_cfg):
+    tables = [atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([2, 8])),
+              time_scan(yb_chain, H_SPLIT, benchmark_cfg, time_spec([1, 10]))]
+    for table in tables:
+        for array in (table.stat, table.tot, table.errors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = array[1, 0]

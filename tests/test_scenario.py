@@ -392,6 +392,11 @@ ERROR_CORPUS = [
     ("protocol-t2-text", ("protocol", "t2"), "never", ["protocol.t2"]),
     ("protocol-t2-negative", ("protocol", "t2"), -1.0, ["protocol.t2"]),
     ("protocol-squeezing-text", ("protocol", "squeezing_db"), "x", ["protocol.squeezing_db"]),
+    # 10^(-G/20) over- or underflows beyond 6000 dB
+    ("protocol-squeezing-below-range", ("protocol", "squeezing_db"), -7000,
+     ["protocol.squeezing_db"]),
+    ("protocol-squeezing-above-range", ("protocol", "squeezing_db"), 7000,
+     ["protocol.squeezing_db"]),
     ("protocol-rep-rate-zero", ("protocol", "rep_rate"), 0.0, ["protocol.rep_rate"]),
     ("protocol-gate-model", ("protocol", "gate_count_model"), "cubic",
      ["protocol.gate_count_model"]),
