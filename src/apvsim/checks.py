@@ -15,16 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import (
-    DeviationPattern,
-    Isotope,
-    IsotopeChain,
-    ProjectedPattern,
-    build_chain,
-    project_deviation,
-)
+from .chain import Isotope, IsotopeChain, ProjectedPattern, build_chain, project_deviation
 from .oracle import (
     QUBIT_CAP,
+    DiagonalGenerator,
     StateVector,
     build_common_generator,
     build_generator,
@@ -86,92 +80,118 @@ class OracleSpec:
 # All equivalence checks run with ideal contrast; the oracle does not model
 # decoherence, only state structure.  Under this config every noisy contrast
 # is exactly 1, so the noisy protocols' rows are the ideal ones.
-_IDEAL_CFG = ProtocolConfig(
-    omega=0.85,
-    tau=1.25,
-    c0=1.0,
-    f1=1.0,
-    f2=1.0,
-    p_surv=1.0,
-    t2=math.inf,
-    squeezing_db=0.0,
-    rep_rate=2.0,
-    t_avg=5.0,
-    c_sql=1.0,
-)
-
-_S2W = 0.2325
+_IDEAL_CFG = ProtocolConfig(omega=0.85, tau=1.25, c0=1.0, f1=1.0, f2=1.0, p_surv=1.0, t2=math.inf,
+                            squeezing_db=0.0, rep_rate=2.0, t_avg=5.0, c_sql=1.0)
 
 
 def _chain(zdefs, counts, ref=0):
     isotopes = tuple(Isotope(A=a, Z=z, n_atoms=n) for (a, z), n in zip(zdefs, counts))
-    return build_chain(isotopes, ref_index=ref, sin2_theta_w=_S2W)
+    return build_chain(isotopes, ref_index=ref, sin2_theta_w=0.2325)
 
 
 _YB = ((170, 70), (172, 70), (174, 70), (176, 70))
 _SR = ((86, 38), (88, 38))
 _CA = ((40, 20), (44, 20), (48, 20))
 
-
-def _plain_instances(budget):
-    """(chain, pattern) pairs whose register fits in ``budget`` qubits."""
-    candidates = [
-        (_chain(_SR, (1, 1), ref=1), (1.0, -0.5)),
-        (_chain(_YB, (1, 1, 1, 1), ref=2), (-1.0, -1.0, 1.0, 1.0)),
-        (_chain(_CA, (1, 2, 3)), (0.3, -1.0, 0.7)),
-        (_chain(_YB, (2, 2, 2, 2), ref=2), (-1.0, -1.0, 1.0, 1.0)),
-        (_chain(_YB, (1, 2, 3, 4), ref=2), (0.4, -1.1, 0.2, 0.9)),
-        (_chain(_YB, (3, 3, 3, 3), ref=2), (-1.0, -0.7, 0.8, 1.0)),
-    ]
-    return [(c, h) for c, h in candidates if c.total_atoms <= budget]
-
-
-def _dfs_instances(budget):
-    candidates = [
-        (_chain(_SR, (1, 1), ref=1), (1.0, -0.5)),
-        (_chain(_YB, (1, 1, 1, 1), ref=2), (-1.0, -1.0, 1.0, 1.0)),
-        (_chain(_CA, (1, 2, 2)), (0.3, -1.0, 0.7)),
-        (_chain(_YB, (2, 2, 1, 1), ref=2), (0.4, -1.1, 0.2, 0.9)),
-    ]
-    return [(c, h) for c, h in candidates if 2 * c.total_atoms <= budget]
+# (zdefs, counts, ref, h) of each instance, smallest register first; a plain
+# register holds one qubit per atom, a paired one two
+_PLAIN = (
+    (_SR, (1, 1), 1, (1.0, -0.5)),
+    (_YB, (1, 1, 1, 1), 2, (-1.0, -1.0, 1.0, 1.0)),
+    (_CA, (1, 2, 3), 0, (0.3, -1.0, 0.7)),
+    (_YB, (2, 2, 2, 2), 2, (-1.0, -1.0, 1.0, 1.0)),
+    (_YB, (1, 2, 3, 4), 2, (0.4, -1.1, 0.2, 0.9)),
+    (_YB, (3, 3, 3, 3), 2, (-1.0, -0.7, 0.8, 1.0)),
+)
+_PAIRED = (
+    (_SR, (1, 1), 1, (1.0, -0.5)),
+    (_YB, (1, 1, 1, 1), 2, (-1.0, -1.0, 1.0, 1.0)),
+    (_CA, (1, 2, 2), 0, (0.3, -1.0, 0.7)),
+    (_YB, (2, 2, 1, 1), 2, (0.4, -1.1, 0.2, 0.9)),
+)
 
 
-class _Shared:
-    """The instance lists of one suite run, with each instance's projection
-    and analytic rows evaluated once however many checks read them."""
+@dataclass
+class _Instance:
+    """One (chain, pattern) on a plain or paired register, with everything
+    the checks read of it built on first use and then kept."""
 
-    def __init__(self, budget: int):
-        self.budget = budget
-        self._protocols: dict[int, tuple[str, ...]] = {}
-        self._projections: dict[int, ProjectedPattern] = {}
-        self._rows: dict[int, dict[str, SensitivityResult]] = {}
+    chain: IsotopeChain
+    h: tuple[float, ...] | None
+    paired: bool = False
 
-    def _instances(self, instances, protocols):
-        self._protocols.update((id(chain), protocols) for chain, _ in instances)
-        return instances
+    @property
+    def qubits(self) -> int:
+        return (1 + self.paired) * self.chain.total_atoms
 
     @functools.cached_property
-    def plain(self):
-        return self._instances(_plain_instances(self.budget),
-                               ("sql", "same_isotope_cat", "cross_cat_ideal"))
+    def proj(self) -> ProjectedPattern:
+        return project_deviation(self.chain, self.h)
 
     @functools.cached_property
-    def dfs(self):
-        return self._instances(_dfs_instances(self.budget), ("cross_cat_ideal", "dfs_cat"))
+    def gen(self) -> DiagonalGenerator:
+        """The signal generator."""
+        return build_generator(self.chain, self.proj, _IDEAL_CFG.tau, _IDEAL_CFG.omega, dfs=self.paired)
 
-    def projection(self, chain, h) -> ProjectedPattern:
-        """project_deviation of an instance of :attr:`plain` or :attr:`dfs`."""
-        if id(chain) not in self._projections:
-            self._projections[id(chain)] = project_deviation(chain, h)
-        return self._projections[id(chain)]
+    @functools.cached_property
+    def product(self) -> StateVector:
+        return build_state("product_x", self.chain)
 
-    def analytic(self, chain, h, protocol) -> SensitivityResult:
-        """The closed-form row of ``protocol`` on an instance at the ideal
-        config; one table holds every protocol the checks compare on it."""
-        if id(chain) not in self._rows:
-            table = protocol_table(chain, h, _IDEAL_CFG, self._protocols[id(chain)])
-            self._rows[id(chain)] = {row.protocol: row for row in table}
-        return self._rows[id(chain)][protocol]
+    @functools.cached_property
+    def cat(self) -> StateVector:
+        return build_state("dfs_cat" if self.paired else "cross_cat", self.chain, self.proj)
+
+    @functools.cached_property
+    def rows(self) -> dict[str, SensitivityResult]:
+        """The closed-form row at the ideal config of each protocol the
+        checks compare on this instance, from one table."""
+        protocols = ("cross_cat_ideal", "dfs_cat") if self.paired else (
+            "sql", "same_isotope_cat", "cross_cat_ideal")
+        return {row.protocol: row for row in protocol_table(self.chain, self.h, _IDEAL_CFG, protocols)}
+
+
+class _Lone(_Instance):
+    """One atom under the common generator: the one-qubit register."""
+
+    @functools.cached_property
+    def gen(self) -> DiagonalGenerator:
+        return build_common_generator(self.chain, _IDEAL_CFG.tau, _IDEAL_CFG.omega)
+
+
+@dataclass
+class _Suite:
+    """The instances of one run whose register fits in ``budget`` qubits."""
+
+    budget: int
+
+    def _fitting(self, table, paired):
+        return [_Instance(_chain(zdefs, counts, ref), h, paired)
+                for zdefs, counts, ref, h in table if (1 + paired) * sum(counts) <= self.budget]
+
+    @functools.cached_property
+    def plain(self) -> list[_Instance]:
+        return self._fitting(_PLAIN, False)
+
+    @functools.cached_property
+    def paired(self) -> list[_Instance]:
+        return self._fitting(_PAIRED, True)
+
+    @functools.cached_property
+    def lone(self) -> _Lone:
+        return _Lone(_chain(_SR, (1, 0), ref=1), None)
+
+    @property
+    def signal(self) -> list[_Instance]:
+        """The plain instances, or the lone atom when the budget admits
+        nothing larger."""
+        return self.plain or [self.lone]
+
+
+def _worst(pairs) -> tuple[float, int]:
+    """The largest deviation and the largest register of (deviation, qubits)
+    pairs.  A NaN deviation counts as the worst of all, so its check fails."""
+    devs, sizes = zip(*pairs)
+    return max(devs, key=lambda dev: (math.isnan(dev), dev)), max(sizes)
 
 
 def _rel(a, b):
@@ -179,8 +199,13 @@ def _rel(a, b):
     return abs(a - b) / scale if scale else 0.0
 
 
-def _oracle_delta_theta(state, gen, cfg):
-    return 1.0 / math.sqrt(qfi(state, gen) * cfg.reps)
+def _spread(gen) -> float:
+    """Distance between the generator's largest and smallest eigenvalue."""
+    return float(np.max(gen.diag) - np.min(gen.diag))
+
+
+def _oracle_delta_theta(state, gen):
+    return 1.0 / math.sqrt(qfi(state, gen) * _IDEAL_CFG.reps)
 
 
 # ---------------------------------------------------------------------------
@@ -188,200 +213,114 @@ def _oracle_delta_theta(state, gen, cfg):
 # ---------------------------------------------------------------------------
 
 
-def _check_single_qubit_ramsey(shared):
-    cfg = _IDEAL_CFG
-    chain = _chain(_SR, (1, 0), ref=1)
-    gen = build_common_generator(chain, cfg.tau, cfg.omega)
-    state = build_state("product_x", chain)
-    g = gen.per_qubit_coeff[0]
-    dev = 0.0
-    for theta in (0.0, 0.2, 0.9, 2.7):
+def _check_single_qubit_ramsey(suite):
+    lone = suite.lone
+    g = lone.gen.per_qubit_coeff[0]
+
+    def devs(theta):
         # fringe against the closed form, and branch phase against 2 g theta
-        dev = max(dev, abs(parity_fringe(state, gen, theta) - (1.0 + math.cos(2.0 * g * theta)) / 2.0))
-        evolved = ramsey_evolve(state, gen, theta)
+        yield abs(parity_fringe(lone.product, lone.gen, theta) - (1.0 + math.cos(2.0 * g * theta)) / 2.0)
+        evolved = ramsey_evolve(lone.product, lone.gen, theta)
         rel_phase = np.angle(evolved.amplitudes[1] / evolved.amplitudes[0])
         expected = math.remainder(2.0 * g * theta, 2.0 * math.pi)
-        dev = max(dev, abs(math.remainder(rel_phase - expected, 2.0 * math.pi)))
-    return dev, 1
+        yield abs(math.remainder(rel_phase - expected, 2.0 * math.pi))
+
+    return _worst((dev, 1) for theta in (0.0, 0.2, 0.9, 2.7) for dev in devs(theta))
 
 
-def _signal_generators(shared):
-    """(chain, generator) pairs; falls back to a one-qubit register when the
-    budget admits nothing larger."""
-    cfg = _IDEAL_CFG
-    out = []
-    for chain, h in shared.plain:
-        proj = shared.projection(chain, h)
-        out.append((chain, build_generator(chain, proj, cfg.tau, cfg.omega)))
-    if not out:
-        chain = _chain(_SR, (1, 0), ref=1)
-        out.append((chain, build_common_generator(chain, cfg.tau, cfg.omega)))
-    return out
-
-
-def _check_eigenstate_qfi_zero(shared):
-    _, gen = _signal_generators(shared)[-1]
+def _check_eigenstate_qfi_zero(suite):
+    gen = suite.signal[-1].gen
     m = len(gen.labels)
-    scale = float(np.max(gen.diag) - np.min(gen.diag)) ** 2
-    dev = 0.0
-    for b in {0, (1 << m) - 1, 1 % (1 << m)}:
+
+    def basis(b):
         amp = np.zeros(1 << m, dtype=np.complex128)
         amp[b] = 1.0
-        basis = StateVector(amplitudes=amp, labels=gen.labels)
-        dev = max(dev, abs(qfi(basis, gen)) / scale)
-    return dev, m
+        return StateVector(amplitudes=amp, labels=gen.labels)
+
+    return _worst((abs(qfi(basis(b), gen)) / _spread(gen) ** 2, m) for b in {0, 1, (1 << m) - 1})
 
 
-def _check_product_qfi_independence(shared):
-    dev, used = 0.0, 0
-    for chain, gen in _signal_generators(shared):
-        state = build_state("product_x", chain)
-        expected = 4.0 * math.fsum(g * g for g in gen.per_qubit_coeff)
-        dev = max(dev, _rel(qfi(state, gen), expected))
-        used = max(used, len(gen.labels))
-    return dev, used
+def _check_product_qfi_independence(suite):
+    return _worst((_rel(qfi(i.product, i.gen), 4.0 * math.fsum(g * g for g in i.gen.per_qubit_coeff)),
+                   i.qubits) for i in suite.signal)
 
 
-def _check_cross_cat_qfi(shared):
-    cfg = _IDEAL_CFG
-    dev, used = 0.0, 0
-    for chain, h in shared.plain:
-        proj = shared.projection(chain, h)
-        gen = build_generator(chain, proj, cfg.tau, cfg.omega)
-        state = build_state("cross_cat", chain, proj)
-        sep = shared.analytic(chain, h, "cross_cat_ideal").eigsep
-        dev = max(dev, _rel(qfi(state, gen), sep**2))
-        used = max(used, len(gen.labels))
-    return dev, used
+def _check_cross_cat_qfi(suite):
+    return _worst((_rel(qfi(i.cat, i.gen), i.rows["cross_cat_ideal"].eigsep ** 2), i.qubits)
+                  for i in suite.plain)
 
 
-def _check_sql_oracle_equiv(shared):
-    cfg = _IDEAL_CFG
-    dev, used = 0.0, 0
-    for chain, h in shared.plain:
-        proj = shared.projection(chain, h)
-        gen = build_generator(chain, proj, cfg.tau, cfg.omega)
-        state = build_state("product_x", chain)
-        analytic = shared.analytic(chain, h, "sql").delta_theta
-        dev = max(dev, _rel(_oracle_delta_theta(state, gen, cfg), analytic))
-        used = max(used, len(gen.labels))
-    return dev, used
+def _check_sql_oracle_equiv(suite):
+    return _worst((_rel(_oracle_delta_theta(i.product, i.gen), i.rows["sql"].delta_theta), i.qubits)
+                  for i in suite.plain)
 
 
-def _single_isotope_view(chain, index):
-    counts = [iso.n_atoms if i == index else 0 for i, iso in enumerate(chain.isotopes)]
+def _isotope_dw(chain, index):
+    """The frequency sensitivity of isotope ``index`` from its own cat."""
     from .chain import reallocate
 
-    return reallocate(chain, counts)
+    sub = reallocate(chain, [iso.n_atoms if i == index else 0 for i, iso in enumerate(chain.isotopes)])
+    freq_gen = build_common_generator(sub, _IDEAL_CFG.tau, 1.0)
+    return _oracle_delta_theta(build_state("ghz_per_isotope", sub), freq_gen)
 
 
-def _check_same_isotope_cat_oracle_equiv(shared):
-    cfg = _IDEAL_CFG
-    dev, used = 0.0, 0
-    for chain, h in shared.plain:
+def _check_same_isotope_cat_oracle_equiv(suite):
+    def devs(inst):
         # per-isotope frequency sensitivity from each subarray's own cat,
         # pushed through the same classical fit as the analytic path
-        dws = []
-        for i, iso in enumerate(chain.isotopes):
-            if iso.n_atoms == 0:
-                dws.append(math.inf)
-                continue
-            sub = _single_isotope_view(chain, i)
-            st = build_state("ghz_per_isotope", sub)
-            freq_gen = build_common_generator(sub, cfg.tau, 1.0)
-            dws.append(1.0 / math.sqrt(qfi(st, freq_gen) * cfg.reps))
-        oracle = combine_classical_fit(chain, h, tuple(dws), cfg)
-        analytic = shared.analytic(chain, h, "same_isotope_cat").delta_theta
-        dev = max(dev, _rel(oracle, analytic))
-        used = max(used, chain.total_atoms)
-        counts = {iso.n_atoms for iso in chain.isotopes}
-        if len(counts) == 1:
+        isotopes = inst.chain.isotopes
+        dws = tuple(_isotope_dw(inst.chain, i) if iso.n_atoms else math.inf for i, iso in enumerate(isotopes))
+        analytic = inst.rows["same_isotope_cat"].delta_theta
+        yield _rel(combine_classical_fit(inst.chain, inst.h, dws, _IDEAL_CFG), analytic)
+        if len({iso.n_atoms for iso in isotopes}) == 1:
             # equal allocation: the joint product-of-cats state agrees directly
-            proj = shared.projection(chain, h)
-            gen = build_generator(chain, proj, cfg.tau, cfg.omega)
-            joint = build_state("ghz_per_isotope", chain)
-            dev = max(dev, _rel(_oracle_delta_theta(joint, gen, cfg), analytic))
-    return dev, used
+            joint = build_state("ghz_per_isotope", inst.chain)
+            yield _rel(_oracle_delta_theta(joint, inst.gen), analytic)
+
+    return _worst((dev, i.qubits) for i in suite.plain for dev in devs(i))
 
 
-def _check_cross_cat_oracle_equiv(shared):
-    cfg = _IDEAL_CFG
-    dev, used = 0.0, 0
-    for chain, h in shared.plain:
-        proj = shared.projection(chain, h)
-        gen = build_generator(chain, proj, cfg.tau, cfg.omega)
-        state = build_state("cross_cat", chain, proj)
-        analytic = shared.analytic(chain, h, "cross_cat_ideal").delta_theta
-        dev = max(dev, _rel(_oracle_delta_theta(state, gen, cfg), analytic))
-        used = max(used, len(gen.labels))
-    return dev, used
+def _cat_equiv(instances, protocol):
+    return _worst((_rel(_oracle_delta_theta(i.cat, i.gen), i.rows[protocol].delta_theta), i.qubits)
+                  for i in instances)
 
 
-def _check_dfs_oracle_equiv(shared):
-    cfg = _IDEAL_CFG  # per_channel accounting matches the paired register
-    dev, used = 0.0, 0
-    for chain, h in shared.dfs:
-        proj = shared.projection(chain, h)
-        gen = build_generator(chain, proj, cfg.tau, cfg.omega, dfs=True)
-        state = build_state("dfs_cat", chain, proj)
-        analytic = shared.analytic(chain, h, "dfs_cat").delta_theta
-        dev = max(dev, _rel(_oracle_delta_theta(state, gen, cfg), analytic))
-        used = max(used, len(gen.labels))
-    return dev, used
+def _check_cross_cat_oracle_equiv(suite):
+    return _cat_equiv(suite.plain, "cross_cat_ideal")
 
 
-def _largest_cross_cat(shared):
-    cfg = _IDEAL_CFG
-    chain, h = shared.plain[-1]
-    proj = shared.projection(chain, h)
-    gen = build_generator(chain, proj, cfg.tau, cfg.omega)
-    state = build_state("cross_cat", chain, proj)
-    sep = float(np.max(gen.diag) - np.min(gen.diag))
-    return state, gen, sep
+def _check_dfs_oracle_equiv(suite):
+    return _cat_equiv(suite.paired, "dfs_cat")  # per_channel accounting matches the paired register
 
 
-def _check_cfi_saturation(shared):
-    state, gen, sep = _largest_cross_cat(shared)
-    theta_mid = math.pi / (2.0 * sep)
-    dev = _rel(cfi_parity(state, gen, theta_mid), qfi(state, gen))
-    return dev, len(gen.labels)
+def _check_cfi_saturation(suite):
+    largest = suite.plain[-1]
+    theta_mid = math.pi / (2.0 * _spread(largest.gen))
+    return _worst([(_rel(cfi_parity(largest.cat, largest.gen, theta_mid), qfi(largest.cat, largest.gen)),
+                    largest.qubits)])
 
 
-def _check_cfi_bound(shared):
-    state, gen, sep = _largest_cross_cat(shared)
-    f_q = qfi(state, gen)
-    period = 2.0 * math.pi / sep
-    dev = 0.0
-    for k in range(100):
-        theta = (k + 0.5) / 100.0 * period
-        dev = max(dev, abs(cfi_parity(state, gen, theta) / f_q - 1.0))
-    return dev, len(gen.labels)
+def _check_cfi_bound(suite):
+    largest = suite.plain[-1]
+    f_q = qfi(largest.cat, largest.gen)
+    period = 2.0 * math.pi / _spread(largest.gen)
+    return _worst((abs(cfi_parity(largest.cat, largest.gen, (k + 0.5) / 100.0 * period) / f_q - 1.0),
+                   largest.qubits) for k in range(100))
 
 
-def _check_dfs_common_noise(shared):
-    cfg = _IDEAL_CFG
-    dev, used = 0.0, 0
-    for chain, h in shared.dfs:
-        proj = shared.projection(chain, h)
-        state = build_state("dfs_cat", chain, proj, phase=0.4)
-        common = build_common_generator(chain, cfg.tau, cfg.omega, dfs=True)
+def _check_dfs_common_noise(suite):
+    def devs(inst):
+        state = build_state("dfs_cat", inst.chain, inst.proj, phase=0.4)
+        common = build_common_generator(inst.chain, _IDEAL_CFG.tau, _IDEAL_CFG.omega, dfs=True)
         for phase in (0.0, 0.37, 1.234, math.pi / 2, 2.9, 17.0):
-            dev = max(dev, abs(common_noise_check(state, common, phase) - 1.0))
-        used = max(used, len(common.labels))
-    return dev, used
+            yield abs(common_noise_check(state, common, phase) - 1.0)
+
+    return _worst((dev, i.qubits) for i in suite.paired for dev in devs(i))
 
 
-def _check_dfs_apv_separation(shared):
-    cfg = _IDEAL_CFG
-    dev, used = 0.0, 0
-    for chain, h in shared.dfs:
-        proj = shared.projection(chain, h)
-        gen = build_generator(chain, proj, cfg.tau, cfg.omega, dfs=True)
-        sep_dfs = float(np.max(gen.diag) - np.min(gen.diag))
-        sep_plain = shared.analytic(chain, h, "cross_cat_ideal").eigsep
-        dev = max(dev, _rel(sep_dfs, 2.0 * sep_plain))
-        used = max(used, len(gen.labels))
-    return dev, used
+def _check_dfs_apv_separation(suite):
+    return _worst((_rel(_spread(i.gen), 2.0 * i.rows["cross_cat_ideal"].eigsep), i.qubits)
+                  for i in suite.paired)
 
 
 _CHECKS = (
@@ -400,11 +339,8 @@ _CHECKS = (
 )
 
 
-def run_oracle_checks(
-    budget: int = 10,
-    tolerances: dict[str, float] | None = None,
-    only: tuple[str, ...] | None = None,
-) -> list[CheckResult]:
+def run_oracle_checks(budget: int = 10, tolerances: dict[str, float] | None = None,
+                      only: tuple[str, ...] | None = None) -> list[CheckResult]:
     """Run every check whose smallest instance fits within ``budget`` qubits.
 
     ``tolerances`` overrides the pinned per-check tolerances (all relative
@@ -424,15 +360,11 @@ def run_oracle_checks(
         unknown = set(only) - set(KNOWN_CHECKS)
         if unknown:
             raise ValueError(f"unknown check names requested: {sorted(unknown)}")
-    shared, results = _Shared(budget), []
+    suite, results = _Suite(budget), []
     for name, min_qubits, fn in _CHECKS:
-        if min_qubits > budget:
-            continue
-        if only is not None and name not in only:
+        if min_qubits > budget or (only is not None and name not in only):
             continue
         tol = overrides.get(name, DEFAULT_TOLERANCES[name])
-        dev, used = fn(shared)
-        results.append(
-            CheckResult(name=name, passed=dev <= tol, max_rel_dev=dev, tolerance=tol, qubits=used)
-        )
+        dev, used = fn(suite)
+        results.append(CheckResult(name=name, passed=dev <= tol, max_rel_dev=dev, tolerance=tol, qubits=used))
     return results

@@ -56,11 +56,13 @@ class RunSummary:
 
     def to_dict(self) -> dict:
         """The ``summary.json`` content, one key per field (each check too);
-        ``interference`` is left out when None.  JSON has no infinity, so an
-        infinite tolerance (a check that never fails) is written "inf"."""
+        ``interference`` is left out when None.  JSON has no NaN or infinity,
+        so a NaN deviation is written "nan" and an infinite tolerance (a
+        check that never fails) "inf"."""
         out = asdict(self)
         for check in out["checks"]:
-            check["tolerance"] = "inf" if check["tolerance"] == math.inf else check["tolerance"]
+            for key in ("max_rel_dev", "tolerance"):
+                check[key] = check[key] if math.isfinite(check[key]) else str(check[key])
         return {key: value for key, value in out.items() if value is not None}
 
 

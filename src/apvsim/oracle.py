@@ -119,12 +119,11 @@ def _check_register(labels):
 
 
 def _diag_from_coeffs(coeffs: list[float]) -> np.ndarray:
-    m = len(coeffs)
-    idx = np.arange(1 << m)
-    diag = np.zeros(1 << m, dtype=np.float64)
-    for j, g in enumerate(coeffs):
-        z = 1.0 - 2.0 * ((idx >> j) & 1)
-        diag += g * z
+    # each qubit doubles the vector as its new highest bit, so qubit j is
+    # bit j; its bit-0 half (z = +1) comes first
+    diag = np.zeros(1)
+    for g in coeffs:
+        diag = np.concatenate((diag + g, diag - g))
     return diag
 
 

@@ -431,7 +431,8 @@ def protocol_grid(
             except (ValueError, ArithmeticError) as exc:  # every row not failed yet
                 stages.append((np.ones(len(counts), dtype=bool), exc))
                 delta, intermediates = np.full(len(counts), math.nan), {}
-            stages.append((~np.isfinite(delta), ArithmeticError("delta theta is not finite")))
+            stages.append((~((0 < delta) & (delta < math.inf)),
+                           ArithmeticError("delta theta is not a finite positive number")))
             error = _slugs(stages, delta)
         yield ProtocolColumn(name, delta, error, intermediates)
 

@@ -91,6 +91,8 @@ class ScanSpec:
         bad = [p for p in self.protocols if p not in PROTOCOLS]
         if bad:
             raise ValueError(f"unknown protocols {bad}; choose from {PROTOCOLS}")
+        if len(set(self.protocols)) < len(self.protocols):
+            raise ValueError(f"protocols may not repeat, got {list(self.protocols)}")
         if self.axis == "time":
             if self.n_fixed is None or self.n_fixed < 1:
                 raise ValueError("time scans need n_fixed >= 1")
@@ -228,10 +230,8 @@ def crossover_finder(table: ScanTable) -> list[tuple[tuple[str, str], float]]:
     the sign actually changes across them.
     """
     measured = np.equal(table.errors, None)
-    # the columns in the order the rows first show a value of theirs; a
-    # protocol requested twice has two equal columns and is counted once
-    first = {j: int(np.argmax(column)) for j, column in enumerate(measured.T)
-             if column.any() and table.protocols.index(table.protocols[j]) == j}
+    # the columns in the order the rows first show a value of theirs
+    first = {j: int(np.argmax(column)) for j, column in enumerate(measured.T) if column.any()}
     events: list[tuple[tuple[str, str], float]] = []
     for a, b in combinations(sorted(first, key=first.get), 2):
         both = measured[:, a] & measured[:, b]

@@ -171,6 +171,10 @@ def _items(value, where, errs, rule):
     if bad:
         errs.append((where, f"unknown names {bad}; choose from {list(rule['items'])}"))
         return None
+    repeated = sorted({v for v in value if value.count(v) > 1})
+    if repeated:
+        errs.append((where, f"repeated names {repeated}; list each name once"))
+        return None
     return tuple(value)
 
 

@@ -1,0 +1,85 @@
+import json
+import math
+
+import pytest
+
+import apvsim.checks
+from apvsim import bundled_scenario_path
+from apvsim.checks import KNOWN_CHECKS, run_oracle_checks
+from apvsim.cli import main
+
+# The register size M of each check in KNOWN_CHECKS order at each budget;
+# None: the check does not run at that budget.
+_ = None
+SHAPE = {
+    1: (1, 1, 1, _, _, _, _, _, _, _, _, _),
+    2: (1, 2, 2, 2, 2, 2, 2, _, 2, 2, _, _),
+    3: (1, 2, 2, 2, 2, 2, 2, _, 2, 2, _, _),
+    4: (1, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4),
+    5: (1, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4),
+    6: (1, 6, 6, 6, 6, 6, 6, 4, 6, 6, 4, 4),
+    7: (1, 6, 6, 6, 6, 6, 6, 4, 6, 6, 4, 4),
+    8: (1, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8),
+    9: (1, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8),
+    10: (1, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10),
+    11: (1, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10),
+    12: (1, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12),
+    13: (1, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12),
+    14: (1, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12),
+}
+
+# Every check that reads apvsim.checks.qfi, but the same-isotope cat check:
+# its classical fit rejects a NaN sensitivity with a ValueError.
+READS_QFI = ("eigenstate_qfi_zero", "product_qfi_independence", "cross_cat_qfi",
+             "sql_oracle_equiv", "cross_cat_oracle_equiv", "dfs_oracle_equiv",
+             "cfi_saturation", "cfi_bound")
+
+
+@pytest.mark.parametrize("budget", sorted(SHAPE))
+def test_suite_shape_at_each_budget(budget):
+    results = run_oracle_checks(budget)
+    expected = [(name, m) for name, m in zip(KNOWN_CHECKS, SHAPE[budget]) if m is not None]
+    assert [(r.name, r.qubits) for r in results] == expected
+    for r in results:
+        assert r.passed and r.max_rel_dev <= r.tolerance, r
+
+
+@pytest.fixture
+def nan_qfi(monkeypatch):
+    monkeypatch.setattr(apvsim.checks, "qfi", lambda state, gen: math.nan)
+
+
+def test_nan_deviation_fails_its_check(nan_qfi):
+    only = tuple(name for name in KNOWN_CHECKS if name != "same_isotope_cat_oracle_equiv")
+    results = {r.name: r for r in run_oracle_checks(10, only=only)}
+    assert set(results) == set(only)
+    for name, r in results.items():
+        if name in READS_QFI:
+            assert not r.passed and math.isnan(r.max_rel_dev), r
+        else:
+            assert r.passed, r
+    # a NaN fails even a check that is never meant to fail
+    [r] = run_oracle_checks(10, tolerances={"cross_cat_qfi": math.inf}, only=("cross_cat_qfi",))
+    assert not r.passed
+
+
+def test_nan_sensitivity_is_rejected_by_the_fit(nan_qfi):
+    with pytest.raises(ValueError):
+        run_oracle_checks(10, only=("same_isotope_cat_oracle_equiv",))
+
+
+def test_nan_deviation_writes_strict_summary(nan_qfi, tmp_path):
+    data = json.loads(bundled_scenario_path().read_text())
+    data["oracle"]["checks"] = [name for name in KNOWN_CHECKS if name != "same_isotope_cat_oracle_equiv"]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--quiet"]) == 1
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    stored = json.loads((out / "summary.json").read_text(), parse_constant=no_constant)
+    deviations = {c["name"]: c["max_rel_dev"] for c in stored["checks"]}
+    assert {name for name, dev in deviations.items() if dev == "nan"} == set(READS_QFI)
+    assert not stored["all_checks_passed"]

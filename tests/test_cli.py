@@ -285,6 +285,23 @@ class TestRun:
                     assert math.isfinite(float(value)) and float(value) > 0
         assert underflowed == {"same_isotope_cat", "cross_cat_noisy", "dfs_cat"}
 
+    def test_overflowing_eigenvalue_separation_gives_no_contrast_not_zero(self, tmp_path):
+        # tau * omega so large that a global cat's separation overflows and
+        # 1 / separation is exactly 0
+        data = json.loads(bundled_scenario_path().read_text())
+        data["protocol"].update(tau=1e300, omega=1e10)
+        del data["oracle"]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data))
+        run(parse_scenario(path), tmp_path / "out", quiet=True)
+        for name in ("atoms.csv", "averaging_time.csv"):
+            rows = read_csv(tmp_path / "out" / name)
+            for r in rows:
+                for value in (r["delta_theta_stat"], r["delta_theta_tot"]):
+                    assert value.startswith("error:") or float(value) > 0, (name, r)
+            cats = [r for r in rows if r["protocol"] in ("cross_cat_ideal", "cross_cat_noisy")]
+            assert cats and all(r["delta_theta_stat"] == "error:no_contrast" for r in cats)
+
     def test_summary_counts_error_rows_per_slug(self, tmp_path):
         data = json.loads(bundled_scenario_path().read_text())
         data["scans"][0].update(grid=[1, 3, 4, 1000000, 10000000], protocols=list(PROTOCOLS))

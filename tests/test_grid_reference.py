@@ -124,8 +124,8 @@ def _reference_table(chain, h, cfg, protocols=PROTOCOLS):
             if reps < 1:
                 raise ValueError("need rep_rate * t_avg >= 1")
             row = _reference_row(name, chain, h, proj, cfg, reps, xi)
-            if not math.isfinite(row.delta_theta):
-                raise ArithmeticError("delta theta is not finite")
+            if not 0 < row.delta_theta < math.inf:
+                raise ArithmeticError("delta theta is not a finite positive number")
         except (ValueError, ArithmeticError) as exc:
             slug = next(slug for cls, slug in _SLUGS if isinstance(exc, cls))
             row = SensitivityResult(protocol=name, delta_theta=math.nan, error=slug)

@@ -201,13 +201,10 @@ class TestCrossoverFinder:
         table = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([2, 8, 16]))
         assert crossover_finder(table) == []
 
-    def test_protocol_requested_twice_counts_once(self, yb_chain, benchmark_cfg):
-        grid = [2**k for k in range(2, 14)]
-        once = atom_scan(yb_chain, H_SPLIT, benchmark_cfg,
-                         atom_spec(grid, protocols=("same_isotope_cat", "cross_cat_noisy")))
-        twice = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec(
-            grid, protocols=("same_isotope_cat", "same_isotope_cat", "cross_cat_noisy")))
-        assert crossover_finder(twice) == crossover_finder(once)
+    def test_protocol_requested_twice_is_rejected(self):
+        # so no table holds two columns of one protocol for the finder to count twice
+        with pytest.raises(ValueError, match="may not repeat"):
+            atom_spec([2, 8], protocols=("same_isotope_cat", "same_isotope_cat", "cross_cat_noisy"))
 
 
 def test_scan_tables_are_read_only(yb_chain, benchmark_cfg):

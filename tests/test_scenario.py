@@ -423,6 +423,7 @@ ERROR_CORPUS = [
     ("scan-protocols-empty", ("scans", 0, "protocols"), [], ["scans[0].protocols"]),
     ("scan-protocols-unknown", ("scans", 0, "protocols"), ["sql", "warp"],
      ["scans[0].protocols"]),
+    ("scan-protocols-repeated", ("scans", 0, "protocols"), ["sql", "sql"], ["scans[0].protocols"]),
     ("scan-sigma-missing", ("scans", 1, "sigma_sys"), _DELETE, ["scans[1].sigma_sys"]),
     ("scan-sigma-negative", ("scans", 1, "sigma_sys"), -1.0, ["scans[1].sigma_sys"]),
     ("scan-n-fixed-missing", ("scans", 1, "n_fixed"), _DELETE, ["scans[1].n_fixed"]),
@@ -461,6 +462,7 @@ ERROR_CORPUS = [
     ("checks-not-list", ("oracle", "checks"), "cfi_bound", ["oracle.checks"]),
     ("checks-empty", ("oracle", "checks"), [], ["oracle.checks"]),
     ("checks-unknown", ("oracle", "checks"), ["cfi_bound", "nope"], ["oracle.checks"]),
+    ("checks-repeated", ("oracle", "checks"), ["cfi_bound", "cfi_bound"], ["oracle.checks"]),
     ("interference-not-object", ("interference",), 1.0, ["interference"]),
     ("interference-unknown-key", ("interference", "gain"), 1.0, ["interference.gain"]),
     ("interference-empty", ("interference",), {}, ["interference"]),
@@ -539,7 +541,7 @@ BEAM_VALUES = {"coefficient": st.floats(1e-6, 1e3), "floor": st.floats(0.0, 1.0)
 ORACLE_REQUIRED = {"budget": st.integers(1, 6)}
 ORACLE_OPTIONAL = {
     "tolerances": st.dictionaries(st.sampled_from(KNOWN_CHECKS), st.floats(0.0, 1.0)),
-    "checks": st.lists(st.sampled_from(KNOWN_CHECKS), min_size=1, max_size=4),
+    "checks": st.lists(st.sampled_from(KNOWN_CHECKS), min_size=1, max_size=4, unique=True),
 }
 INTERFERENCE_GROUPS = (
     {"zeta_over_beta": st.floats(-10.0, 10.0), "e_field": st.floats(1.0, 1e7)},
@@ -561,7 +563,7 @@ def scan_values(axis, n_isotopes, index):
     required = {
         "axis": st.just(axis),
         "grid": st.lists(points, min_size=1, max_size=5, unique=True).map(sorted),
-        "protocols": st.lists(st.sampled_from(PROTOCOLS), min_size=1, max_size=6),
+        "protocols": st.lists(st.sampled_from(PROTOCOLS), min_size=1, max_size=6, unique=True),
     }
     optional = {"name": st.sampled_from((f"s{index}", f"scan-{index}_{axis}"))}
     if axis == "time":
