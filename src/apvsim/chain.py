@@ -23,6 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .rules import check_fields
+
 __all__ = [
     "Isotope",
     "IsotopeChain",
@@ -42,19 +44,16 @@ _SIGN_RTOL = 1e-12
 @dataclass(frozen=True)
 class Isotope:
     """One isotope of the chain with its probe allocation; the field
-    metadata is the scenario parser's rule for each key of an entry."""
+    metadata is the rule for each key of an entry (see :mod:`apvsim.rules`)."""
 
     A: int = field(metadata={"integer": True, "required": True, "minimum": 1})
     Z: int = field(metadata={"integer": True, "required": True, "minimum": 1})
     n_atoms: int = field(default=0, metadata={"integer": True, "required": True, "minimum": 0})
 
     def __post_init__(self):
-        if self.A < 1:
-            raise ValueError(f"mass number must be >= 1, got A={self.A}")
-        if not 1 <= self.Z <= self.A:
-            raise ValueError(f"proton number must satisfy 1 <= Z <= A, got Z={self.Z}, A={self.A}")
-        if self.n_atoms < 0:
-            raise ValueError(f"atom count must be >= 0, got n_atoms={self.n_atoms}")
+        check_fields(self)
+        if self.Z > self.A:
+            raise ValueError(f"proton number must satisfy Z <= A, got Z={self.Z}, A={self.A}")
 
     @property
     def n_neutrons(self) -> int:

@@ -30,6 +30,7 @@ from .oracle import (
     ramsey_evolve,
 )
 from .protocols import ProtocolConfig, SensitivityResult, combine_classical_fit, protocol_table
+from .rules import check_fields
 
 __all__ = ["CheckResult", "OracleSpec", "KNOWN_CHECKS", "DEFAULT_TOLERANCES", "run_oracle_checks"]
 
@@ -41,40 +42,6 @@ class CheckResult:
     max_rel_dev: float
     tolerance: float
     qubits: int
-
-
-DEFAULT_TOLERANCES = {
-    "single_qubit_ramsey": 1e-12,
-    "eigenstate_qfi_zero": 1e-12,
-    "product_qfi_independence": 1e-12,
-    "cross_cat_qfi": 1e-10,
-    "sql_oracle_equiv": 1e-9,
-    "same_isotope_cat_oracle_equiv": 1e-9,
-    "cross_cat_oracle_equiv": 1e-9,
-    "dfs_oracle_equiv": 1e-9,
-    "cfi_saturation": 1e-6,
-    "cfi_bound": 1e-6,
-    "dfs_common_noise": 1e-12,
-    "dfs_apv_separation": 1e-12,
-}
-
-KNOWN_CHECKS = tuple(DEFAULT_TOLERANCES)
-
-
-@dataclass(frozen=True)
-class OracleSpec:
-    """The arguments of :func:`run_oracle_checks` for one run: ``tolerances``
-    holds (check name, tolerance) overrides sorted by name, and ``checks``
-    None runs every check.  The field metadata is the scenario parser's rule
-    for each key of the ``oracle`` block."""
-
-    budget: int = field(metadata={"integer": True, "required": True, "minimum": 1,
-                                  "maximum": QUBIT_CAP, "max_inclusive": True})
-    # "finite": False admits +inf: the check never fails
-    tolerances: tuple[tuple[str, float], ...] = field(
-        default=(), metadata={"keys": KNOWN_CHECKS, "minimum": 0.0, "finite": False}
-    )
-    checks: tuple[str, ...] | None = field(default=None, metadata={"items": KNOWN_CHECKS})
 
 
 # All equivalence checks run with ideal contrast; the oracle does not model
@@ -271,7 +238,9 @@ def _check_same_isotope_cat_oracle_equiv(suite):
         isotopes = inst.chain.isotopes
         dws = tuple(_isotope_dw(inst.chain, i) if iso.n_atoms else math.inf for i, iso in enumerate(isotopes))
         analytic = inst.rows["same_isotope_cat"].delta_theta
-        yield _rel(combine_classical_fit(inst.chain, inst.h, dws, _IDEAL_CFG), analytic)
+        # the fit would take a NaN sensitivity for an unmeasured isotope
+        nan = any(map(math.isnan, dws))
+        yield math.nan if nan else _rel(combine_classical_fit(inst.chain, inst.h, dws, _IDEAL_CFG), analytic)
         if len({iso.n_atoms for iso in isotopes}) == 1:
             # equal allocation: the joint product-of-cats state agrees directly
             joint = build_state("ghz_per_isotope", inst.chain)
@@ -323,48 +292,62 @@ def _check_dfs_apv_separation(suite):
                   for i in suite.paired)
 
 
+# (name, default tolerance, smallest register, function) of each check in run order;
+# a tolerance is relative, or absolute on an order-one quantity (single qubit, overlap)
 _CHECKS = (
-    ("single_qubit_ramsey", 1, _check_single_qubit_ramsey),
-    ("eigenstate_qfi_zero", 1, _check_eigenstate_qfi_zero),
-    ("product_qfi_independence", 1, _check_product_qfi_independence),
-    ("cross_cat_qfi", 2, _check_cross_cat_qfi),
-    ("sql_oracle_equiv", 2, _check_sql_oracle_equiv),
-    ("same_isotope_cat_oracle_equiv", 2, _check_same_isotope_cat_oracle_equiv),
-    ("cross_cat_oracle_equiv", 2, _check_cross_cat_oracle_equiv),
-    ("dfs_oracle_equiv", 4, _check_dfs_oracle_equiv),
-    ("cfi_saturation", 2, _check_cfi_saturation),
-    ("cfi_bound", 2, _check_cfi_bound),
-    ("dfs_common_noise", 4, _check_dfs_common_noise),
-    ("dfs_apv_separation", 4, _check_dfs_apv_separation),
+    ("single_qubit_ramsey", 1e-12, 1, _check_single_qubit_ramsey),
+    ("eigenstate_qfi_zero", 1e-12, 1, _check_eigenstate_qfi_zero),
+    ("product_qfi_independence", 1e-12, 1, _check_product_qfi_independence),
+    ("cross_cat_qfi", 1e-10, 2, _check_cross_cat_qfi),
+    ("sql_oracle_equiv", 1e-9, 2, _check_sql_oracle_equiv),
+    ("same_isotope_cat_oracle_equiv", 1e-9, 2, _check_same_isotope_cat_oracle_equiv),
+    ("cross_cat_oracle_equiv", 1e-9, 2, _check_cross_cat_oracle_equiv),
+    ("dfs_oracle_equiv", 1e-9, 4, _check_dfs_oracle_equiv),
+    ("cfi_saturation", 1e-6, 2, _check_cfi_saturation),
+    ("cfi_bound", 1e-6, 2, _check_cfi_bound),
+    ("dfs_common_noise", 1e-12, 4, _check_dfs_common_noise),
+    ("dfs_apv_separation", 1e-12, 4, _check_dfs_apv_separation),
 )
+
+DEFAULT_TOLERANCES = {name: tol for name, tol, _, _ in _CHECKS}
+
+KNOWN_CHECKS = tuple(DEFAULT_TOLERANCES)
+
+
+@dataclass(frozen=True)
+class OracleSpec:
+    """The arguments of :func:`run_oracle_checks` for one run: ``tolerances``
+    holds (check name, tolerance) overrides sorted by name, and ``checks``
+    None runs every check.  The field metadata is the rule for each key of
+    the ``oracle`` block (see :mod:`apvsim.rules`)."""
+
+    budget: int = field(metadata={"integer": True, "required": True, "minimum": 1,
+                                  "maximum": QUBIT_CAP, "max_inclusive": True})
+    # "finite": False admits +inf: the check never fails
+    tolerances: tuple[tuple[str, float], ...] = field(
+        default=(), metadata={"keys": KNOWN_CHECKS, "minimum": 0.0, "finite": False}
+    )
+    checks: tuple[str, ...] | None = field(default=None, metadata={"items": KNOWN_CHECKS})
+
+    __post_init__ = check_fields
 
 
 def run_oracle_checks(budget: int = 10, tolerances: dict[str, float] | None = None,
                       only: tuple[str, ...] | None = None) -> list[CheckResult]:
     """Run every check whose smallest instance fits within ``budget`` qubits.
 
-    ``tolerances`` overrides the pinned per-check tolerances (all relative
-    deviations except the single-qubit and overlap checks, which are
-    absolute on quantities of order one).  ``only`` restricts the suite to
-    the named checks.
+    ``tolerances`` overrides the default per-check tolerances, and ``only``
+    restricts the suite to the named checks; a value that :class:`OracleSpec`
+    rejects raises ValueError.
     """
-    if budget < 1:
-        raise ValueError(f"qubit budget must be >= 1, got {budget}")
     if budget > QUBIT_CAP:
         raise ValueError(f"qubit budget {budget} exceeds the register cap of {QUBIT_CAP}")
-    overrides = tolerances or {}
-    unknown = set(overrides) - set(KNOWN_CHECKS)
-    if unknown:
-        raise ValueError(f"unknown check names in tolerance overrides: {sorted(unknown)}")
-    if only is not None:
-        unknown = set(only) - set(KNOWN_CHECKS)
-        if unknown:
-            raise ValueError(f"unknown check names requested: {sorted(unknown)}")
+    overrides = dict(OracleSpec(budget, tuple(sorted((tolerances or {}).items())), only).tolerances)
     suite, results = _Suite(budget), []
-    for name, min_qubits, fn in _CHECKS:
+    for name, default, min_qubits, fn in _CHECKS:
         if min_qubits > budget or (only is not None and name not in only):
             continue
-        tol = overrides.get(name, DEFAULT_TOLERANCES[name])
+        tol = overrides.get(name, default)
         dev, used = fn(suite)
         results.append(CheckResult(name=name, passed=dev <= tol, max_rel_dev=dev, tolerance=tol, qubits=used))
     return results

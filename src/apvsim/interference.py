@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .rules import check_fields
+
 __all__ = [
     "AmplitudePair",
     "InterferenceSpec",
@@ -97,13 +99,15 @@ def _grouped(group: str, **bound):
 class InterferenceSpec:
     """The optional ``interference`` block of a scenario: the fields of a
     group appear together or not at all, and each field's metadata is the
-    scenario parser's rule for its key."""
+    rule for its key (see :mod:`apvsim.rules`)."""
 
     zeta_over_beta: float | None = _grouped("stark")
     e_field: float | None = _grouped("stark", nonzero=True)
     omega_pc: float | None = _grouped("rabi")
     omega_pnc: float | None = _grouped("rabi")
     detuning: float | None = _grouped("rabi", nonzero=True)
+
+    __post_init__ = check_fields
 
     def report(self, tau: float) -> dict:
         """The diagnostics of each group given, as ``summary.json`` records

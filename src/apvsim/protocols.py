@@ -42,6 +42,7 @@ from .chain import (
     _row_fsums,
     project_deviation,
 )
+from .rules import check_fields
 
 __all__ = [
     "ProtocolConfig",
@@ -72,7 +73,7 @@ class ZeroSignalError(ValueError):
     """The weighted orthogonal component of the deviation pattern vanishes."""
 
 
-# Allowed ranges, read by the scenario parser from each field's metadata.
+# Allowed ranges: field rules, see apvsim.rules.
 _POSITIVE = {"minimum": 0.0, "exclusive_min": True}
 _UNIT = {"minimum": 0.0, "exclusive_min": True, "maximum": 1.0, "max_inclusive": True}
 _COHERENCE = {**_POSITIVE, "allow_inf": True}
@@ -118,6 +119,8 @@ class ProtocolConfig:
     c_sql: float = field(default=1.0, metadata=_UNIT)
     gate_count_model: str = field(default="linear", metadata={"choices": GATE_COUNT_MODELS})
     dfs_budget: str = field(default="per_channel", metadata={"choices": DFS_BUDGET_MODES})
+
+    __post_init__ = check_fields
 
     @property
     def reps(self) -> float:
@@ -323,8 +326,6 @@ class _GlobalCat:
     def evaluate(self, weighted_l1, totals, cfg, reps) -> tuple[np.ndarray, dict]:
         k, t2, t2_once = 1.0, cfg.t2, math.inf
         if self.paired:
-            if cfg.dfs_budget not in DFS_BUDGET_MODES:
-                raise ValueError(f"unknown dfs budget mode {cfg.dfs_budget!r}; choose from {DFS_BUDGET_MODES}")
             k = 2.0 if cfg.dfs_budget == "per_channel" else 1.0
             t2, t2_once = cfg.t2_local, cfg.t2_diff
         sep = 2.0 * math.pi * cfg.tau * cfg.omega * k * weighted_l1
@@ -422,15 +423,11 @@ def protocol_grid(
         model = _REGISTRY[name]
         with np.errstate(all="ignore"):  # the rows that overflow or divide by zero fail
             stages = [(np.ones(len(counts), dtype=bool), invalid)] if reps < 1 else []
-            try:
-                if isinstance(model, _PerIsotope):
-                    delta, intermediates = model.evaluate(chain, h, counts, weights, cfg, reps, xi, stages)
-                else:
-                    stages += signal
-                    delta, intermediates = model.evaluate(proj.weighted_l1, totals, cfg, reps)
-            except (ValueError, ArithmeticError) as exc:  # every row not failed yet
-                stages.append((np.ones(len(counts), dtype=bool), exc))
-                delta, intermediates = np.full(len(counts), math.nan), {}
+            if isinstance(model, _PerIsotope):
+                delta, intermediates = model.evaluate(chain, h, counts, weights, cfg, reps, xi, stages)
+            else:
+                stages += signal
+                delta, intermediates = model.evaluate(proj.weighted_l1, totals, cfg, reps)
             stages.append((~((0 < delta) & (delta < math.inf)),
                            ArithmeticError("delta theta is not a finite positive number")))
             error = _slugs(stages, delta)

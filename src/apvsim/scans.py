@@ -24,6 +24,7 @@ import numpy as np
 
 from .chain import DeviationPattern, IsotopeChain, reallocate
 from .protocols import PROTOCOLS, ProtocolConfig, protocol_grid, protocol_table
+from .rules import check_fields
 
 __all__ = [
     "BeamSpec",
@@ -52,6 +53,8 @@ class BeamSpec:
     coefficient: float = field(metadata={"required": True, "minimum": 0.0, "exclusive_min": True})
     floor: float = field(metadata={"required": True, "minimum": 0.0})
 
+    __post_init__ = check_fields
+
 
 @dataclass(frozen=True)
 class ScanSpec:
@@ -60,8 +63,8 @@ class ScanSpec:
     ``grid`` values are atom numbers or averaging times (s) and must be
     positive and strictly increasing.  ``sigma_sys``, ``n_fixed`` and the
     optional ``beam`` apply to time scans only, where the first two are
-    required.  The field metadata is the scenario parser's rule for each key
-    of a scan block.
+    required.  The field metadata is the rule for each key of a scan block
+    (see :mod:`apvsim.rules`).
     """
 
     axis: str = field(metadata={"choices": SCAN_AXES, "required": True})
@@ -78,21 +81,7 @@ class ScanSpec:
     beam: BeamSpec | None = field(default=None, metadata={"time_only": True, "block": BeamSpec})
 
     def __post_init__(self):
-        if self.axis not in SCAN_AXES:
-            raise ValueError(f"unknown scan axis {self.axis!r}; choose from {SCAN_AXES}")
-        if not self.grid:
-            raise ValueError("scan grid is empty")
-        if any(v <= 0 for v in self.grid):
-            raise ValueError("scan grid values must be positive")
-        if any(b >= a for a, b in zip(self.grid[1:], self.grid)):
-            raise ValueError("scan grid must be strictly increasing")
-        if self.sigma_sys is not None and self.sigma_sys < 0:
-            raise ValueError(f"sigma_sys must be >= 0, got {self.sigma_sys}")
-        bad = [p for p in self.protocols if p not in PROTOCOLS]
-        if bad:
-            raise ValueError(f"unknown protocols {bad}; choose from {PROTOCOLS}")
-        if len(set(self.protocols)) < len(self.protocols):
-            raise ValueError(f"protocols may not repeat, got {list(self.protocols)}")
+        check_fields(self)
         if self.axis == "time":
             if self.n_fixed is None or self.n_fixed < 1:
                 raise ValueError("time scans need n_fixed >= 1")

@@ -18,9 +18,9 @@ offending key path reported):
     explicitly; they are never defaulted into a scan.
 
 ``scans`` (optional) -- list of :class:`ScanSpec` blocks.  ``name``
-    defaults to ``scan<index>``; atom-number grids must be integral;
-    ``sigma_sys``, ``n_fixed`` (at least one atom per isotope) and the
-    :class:`BeamSpec` ``beam`` belong to time scans only.
+    defaults to ``scan<index>`` and is unique ignoring case; atom grids
+    are integral; ``sigma_sys``, ``n_fixed`` (at least one atom per
+    isotope) and the :class:`BeamSpec` ``beam`` belong to time scans only.
 
 ``oracle`` (optional) -- an :class:`OracleSpec` block: ``budget``,
     ``tolerances`` (check name -> tolerance) and ``checks``.
@@ -31,9 +31,9 @@ offending key path reported):
 
 Every block that has a dataclass is read and written from that
 dataclass's fields; each field's metadata holds its rule (see
-:func:`_get`).  Parsing applies every default, so serializing a parsed
-scenario yields a fully explicit document; parse -> serialize -> parse is
-the identity.
+:mod:`apvsim.rules`), which the dataclass also applies to itself.
+Parsing applies every default, so serializing a parsed scenario yields a
+fully explicit document; parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .chain import DeviationPattern, Isotope, IsotopeChain, build_chain
 from .checks import OracleSpec
 from .interference import InterferenceSpec
 from .protocols import ProtocolConfig
+from .rules import violations
 from .scans import ScanSpec
 
 __all__ = [
@@ -95,156 +96,82 @@ def _reject_unknown(node, allowed, path, errs):
             errs.append((f"{path}.{key}", "unknown key"))
 
 
-# Each reader below takes (value, key path, errors, rule) and returns the
-# value as the dataclass holds it, or None after recording why not.
-
-
-def _bounded(value, where, errs, rule):
-    """``value`` if it meets ``minimum`` (``exclusive_min``), ``maximum``
-    (``max_inclusive``) and ``nonzero`` of ``rule``."""
-    minimum, exclusive = rule.get("minimum"), rule.get("exclusive_min", False)
-    if minimum is not None and (value <= minimum if exclusive else value < minimum):
-        errs.append((where, f"must be {'>' if exclusive else '>='} {minimum}, got {value}"))
-        return None
-    maximum, inclusive = rule.get("maximum"), rule.get("max_inclusive", False)
-    if maximum is not None and (value > maximum if inclusive else value >= maximum):
-        errs.append((where, f"must be {'<=' if inclusive else '<'} {maximum}, got {value}"))
-        return None
-    if rule.get("nonzero") and value == 0:
-        errs.append((where, "must be nonzero"))
-        return None
-    return value
-
-
-def _fits_float(value, where, errs) -> bool:
-    """Whether a JSON number converts to a float; a larger integer is an error."""
-    try:
-        float(value)
-    except OverflowError:
-        errs.append((where, "is beyond the range of a float"))
-        return False
-    return True
-
-
 def _number(value, where, errs, rule):
-    """A float within the bounds of ``rule``; ``allow_inf`` admits the string
-    "inf", ``finite`` (default True) rejects +-inf, and nan is never valid."""
+    """A float; ``allow_inf`` admits the string "inf", ``finite`` (default
+    True) rejects +-inf, and nan is never valid."""
     if rule.get("allow_inf") and value == "inf":
         return math.inf
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errs.append((where, f"expected a number, got {value!r}"))
         return None
-    if not _fits_float(value, where, errs):
+    try:
+        value = float(value)
+    except OverflowError:
+        errs.append((where, "is beyond the range of a float"))
         return None
-    value = float(value)
     if math.isnan(value) or (rule.get("finite", True) and math.isinf(value)):
         errs.append((where, "must be finite" if rule.get("finite", True) else "must not be nan"))
-        return None
-    return _bounded(value, where, errs, rule)
+    return value
 
 
 def _integer(value, where, errs, rule):
-    """An int (an integral float is converted) within the bounds of ``rule``
-    and the range of a float, which every count is converted to."""
+    """An int (an integral float is converted) that fits in a float, as every count must."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         errs.append((where, f"expected an integer, got {value!r}"))
         return None
-    if not _fits_float(value, where, errs):
-        return None
-    return _bounded(value, where, errs, rule)
-
-
-def _choice(value, where, errs, rule):
-    if value in rule["choices"]:
-        return value
-    errs.append((where, f"must be one of {list(rule['choices'])}, got {value!r}"))
-    return None
-
-
-def _items(value, where, errs, rule):
-    if not isinstance(value, list) or not value:
-        errs.append((where, "expected a nonempty list of names"))
-        return None
-    bad = [v for v in value if v not in rule["items"]]
-    if bad:
-        errs.append((where, f"unknown names {bad}; choose from {list(rule['items'])}"))
-        return None
-    repeated = sorted({v for v in value if value.count(v) > 1})
-    if repeated:
-        errs.append((where, f"repeated names {repeated}; list each name once"))
-        return None
-    return tuple(value)
+    _number(value, where, errs, {})  # records an integer beyond a float
+    return value
 
 
 def _numbers(raw, where, errs, rule):
-    """A nonempty list of finite numbers (``positive``, ``increasing``), as a
-    tuple of floats; every bad entry is reported by its index."""
-    if not isinstance(raw, list) or not raw:
-        errs.append((where, "expected a nonempty list of numbers"))
+    """A list of finite numbers as a tuple of floats, each bad entry named by its index."""
+    if not isinstance(raw, list):
+        errs.append((where, "expected a list of numbers"))
         return None
-    positive = rule.get("positive", False)
     # Screen the whole list first: checking entry by entry would double the
     # parse time of a 5e4-point grid.  Only a list that fails is walked.
-    values = None
     if all(type(x) in (int, float) for x in raw):
         try:
             values = tuple(map(float, raw))
         except OverflowError:  # an integer beyond a float, named by the walk below
             pass
         else:
-            if not all(map(math.isfinite, values)) or (positive and min(values) <= 0):
-                values = None
-    if values is None:
-        entry = {"minimum": 0.0, "exclusive_min": True} if positive else {}
-        values = tuple(_number(x, f"{where}[{i}]", errs, entry) for i, x in enumerate(raw))
-        if None in values:
-            return None
-    if rule.get("increasing") and any(b >= a for a, b in zip(values[1:], values)):
-        errs.append((where, "values must be strictly increasing"))
-        return None
-    return values
+            if all(map(math.isfinite, values)):
+                return values
+    return tuple(_number(x, f"{where}[{i}]", errs, {}) for i, x in enumerate(raw))
+
+
+def _names(value, where, errs, rule):
+    if isinstance(value, list):
+        return tuple(value)
+    errs.append((where, "expected a list of names"))
 
 
 def _keyed_numbers(raw, where, errs, rule):
-    """An object mapping names from ``keys`` to numbers within the bounds of
-    ``rule``, as (name, value) pairs sorted by name."""
-    if not _expect_mapping(raw, where, errs):
-        return None
-    before, pairs = len(errs), []
-    for key in sorted(raw):
-        if key not in rule["keys"]:
-            errs.append((f"{where}.{key}", f"unknown name; choose from {list(rule['keys'])}"))
-        else:
-            pairs.append((key, _number(raw[key], f"{where}.{key}", errs, rule)))
-    return tuple(pairs) if len(errs) == before else None
+    """An object of numbers (read by ``rule``) as (name, value) pairs sorted by name."""
+    if _expect_mapping(raw, where, errs):
+        return tuple((key, _number(raw[key], f"{where}.{key}", errs, rule)) for key in sorted(raw))
 
 
-def _label(value, where, errs, rule):
-    if isinstance(value, str) and value and value.isascii() and all(
-        c.isalnum() or c in "_-" for c in value
-    ):
-        return value
-    errs.append((where, "must be a nonempty string of [A-Za-z0-9_-]"))
-    return None
-
-
-# The first of these keys found in a rule picks its reader; a rule with none
-# of them is a number, and one with "block" is a nested dataclass.
+# Each reader takes (value, key path, errors, rule) and converts the JSON value to
+# the type the dataclass holds, recording why not.  The first of these keys found
+# in a rule picks its reader; a rule with none of them is a number, and one with
+# "block" is a nested dataclass.
 _READERS = {
     "integer": _integer,
-    "choices": _choice,
-    "items": _items,
+    "choices": lambda value, *_: value,
+    "items": _names,
     "numbers": _numbers,
     "keys": _keyed_numbers,
-    "label": _label,
+    "label": lambda value, *_: value,
 }
 
 
 def _get(node, key, path, errs, rule, default=None):
-    """``node[key]`` read by ``rule``; ``default`` when the key is absent (an
-    error too if the rule says ``required``), None when it is invalid."""
+    """``node[key]`` read and checked by ``rule``; ``default`` when the key is
+    absent (an error too if the rule says ``required``), None when it is invalid."""
     where = f"{path}.{key}"
     if key not in node:
         if rule.get("required"):
@@ -252,10 +179,12 @@ def _get(node, key, path, errs, rule, default=None):
         return default
     if "block" in rule:
         return _parse_block(rule["block"], node[key], where, errs)
-    for kind, reader in _READERS.items():
-        if kind in rule:
-            return reader(node[key], where, errs, rule)
-    return _number(node[key], where, errs, rule)
+    read = next((reader for kind, reader in _READERS.items() if kind in rule), _number)
+    before = len(errs)
+    value = read(node[key], where, errs, rule)
+    if len(errs) == before:
+        errs.extend((where + below, reason) for below, reason in violations(key, value, rule))
+    return value if len(errs) == before else None
 
 
 def _parse_fields(cls, node, path, errs, skip=()) -> tuple[dict, bool]:
@@ -351,10 +280,8 @@ def _parse_deviation(node, chain, errs) -> DeviationPattern | None:
         errs.append(("deviation", "give exactly one of 'h' or 'preset'"))
         return None
     if has_preset:
-        if node["preset"] != "sign_split":
-            errs.append(("deviation.preset", f"unknown preset {node['preset']!r}"))
-            return None
-        return DeviationPattern.sign_split(chain) if chain else None
+        preset = _get(node, "preset", "deviation", errs, {"choices": ("sign_split",)})
+        return DeviationPattern.sign_split(chain) if chain and preset else None
     values = _get(node, "h", "deviation", errs, {"numbers": True})
     if values is None:
         return None
@@ -457,10 +384,13 @@ def parse_scenario_dict(data: dict) -> Scenario:
     parsed = [_parse_scan(raw, i, errs, len(chain.isotopes) if chain else 1)
               for i, raw in enumerate(raw_scans)]
     scans = [spec for _, spec in parsed if spec is not None]
-    # a scan rejected for another reason still claims its name
+    # a scan rejected for another reason still claims its name, and names
+    # that differ only by case share a CSV on a case-insensitive file system
     names = [name for name, _ in parsed if name is not None]
-    if len(set(names)) != len(names):
-        errs.append(("scans", f"duplicate scan names: {sorted(n for n in names if names.count(n) > 1)}"))
+    folded = [name.lower() for name in names]
+    if len(set(folded)) != len(folded):
+        repeated = sorted(n for n in names if folded.count(n.lower()) > 1)
+        errs.append(("scans", f"duplicate scan names, ignoring case: {repeated}"))
     oracle = _parse_block(OracleSpec, data["oracle"], "oracle", errs) if "oracle" in data else None
     tau = protocol.tau if protocol is not None else None
     interference = _parse_interference(data["interference"], errs, tau) if "interference" in data else None

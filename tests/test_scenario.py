@@ -358,6 +358,7 @@ ERROR_CORPUS = [
      ["chain.isotopes[0].epsilon"]),
     ("isotope-a-missing", ("chain", "isotopes", 0, "A"), _DELETE, ["chain.isotopes[0].A"]),
     ("isotope-a-not-integer", ("chain", "isotopes", 0, "A"), "x", ["chain.isotopes[0].A"]),
+    ("isotope-a-integral-float", ("chain", "isotopes", 0, "A"), 170.0, []),
     ("isotope-a-zero", ("chain", "isotopes", 0, "A"), 0, ["chain.isotopes[0].A"]),
     ("isotope-z-missing", ("chain", "isotopes", 1, "Z"), _DELETE, ["chain.isotopes[1].Z"]),
     ("isotope-z-zero", ("chain", "isotopes", 1, "Z"), 0, ["chain.isotopes[1].Z"]),
@@ -443,6 +444,8 @@ ERROR_CORPUS = [
     ("atom-scan-beam", ("scans", 0, "beam"), {"coefficient": 1.0, "floor": 0.0},
      ["scans[0].beam"]),
     ("scan-names-duplicate", ("scans", 1, "name"), "atoms", ["scans"]),
+    # the two CSV files would be one on a case-insensitive file system
+    ("scan-names-differ-by-case", ("scans", 1, "name"), "Atoms", ["scans"]),
     ("oracle-not-object", ("oracle",), 4, ["oracle"]),
     ("oracle-unknown-key", ("oracle", "seed"), 1, ["oracle.seed"]),
     ("oracle-budget-missing", ("oracle", "budget"), _DELETE, ["oracle.budget"]),
@@ -521,11 +524,74 @@ def _mutated(keys, value):
 def test_error_path_corpus(keys, value, expected):
     data = _mutated(keys, value)
     if not expected:
-        parse_scenario_dict(data)
+        # and its canonical form reads back to itself: an integral float of
+        # an integer key is written as the integer
+        text = canonical_json(parse_scenario_dict(data))
+        assert canonical_json(parse_scenario_dict(json.loads(text))) == text
         return
     with pytest.raises(ScenarioError) as exc:
         parse_scenario_dict(data)
     assert error_paths(exc) == expected
+
+
+# (dataclass, valid keyword arguments, field, a value that breaks that
+# field's rule and no other, the key path of the field in FULL)
+_ATOMS = {"axis": "atom_number", "grid": (8.0, 16.0), "protocols": ("sql",), "name": "atoms"}
+_TIMES = {"axis": "time", "grid": (1.0, 10.0), "protocols": ("sql",), "name": "times",
+          "sigma_sys": 0.0, "n_fixed": 8}
+_ISOTOPE = {"A": 170, "Z": 70, "n_atoms": 10}
+_BEAM = {"coefficient": 0.02, "floor": 0.001}
+_ORACLE = {"budget": 4}
+_STARK = {"zeta_over_beta": -2.4, "e_field": 1e5}
+FIELD_RULE_CASES = [
+    (Isotope, _ISOTOPE, "A", 0, ("chain", "isotopes", 0, "A")),
+    (Isotope, _ISOTOPE, "Z", 0, ("chain", "isotopes", 0, "Z")),
+    (Isotope, _ISOTOPE, "n_atoms", -1, ("chain", "isotopes", 0, "n_atoms")),
+    (ProtocolConfig, {}, "omega", 0.0, ("protocol", "omega")),
+    (ProtocolConfig, {}, "c0", 1.5, ("protocol", "c0")),
+    (ProtocolConfig, {}, "t2", -1.0, ("protocol", "t2")),
+    (ProtocolConfig, {}, "squeezing_db", -7000.0, ("protocol", "squeezing_db")),
+    (ProtocolConfig, {}, "rep_rate", 0.0, ("protocol", "rep_rate")),
+    (ProtocolConfig, {}, "gate_count_model", "cubic", ("protocol", "gate_count_model")),
+    (ProtocolConfig, {}, "dfs_budget", "shared", ("protocol", "dfs_budget")),
+    (ScanSpec, _ATOMS, "axis", "energy", ("scans", 0, "axis")),
+    (ScanSpec, _ATOMS, "name", "a b", ("scans", 0, "name")),
+    (ScanSpec, _ATOMS, "grid", (), ("scans", 0, "grid")),
+    (ScanSpec, _ATOMS, "grid", (0.0, 8.0), ("scans", 0, "grid")),
+    (ScanSpec, _ATOMS, "grid", (16.0, 8.0), ("scans", 0, "grid")),
+    (ScanSpec, _ATOMS, "protocols", (), ("scans", 0, "protocols")),
+    (ScanSpec, _ATOMS, "protocols", ("sql", "warp"), ("scans", 0, "protocols")),
+    (ScanSpec, _ATOMS, "protocols", ("sql", "sql"), ("scans", 0, "protocols")),
+    (ScanSpec, _TIMES, "sigma_sys", -1.0, ("scans", 1, "sigma_sys")),
+    (BeamSpec, _BEAM, "coefficient", 0.0, ("scans", 1, "beam", "coefficient")),
+    (BeamSpec, _BEAM, "floor", -1e-3, ("scans", 1, "beam", "floor")),
+    (OracleSpec, _ORACLE, "budget", 0, ("oracle", "budget")),
+    (OracleSpec, _ORACLE, "budget", 15, ("oracle", "budget")),
+    (OracleSpec, _ORACLE, "tolerances", (("cross_cat_qfi", -1e-9),), ("oracle", "tolerances")),
+    (OracleSpec, _ORACLE, "tolerances", (("nope", 1e-9),), ("oracle", "tolerances")),
+    (OracleSpec, _ORACLE, "checks", ("cfi_bound", "nope"), ("oracle", "checks")),
+    (OracleSpec, _ORACLE, "checks", ("cfi_bound", "cfi_bound"), ("oracle", "checks")),
+    (InterferenceSpec, _STARK, "e_field", 0.0, ("interference", "e_field")),
+]
+
+
+def _as_json(value):
+    if isinstance(value, tuple) and value and isinstance(value[0], tuple):
+        return dict(value)  # (name, tolerance) pairs
+    return list(value) if isinstance(value, tuple) else value
+
+
+@pytest.mark.parametrize("cls,valid,name,value,keys", FIELD_RULE_CASES,
+                         ids=[f"{case[0].__name__}-{case[2]}-{i}" for i, case in enumerate(FIELD_RULE_CASES)])
+def test_constructor_rejects_what_the_parser_rejects(cls, valid, name, value, keys):
+    cls(**valid)
+    with pytest.raises(ScenarioError) as parsed:
+        parse_scenario_dict(_mutated(keys, _as_json(value)))
+    [(path, reason)] = parsed.value.errors
+    with pytest.raises(ValueError) as built:
+        cls(**{**valid, name: value})
+    # the field, and any entry or key below it, then the parser's reason
+    assert str(built.value) == f"{path[path.rindex('.' + name) + 1:]}: {reason}"
 
 
 # A generator of valid scenario dicts over every section.  Each section is
