@@ -7,6 +7,7 @@ import apvsim.checks
 from apvsim import bundled_scenario_path
 from apvsim.checks import KNOWN_CHECKS, run_oracle_checks
 from apvsim.cli import main
+from apvsim.protocols import ProtocolConfig, combine_classical_fit
 
 # The register size M of each check in KNOWN_CHECKS order at each budget;
 # None: the check does not run at that budget.
@@ -61,6 +62,15 @@ def test_nan_deviation_fails_its_check(nan_qfi):
     # a NaN fails even a check that is never meant to fail
     [r] = run_oracle_checks(10, tolerances={"cross_cat_qfi": math.inf}, only=("cross_cat_qfi",))
     assert not r.passed
+
+
+def test_nan_sensitivity_is_rejected_by_the_fit(nan_qfi, yb_chain, yb_pattern):
+    # the fit reads a NaN sensitivity as an unmeasured isotope; with none measured it raises
+    with pytest.raises(ValueError):
+        combine_classical_fit(yb_chain, yb_pattern, (math.nan,) * len(yb_chain.isotopes), ProtocolConfig())
+    # so the same-isotope cat check fails with a NaN deviation instead of aborting the suite
+    [r] = run_oracle_checks(10, only=("same_isotope_cat_oracle_equiv",))
+    assert not r.passed and math.isnan(r.max_rel_dev), r
 
 
 def test_nan_deviation_writes_strict_summary(nan_qfi, tmp_path):
