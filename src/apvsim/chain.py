@@ -51,9 +51,8 @@ class Isotope:
     n_atoms: int = field(default=0, metadata={"integer": True, "required": True, "minimum": 0})
 
     def __post_init__(self):
-        check_fields(self)
-        if self.Z > self.A:
-            raise ValueError(f"proton number must satisfy Z <= A, got Z={self.Z}, A={self.A}")
+        check_fields(self, lambda bad: [] if bad or self.Z <= self.A else
+                     [("", f"proton number must satisfy Z <= A, got Z={self.Z}, A={self.A}")])
 
     @property
     def n_neutrons(self) -> int:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .checks import CheckResult, OracleSpec, run_oracle_checks
+from .checks import CheckResult, run_oracle_checks
 from .scans import GRID_BLOCK, ScanTable, atom_scan, time_scan
 from .scenario import Scenario, ScenarioError, parse_scenario, scenario_sha256
 
@@ -92,11 +92,12 @@ def _write_scan_csv(path: Path, table: ScanTable):
 
 
 def _run_checks(scenario: Scenario, budget_override: int | None, quiet: bool):
-    oracle = scenario.oracle or OracleSpec(budget=None)  # every check, default tolerances
-    budget = oracle.budget if budget_override is None else budget_override
+    oracle = scenario.oracle
+    budget = oracle and oracle.budget if budget_override is None else budget_override
     if budget is None:
         return ()
-    checks = tuple(run_oracle_checks(budget=budget, tolerances=dict(oracle.tolerances), only=oracle.checks))
+    tolerances, only = (dict(oracle.tolerances), oracle.checks) if oracle else (None, None)
+    checks = tuple(run_oracle_checks(budget=budget, tolerances=tolerances, only=only))
     if not quiet:
         for c in checks:
             print(f"check {c.name}: {'PASS' if c.passed else 'FAIL'} "

@@ -91,23 +91,30 @@ def ramsey_phase(pv_shift: float, tau: float) -> float:
     return pv_shift * tau
 
 
-def _grouped(group: str, **bound):
-    return field(default=None, metadata={"group": group, **bound})
+_GROUPS = (("zeta_over_beta", "e_field"), ("omega_pc", "omega_pnc", "detuning"))
 
 
 @dataclass(frozen=True)
 class InterferenceSpec:
-    """The optional ``interference`` block of a scenario: the fields of a
-    group appear together or not at all, and each field's metadata is the
-    rule for its key (see :mod:`apvsim.rules`)."""
+    """The optional ``interference`` block of a scenario: at least one group
+    of ``_GROUPS`` is given, the fields of a group together, and each field's
+    metadata is the rule for its key (see :mod:`apvsim.rules`)."""
 
-    zeta_over_beta: float | None = _grouped("stark")
-    e_field: float | None = _grouped("stark", nonzero=True)
-    omega_pc: float | None = _grouped("rabi")
-    omega_pnc: float | None = _grouped("rabi")
-    detuning: float | None = _grouped("rabi", nonzero=True)
+    zeta_over_beta: float | None = None
+    e_field: float | None = field(default=None, metadata={"nonzero": True})
+    omega_pc: float | None = None
+    omega_pnc: float | None = None
+    detuning: float | None = field(default=None, metadata={"nonzero": True})
 
-    __post_init__ = check_fields
+    def __post_init__(self):
+        check_fields(self, self._group_rule)
+
+    def _group_rule(self, bad) -> list[tuple[str, str]]:
+        given = [[name for name in group if getattr(self, name) is not None] for group in _GROUPS]
+        if not any(given):
+            return [("", "give at least one group of fields")]
+        return [("", f"{', '.join(group)} must appear together")
+                for group, names in zip(_GROUPS, given) if names and names != list(group)]
 
     def report(self, tau: float) -> dict:
         """The diagnostics of each group given, as ``summary.json`` records

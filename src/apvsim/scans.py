@@ -60,9 +60,9 @@ class BeamSpec:
 class ScanSpec:
     """One scan request.
 
-    ``grid`` values are atom numbers or averaging times (s) and must be
-    positive and strictly increasing.  ``sigma_sys``, ``n_fixed`` and the
-    optional ``beam`` apply to time scans only, where the first two are
+    ``grid`` values are atom numbers (integers) or averaging times (s) and
+    must be positive and strictly increasing.  ``sigma_sys``, ``n_fixed`` and
+    the optional ``beam`` apply to time scans only, where the first two are
     required.  The field metadata is the rule for each key of a scan block
     (see :mod:`apvsim.rules`).
     """
@@ -72,21 +72,24 @@ class ScanSpec:
                                               "increasing": True, "required": True})
     protocols: tuple[str, ...] = field(metadata={"items": PROTOCOLS, "required": True})
     name: str = field(default="scan", metadata={"label": True})
-    sigma_sys: float | None = field(
-        default=None, metadata={"time_only": True, "required": True, "minimum": 0.0}
-    )
-    n_fixed: int | None = field(
-        default=None, metadata={"time_only": True, "required": True, "integer": True}
-    )
+    sigma_sys: float | None = field(default=None, metadata={"time_only": True, "minimum": 0.0})
+    n_fixed: int | None = field(default=None, metadata={"time_only": True, "integer": True, "minimum": 1})
     beam: BeamSpec | None = field(default=None, metadata={"time_only": True, "block": BeamSpec})
 
     def __post_init__(self):
-        check_fields(self)
+        check_fields(self, self._axis_rule)
+
+    def _axis_rule(self, bad) -> list[tuple[str, str]]:
         if self.axis == "time":
-            if self.n_fixed is None or self.n_fixed < 1:
-                raise ValueError("time scans need n_fixed >= 1")
-            if self.sigma_sys is None:
-                raise ValueError("time scans need an explicit sigma_sys (0 is allowed)")
+            return [(name, "required on time scans")
+                    for name in ("sigma_sys", "n_fixed") if getattr(self, name) is None]
+        if self.axis != "atom_number":
+            return []
+        errors = [(name, "only valid for time scans") for name, f in self.__dataclass_fields__.items()
+                  if f.metadata.get("time_only") and getattr(self, name) is not None]
+        if "grid" not in bad and not all(map(float.is_integer, self.grid)):
+            errors.insert(0, ("grid", "atom numbers must be integers"))
+        return errors
 
 
 class ScanRow(NamedTuple):

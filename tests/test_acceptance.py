@@ -28,6 +28,7 @@ from apvsim import (
     qfi,
     run,
     run_oracle_checks,
+    scenario_sha256,
     time_scan,
     bundled_scenario_path,
 )
@@ -222,6 +223,13 @@ BUNDLED_CSV_SHA256 = {
     "atoms.csv": "ff2bfc6ac309d8073eab46e4ff09abb25aa6be00ebffae27d566414932aae5ae",
     "averaging_time.csv": "923aca22a48c7b5c74e08f1718eb7187ce62b2f5540c13542a4f092907eb163f",
 }
+# SHA-256 of the bundled scenario's canonical JSON, which summary.json records:
+# a change in how any value is read or written moves it.
+BUNDLED_SCENARIO_SHA256 = "09f350f4a82ec00e7128107052688b8236b186d50300b3bc22f428db0844b107"
+
+
+def test_bundled_scenario_hash_is_pinned():
+    assert scenario_sha256(parse_scenario(bundled_scenario_path())) == BUNDLED_SCENARIO_SHA256
 
 
 def test_10_csv_determinism(tmp_path):

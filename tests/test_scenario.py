@@ -499,6 +499,8 @@ ERROR_CORPUS = [
     ("tolerance-nan", ("oracle", "tolerances", "cross_cat_qfi"), _NAN,
      ["oracle.tolerances.cross_cat_qfi"]),
     ("tolerance-inf", ("oracle", "tolerances", "cross_cat_qfi"), _INF, []),
+    ("tolerance-inf-text", ("oracle", "tolerances", "cross_cat_qfi"), "inf", []),
+    ("protocol-t2-infinity", ("protocol", "t2"), _INF, []),
     ("scan-name-non-ascii", ("scans", 0, "name"), "\u00e9\u0663\u00df", ["scans[0].name"]),
 ]
 
@@ -519,14 +521,19 @@ def _mutated(keys, value):
     return data
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize("keys,value,expected", [case[1:] for case in ERROR_CORPUS],
                          ids=[case[0] for case in ERROR_CORPUS])
 def test_error_path_corpus(keys, value, expected):
     data = _mutated(keys, value)
     if not expected:
-        # and its canonical form reads back to itself: an integral float of
-        # an integer key is written as the integer
+        # and its canonical form is strict JSON that reads back to itself: an
+        # integral float of an integer key is written as the integer, inf as "inf"
         text = canonical_json(parse_scenario_dict(data))
+        json.loads(text, parse_constant=_reject_constant)
         assert canonical_json(parse_scenario_dict(json.loads(text))) == text
         return
     with pytest.raises(ScenarioError) as exc:
@@ -572,6 +579,12 @@ FIELD_RULE_CASES = [
     (OracleSpec, _ORACLE, "checks", ("cfi_bound", "nope"), ("oracle", "checks")),
     (OracleSpec, _ORACLE, "checks", ("cfi_bound", "cfi_bound"), ("oracle", "checks")),
     (InterferenceSpec, _STARK, "e_field", 0.0, ("interference", "e_field")),
+    # conversion checks and block rules that only the parser applied before
+    (Isotope, _ISOTOPE, "n_atoms", 10**400, ("chain", "isotopes", 0, "n_atoms")),
+    (Isotope, _ISOTOPE, "A", 170.5, ("chain", "isotopes", 0, "A")),
+    (ScanSpec, _TIMES, "grid", (1.0, _INF), ("scans", 1, "grid")),
+    (ScanSpec, _ATOMS, "grid", (8.5, 16.0), ("scans", 0, "grid")),
+    (ScanSpec, _ATOMS, "sigma_sys", 0.3, ("scans", 0, "sigma_sys")),
 ]
 
 
@@ -592,6 +605,26 @@ def test_constructor_rejects_what_the_parser_rejects(cls, valid, name, value, ke
         cls(**{**valid, name: value})
     # the field, and any entry or key below it, then the parser's reason
     assert str(built.value) == f"{path[path.rindex('.' + name) + 1:]}: {reason}"
+
+
+@pytest.mark.parametrize("block", [{"zeta_over_beta": 1.0}, {}])
+def test_interference_constructor_gives_the_parser_reason(block):
+    with pytest.raises(ScenarioError) as parsed:
+        parse_scenario_dict(scenario_with(interference=block))
+    [(path, reason)] = parsed.value.errors
+    assert path == "interference"
+    with pytest.raises(ValueError) as built:
+        InterferenceSpec(**block)
+    assert str(built.value) == reason
+
+
+def test_constructor_converts_as_the_parser_does():
+    block = {"name": "times", "axis": "time", "grid": [1, 10], "protocols": ["sql"],
+             "sigma_sys": 0, "n_fixed": 8.0, "beam": {"coefficient": 1, "floor": 0}}
+    built = ScanSpec(**block)
+    assert built == parse_scenario_dict(_mutated(("scans", 1), block)).scans[1]
+    assert type(built.n_fixed) is int and type(built.grid) is tuple
+    assert OracleSpec(4, {"cfi_bound": "inf"}).tolerances == (("cfi_bound", math.inf),)
 
 
 # A generator of valid scenario dicts over every section.  Each section is
