@@ -69,12 +69,14 @@ _PLAIN = (
     (_YB, (2, 2, 2, 2), 2, (-1.0, -1.0, 1.0, 1.0)),
     (_YB, (1, 2, 3, 4), 2, (0.4, -1.1, 0.2, 0.9)),
     (_YB, (3, 3, 3, 3), 2, (-1.0, -0.7, 0.8, 1.0)),
+    (_YB, (2, 3, 4, 5), 2, (0.4, -1.1, 0.2, 0.9)),
 )
 _PAIRED = (
     (_SR, (1, 1), 1, (1.0, -0.5)),
     (_YB, (1, 1, 1, 1), 2, (-1.0, -1.0, 1.0, 1.0)),
     (_CA, (1, 2, 2), 0, (0.3, -1.0, 0.7)),
     (_YB, (2, 2, 1, 1), 2, (0.4, -1.1, 0.2, 0.9)),
+    (_YB, (2, 2, 2, 1), 2, (0.4, -1.1, 0.2, 0.9)),
 )
 
 
@@ -183,16 +185,18 @@ def _oracle_delta_theta(state, gen):
 def _check_single_qubit_ramsey(suite):
     lone = suite.lone
     g = lone.gen.per_qubit_coeff[0]
+    thetas = (0.0, 0.2, 0.9, 2.7)
+    fringe = parity_fringe(lone.product, lone.gen, np.array(thetas))
 
-    def devs(theta):
+    def devs(theta, p):
         # fringe against the closed form, and branch phase against 2 g theta
-        yield abs(parity_fringe(lone.product, lone.gen, theta) - (1.0 + math.cos(2.0 * g * theta)) / 2.0)
+        yield abs(p - (1.0 + math.cos(2.0 * g * theta)) / 2.0)
         evolved = ramsey_evolve(lone.product, lone.gen, theta)
         rel_phase = np.angle(evolved.amplitudes[1] / evolved.amplitudes[0])
         expected = math.remainder(2.0 * g * theta, 2.0 * math.pi)
         yield abs(math.remainder(rel_phase - expected, 2.0 * math.pi))
 
-    return _worst((dev, 1) for theta in (0.0, 0.2, 0.9, 2.7) for dev in devs(theta))
+    return _worst((dev, 1) for theta, p in zip(thetas, fringe.tolist()) for dev in devs(theta, p))
 
 
 def _check_eigenstate_qfi_zero(suite):
@@ -273,16 +277,17 @@ def _check_cfi_bound(suite):
     largest = suite.plain[-1]
     f_q = qfi(largest.cat, largest.gen)
     period = 2.0 * math.pi / _spread(largest.gen)
-    return _worst((abs(cfi_parity(largest.cat, largest.gen, (k + 0.5) / 100.0 * period) / f_q - 1.0),
-                   largest.qubits) for k in range(100))
+    cfi = cfi_parity(largest.cat, largest.gen, (np.arange(100) + 0.5) / 100.0 * period)
+    return _worst((abs(f / f_q - 1.0), largest.qubits) for f in cfi.tolist())
 
 
 def _check_dfs_common_noise(suite):
+    phases = np.array([0.0, 0.37, 1.234, math.pi / 2, 2.9, 17.0])
+
     def devs(inst):
         state = build_state("dfs_cat", inst.chain, inst.proj, phase=0.4)
         common = build_common_generator(inst.chain, _IDEAL_CFG.tau, _IDEAL_CFG.omega, dfs=True)
-        for phase in (0.0, 0.37, 1.234, math.pi / 2, 2.9, 17.0):
-            yield abs(common_noise_check(state, common, phase) - 1.0)
+        return (abs(overlap - 1.0) for overlap in common_noise_check(state, common, phases).tolist())
 
     return _worst((dev, i.qubits) for i in suite.paired for dev in devs(i))
 

@@ -12,6 +12,7 @@ over hbar) so no dimensional constants appear.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .rules import check_fields
@@ -97,8 +98,9 @@ _GROUPS = (("zeta_over_beta", "e_field"), ("omega_pc", "omega_pnc", "detuning"))
 @dataclass(frozen=True)
 class InterferenceSpec:
     """The optional ``interference`` block of a scenario: at least one group
-    of ``_GROUPS`` is given, the fields of a group together, and each field's
-    metadata is the rule for its key (see :mod:`apvsim.rules`)."""
+    of ``_GROUPS`` is given, the fields of a group together, its diagnostics
+    that need no Ramsey time fit in floats, and each field's metadata is the
+    rule for its key (see :mod:`apvsim.rules`)."""
 
     zeta_over_beta: float | None = None
     e_field: float | None = field(default=None, metadata={"nonzero": True})
@@ -113,8 +115,18 @@ class InterferenceSpec:
         given = [[name for name in group if getattr(self, name) is not None] for group in _GROUPS]
         if not any(given):
             return [("", "give at least one group of fields")]
-        return [("", f"{', '.join(group)} must appear together")
-                for group, names in zip(_GROUPS, given) if names and names != list(group)]
+        errors = [("", f"{', '.join(group)} must appear together")
+                  for group, names in zip(_GROUPS, given) if names and names != list(group)]
+        if errors or bad:
+            return errors
+        # the diagnostics that need no tau: at tau = 0 the Ramsey phase is 0
+        try:
+            report = self.report(0.0)
+            if all(map(math.isfinite, [*report.pop("rate_terms", {}).values(), *report.values()])):
+                return []
+        except OverflowError:  # |omega_pc + omega_pnc|^2
+            pass
+        return [("", "its diagnostics are beyond the range of a float")]
 
     def report(self, tau: float) -> dict:
         """The diagnostics of each group given, as ``summary.json`` records

@@ -10,8 +10,9 @@ means sigma_z eigenvalue +1.  Generators are diagonal, so evolution is a
 per-basis-state phase and everything stays exact to floating precision.
 
 States are immutable snapshots; every operation returns a new value.
-Summations run in fixed index order, so results are reproducible bit for
-bit.
+Every sum runs in an order fixed by the register alone, not by how many
+angles one call takes, so results are reproducible bit for bit and a sweep
+gives each of its scalar calls' values exactly.
 """
 
 from __future__ import annotations
@@ -262,50 +263,63 @@ def _cat_branches(state: StateVector, gen: DiagonalGenerator) -> tuple[int, int]
     return j, i
 
 
-def parity_fringe(state: StateVector, gen: DiagonalGenerator, theta: float) -> float:
+def _fringe(state: StateVector, gen: DiagonalGenerator, hi: int, lo: int, thetas: np.ndarray):
+    amp, diag = state.amplitudes, gen.diag
+    a = amp[hi] * np.exp(-1j * thetas * diag[hi]) + amp[lo] * np.exp(-1j * thetas * diag[lo])
+    # hypot rounds as the scalar abs() does; np.abs on a complex array may not
+    return np.hypot(a.real, a.imag) ** 2 / 2.0
+
+
+def parity_fringe(state: StateVector, gen: DiagonalGenerator, theta: float | np.ndarray) -> float | np.ndarray:
     """Probability of the branch-symmetric outcome after evolving by theta.
 
     For a two-branch cat this is the interference fringe
     p(theta) = (1 + C cos(theta * dlam + phi)) / 2, with dlam the eigenvalue
-    separation of the branches and phi the cat's internal phase.
+    separation of the branches and phi the cat's internal phase.  ``theta``
+    is a float or an array of angles; an array gives an array.
     """
     _check_pair(state, gen)
-    hi, lo = _cat_branches(state, gen)
-    a_hi = state.amplitudes[hi] * np.exp(-1j * theta * gen.diag[hi])
-    a_lo = state.amplitudes[lo] * np.exp(-1j * theta * gen.diag[lo])
-    return float(abs(a_hi + a_lo) ** 2) / 2.0
+    thetas = np.asarray(theta, dtype=float)
+    p = _fringe(state, gen, *_cat_branches(state, gen), thetas)
+    return p if thetas.ndim else float(p)
 
 
-def cfi_parity(state: StateVector, gen: DiagonalGenerator, theta: float) -> float:
+def cfi_parity(state: StateVector, gen: DiagonalGenerator, theta: float | np.ndarray) -> float | np.ndarray:
     """Classical Fisher information of the branch-parity readout at theta.
 
     (dp/dtheta)^2 / (p (1 - p)) with the slope by central finite difference,
     step 1e-6 times the fringe period.  At a fringe extremum the
     outcome distribution is deterministic and the point carries no slope
-    information; that raises :class:`NonInformativePointError`.
+    information; that raises :class:`NonInformativePointError`.  ``theta``
+    is a float or an array of angles, and any extremum among them raises.
     """
     _check_pair(state, gen)
+    thetas = np.asarray(theta, dtype=float)
     hi, lo = _cat_branches(state, gen)
     dlam = float(gen.diag[hi] - gen.diag[lo])
     if dlam <= 0:
         raise ValueError("branches are degenerate; the fringe has no period")
-    p = parity_fringe(state, gen, theta)
-    if p <= _FRINGE_P_TOL or p >= 1.0 - _FRINGE_P_TOL:
-        raise NonInformativePointError(f"fringe probability {p} is at an extremum")
+    p = _fringe(state, gen, hi, lo, thetas)
+    extreme = p[(p <= _FRINGE_P_TOL) | (p >= 1.0 - _FRINGE_P_TOL)]
+    if extreme.size:
+        raise NonInformativePointError(f"fringe probability {extreme[0]} is at an extremum")
     step = _CFI_REL_STEP * 2.0 * math.pi / dlam
-    slope = (parity_fringe(state, gen, theta + step) - parity_fringe(state, gen, theta - step)) / (
-        2.0 * step
-    )
-    return slope**2 / (p * (1.0 - p))
+    up, down = (_fringe(state, gen, hi, lo, thetas + shift) for shift in (step, -step))
+    cfi = ((up - down) / (2.0 * step)) ** 2 / (p * (1.0 - p))
+    return cfi if thetas.ndim else float(cfi)
 
 
-def common_noise_check(state: StateVector, gen: DiagonalGenerator, phase: float) -> float:
+def common_noise_check(state: StateVector, gen: DiagonalGenerator, phase: float | np.ndarray) -> float | np.ndarray:
     """|<psi| U(phase) |psi>| for the phase evolution generated by ``gen``.
 
     Equals 1 for any phase when both branches carry the same eigenvalue,
     which is exactly the decoherence-free condition of the paired register
-    under common noise.
+    under common noise.  ``phase`` is a float or an array of phases; an
+    array gives an array.
     """
     _check_pair(state, gen)
+    phases = np.asarray(phase, dtype=float)
     p = np.abs(state.amplitudes) ** 2
-    return float(abs(np.dot(p, np.exp(-1j * phase * gen.diag))))
+    overlap = (np.exp(-1j * phases[..., None] * gen.diag) * p).sum(axis=-1)
+    out = np.hypot(overlap.real, overlap.imag)
+    return out if phases.ndim else float(out)

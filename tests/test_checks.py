@@ -26,7 +26,7 @@ SHAPE = {
     11: (1, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10),
     12: (1, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12),
     13: (1, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12),
-    14: (1, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12),
+    14: (1, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14, 14),
 }
 
 # Every check that reads apvsim.checks.qfi

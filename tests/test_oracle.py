@@ -300,13 +300,19 @@ class TestParityReadout:
     def test_cfi_never_exceeds_qfi_on_a_scan(self):
         f_q = qfi(self.state, self.gen)
         period = 2 * math.pi / self.sep
-        for k in range(100):
-            theta = (k + 0.5) / 100 * period
-            assert cfi_parity(self.state, self.gen, theta) <= f_q * (1 + 1e-6)
+        thetas = (np.arange(100) + 0.5) / 100 * period
+        sweep = cfi_parity(self.state, self.gen, thetas)
+        # one call over the sweep gives each scalar call's value exactly
+        assert sweep.tolist() == [cfi_parity(self.state, self.gen, theta) for theta in thetas.tolist()]
+        assert np.all(sweep <= f_q * (1 + 1e-6))
+        fringe = parity_fringe(self.state, self.gen, thetas)
+        assert fringe.tolist() == [parity_fringe(self.state, self.gen, theta) for theta in thetas.tolist()]
 
     def test_extremum_is_flagged(self):
         with pytest.raises(NonInformativePointError):
             cfi_parity(self.state, self.gen, 0.0)
+        with pytest.raises(NonInformativePointError):
+            cfi_parity(self.state, self.gen, np.array([0.3, 0.0, 0.7]))
 
 
 class TestCommonNoise:
@@ -314,9 +320,10 @@ class TestCommonNoise:
         chain, _, proj = small_yb((1, 1, 1, 0))
         state = build_state("dfs_cat", chain, proj, phase=0.4)
         common = build_common_generator(chain, 1.0, 1.0, dfs=True)
-        rng = np.random.default_rng(5)
-        for phase in rng.uniform(-20, 20, size=25):
-            assert common_noise_check(state, common, float(phase)) == pytest.approx(1.0, abs=1e-12)
+        phases = np.random.default_rng(5).uniform(-20, 20, size=25)
+        sweep = common_noise_check(state, common, phases)
+        assert sweep.tolist() == [common_noise_check(state, common, phase) for phase in phases.tolist()]
+        assert sweep == pytest.approx(np.ones(25), abs=1e-12)
 
     def test_unpaired_cat_dephases_as_a_cosine(self):
         # unbalanced allocation so the branch signs do not happen to cancel

@@ -607,7 +607,13 @@ def test_constructor_rejects_what_the_parser_rejects(cls, valid, name, value, ke
     assert str(built.value) == f"{path[path.rindex('.' + name) + 1:]}: {reason}"
 
 
-@pytest.mark.parametrize("block", [{"zeta_over_beta": 1.0}, {}])
+@pytest.mark.parametrize("block", [
+    {"zeta_over_beta": 1.0},
+    {},
+    # diagnostics that need no Ramsey time and leave the float range
+    {"omega_pc": 1e200, "omega_pnc": 20.0, "detuning": 1.0},
+    {"zeta_over_beta": 1e300, "e_field": 1e-300},
+])
 def test_interference_constructor_gives_the_parser_reason(block):
     with pytest.raises(ScenarioError) as parsed:
         parse_scenario_dict(scenario_with(interference=block))
