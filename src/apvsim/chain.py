@@ -175,16 +175,17 @@ def _pattern_values(h: Sequence[float] | DeviationPattern) -> tuple[float, ...]:
     return tuple(float(x) for x in h)
 
 
-# Rows turned into Python floats at a time by _row_fsums, which bounds the
+# Rows turned into Python floats at a time by _fsum_loop, which bounds the
 # memory a large grid takes on the way.
 _FSUM_BLOCK = 1024
 
+# Below this many rows (or elements), _row_fsums and protocols._map_distinct
+# visit each one in Python: the proof or np.unique costs more than it saves.
+_SCALAR_ROWS = 64
 
-def _row_fsums(terms: np.ndarray, stages: list | None = None) -> np.ndarray:
-    """math.fsum over the last axis of ``terms``, as a Python loop gives it and
-    raising where it raises; or, given a ``stages`` list, NaN sums on each
-    grid row (first axis) with a sum that raises, and one (row mask,
-    exception) pair in ``stages`` per class of the row's first exception."""
+
+def _fsum_loop(terms: np.ndarray, stages: list | None) -> np.ndarray:
+    """:func:`_row_fsums` with math.fsum on every row."""
     rows = terms.reshape(-1, terms.shape[-1])
     blocks = (map(math.fsum, rows[start:start + _FSUM_BLOCK].tolist())
               for start in range(0, len(rows), _FSUM_BLOCK))
@@ -202,6 +203,48 @@ def _row_fsums(terms: np.ndarray, stages: list | None = None) -> np.ndarray:
             raised.setdefault(type(exc), (np.zeros(len(terms), dtype=bool), exc))[0][row] = True
     stages.extend(raised.values())
     return sums
+
+
+def _two_sum(a, b):
+    """fl(a + b) and its rounding error, exactly (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _row_fsums(terms: np.ndarray, stages: list | None = None) -> np.ndarray:
+    """The correctly rounded sum over the last axis of ``terms`` (what
+    math.fsum gives), raising where a Python loop of math.fsum raises; or,
+    given a ``stages`` list, NaN sums on each grid row (first axis) with a
+    sum that raises, and one (row mask, exception) pair in ``stages`` per
+    class of the row's first exception.  From _SCALAR_ROWS rows up, numpy
+    sums the rows, and math.fsum sums them all again unless each numpy sum
+    is proven correctly rounded.
+
+    The proof (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955, 2005):
+    two TwoSum cascades split the exact sum into s + t + sum(f), and
+    r = fl(s + t) leaves the error d.  With c = fl(sum |f|) >= sum |f| / 2,
+    r is the float nearest the exact sum if c is 0, or if |d| + 2c is below
+    half the gap from r towards zero (the smaller gap at a power of two).
+    A non-finite term, a zero or subnormal r, or sum |x| >= 2^1000 (where
+    math.fsum may raise) gives no proof."""
+    rows = terms.reshape(-1, terms.shape[-1])
+    if len(rows) < _SCALAR_ROWS:
+        return _fsum_loop(terms, stages)
+    cols = np.ascontiguousarray(rows.T)
+    with np.errstate(all="ignore"):
+        s, t, c = cols[0], 0.0, 0.0
+        for x in cols[1:]:
+            s, e = _two_sum(s, x)
+            t, f = _two_sum(t, e)
+            c = c + np.abs(f)
+        r, d = _two_sum(s, t)
+        gap = np.abs(r - np.nextafter(r, 0.0))
+        proven = ((np.abs(cols).sum(axis=0) < 2.0**1000) & (np.abs(r) >= 2.0**-1022)
+                  & ((c == 0) | (np.abs(d) + 2 * c < 0.5 * gap)))
+    if not proven.all():
+        return _fsum_loop(terms, stages)
+    return r.reshape(terms.shape[:-1])
 
 
 def project_deviation(

@@ -36,6 +36,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .chain import (
+    _SCALAR_ROWS,
     DeviationPattern,
     IsotopeChain,
     _pattern_values,
@@ -60,7 +61,9 @@ __all__ = [
     "protocol_table",
 ]
 
-GATE_COUNT_MODELS = ("linear", "log_depth")
+# Single-qubit gates per atom of a cat; every model needs N - 1 two-qubit gates.
+_N1_PER_ATOM = {"linear": 1, "log_depth": 2}
+GATE_COUNT_MODELS = tuple(_N1_PER_ATOM)
 
 DFS_BUDGET_MODES = ("per_channel", "split")
 
@@ -158,9 +161,7 @@ def gate_counts(n_atoms: float, model: str = "linear") -> tuple[float, float]:
         raise ValueError(f"unknown gate count model {model!r}; choose from {GATE_COUNT_MODELS}")
     if n_atoms < 1:
         raise ValueError(f"need at least one atom, got {n_atoms}")
-    if model == "linear":
-        return n_atoms, n_atoms - 1
-    return 2 * n_atoms, n_atoms - 1
+    return _N1_PER_ATOM[model] * n_atoms, n_atoms - 1
 
 
 def squeezing_factor(gain_db: float) -> float:
@@ -173,7 +174,7 @@ def _map_distinct(fn: Callable, values: np.ndarray) -> np.ndarray:
     ``**`` and ``math`` give exactly the scalar results, as a float array of
     the same shape.  A large array calls ``fn`` once per distinct value."""
     flat = values.ravel()
-    if flat.size <= 64:
+    if flat.size < _SCALAR_ROWS:
         return np.array([fn(v) for v in flat.tolist()], dtype=float).reshape(values.shape)
     distinct, where = np.unique(flat, return_inverse=True)  # -0.0 joins 0.0
     return np.array([fn(v) for v in distinct.tolist()], dtype=float)[where].reshape(values.shape)
@@ -195,16 +196,17 @@ def cat_contrast(cfg: ProtocolConfig, n_atoms, t2: float, t2_once: float = math.
     """
     if t2 <= 0 or t2_once <= 0:
         raise ValueError(f"coherence times must be positive, got {t2} and {t2_once}")
-    c0, f1, f2, p_surv, tau, model = cfg.c0, cfg.f1, cfg.f2, cfg.p_surv, cfg.tau, cfg.gate_count_model
-    once = math.exp(-tau / t2_once)
+    values = np.asarray(n_atoms)
+    gate_counts(values.min() if values.size else 1, cfg.gate_count_model)  # the checks, once per call
+    c0, f1, f2, p_surv, tau = cfg.c0, cfg.f1, cfg.f2, cfg.p_surv, cfg.tau
+    per_atom, once = _N1_PER_ATOM[cfg.gate_count_model], math.exp(-tau / t2_once)
 
     def contrast(n):
-        n1, n2 = gate_counts(n, model)
-        return c0 * f1**n1 * f2**n2 * p_surv**n * math.exp(-n * tau / t2) * once
+        return c0 * f1**(per_atom * n) * f2**(n - 1) * p_surv**n * math.exp(-n * tau / t2) * once
 
-    if np.ndim(n_atoms) == 0:
+    if values.ndim == 0:
         return contrast(n_atoms)
-    return _map_distinct(contrast, np.asarray(n_atoms))
+    return _map_distinct(contrast, values)
 
 
 def _square(dw: float) -> float:

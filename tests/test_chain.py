@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apvsim import (
@@ -13,6 +14,7 @@ from apvsim import (
     project_deviation,
     weak_charge,
 )
+from apvsim.chain import _row_fsums
 from conftest import make_yb_chain, random_chain
 
 
@@ -192,3 +194,131 @@ def test_sign_split_preset_follows_mass_order():
     ]
     shuffled = build_chain(isotopes, ref_index=2, sin2_theta_w=0.2325)
     assert DeviationPattern.sign_split(shuffled).h == (1.0, -1.0, 1.0, -1.0)
+
+
+# --- row sums: math.fsum's value, or its exception, row by row -----------------
+
+_MAX = sys.float_info.max
+_INF = math.inf
+# Rows where a sum rounded without a proof could differ from math.fsum.
+_FINITE_ROWS = (
+    (1e16, 1.0, -1e16),  # near-total cancellation
+    (2.0**53, 1.0, -(2.0**53), 2.0**-60),
+    (0.1, 0.2, -0.3),
+    (1.0, 2.0**-53),  # an exact tie: to even, down
+    (1.0 + 2.0**-52, 2.0**-53),  # an exact tie: to even, up
+    (1.0, 2.0**-53, 2.0**-110),  # just above a tie
+    (1.0, 2.0**-53, -(2.0**-110)),  # just below a tie
+    (1.0, 1.0),  # powers of two, and the smaller gap below them
+    (1.0, -(2.0**-55)),
+    (1.0, -(2.0**-54), -(2.0**-106)),
+    (1.0, -(2.0**-54), -(2.0**-110)),  # below the tie under 1.0, whose lower gap is the smaller
+    (4.0, -(2.0**-52), 2.0**-106, 2.0**-160),
+    (5e-324, 0.0),  # subnormal and zero results
+    (1e-300, -1e-300, 5e-324),
+    (2.2250738585072014e-308, -2.225073858507201e-308),
+    (0.0,),
+    (-0.0,),
+    (-0.0, -0.0),
+    (1.5, -1.5),
+)
+_SPECIAL_ROWS = (
+    (_INF, 1.0),
+    (-_INF, 1.0),
+    (_INF, -_INF),  # ValueError
+    (math.nan, 1.0),
+    (_INF, math.nan),
+    (_MAX, 2.0**969, 2.0**969, -_MAX),  # OverflowError: intermediate overflow
+    (_MAX, _MAX),
+)
+
+
+def _fit(row, k, rng=None):
+    """``row`` padded with zeros to k terms, in a random order given ``rng``;
+    None if it is longer."""
+    if len(row) > k:
+        return None
+    padded = np.zeros(k)
+    order = np.arange(k) if rng is None else rng.permutation(k)
+    padded[order[:len(row)]] = row
+    return padded
+
+
+@st.composite
+def _row_blocks(draw):
+    """A G x parts x k float block of 63, 64 or 65 rows: moderate terms, some
+    near-total cancellations, a few arbitrary floats, and hand-picked rows."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.sampled_from((63, 64, 65)))
+    parts = draw(st.sampled_from([p for p in (1, 2, 3, 5) if n % p == 0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-200, 200, (n, 1))
+    cancel = rng.random(n) < 0.3
+    rows[cancel, -1] = -rows[cancel, :-1].sum(axis=1)
+    picked = draw(st.lists(st.sampled_from(_FINITE_ROWS + _SPECIAL_ROWS), max_size=6))
+    picked += draw(st.lists(st.lists(st.floats(), min_size=k, max_size=k), max_size=3))
+    for row in picked:
+        padded = _fit(row, k, rng)
+        if padded is not None:
+            rows[rng.integers(n)] = padded
+    return rows.reshape(n // parts, parts, k)
+
+
+def _explicit_block(rows, k, n, parts):
+    """``rows`` first, then rows of positive integers, whose sums are exact:
+    whether numpy's sums are kept turns on ``rows`` alone."""
+    block = np.random.default_rng(k).integers(1, 1000, (n, k)).astype(float)
+    fitted = [p for p in (_fit(row, k) for row in rows) if p is not None]
+    block[:len(fitted)] = fitted
+    return block.reshape(n // parts, parts, k)
+
+
+def _loop_sums(block):
+    """Per grid row: math.fsum of each of its rows, or the first exception."""
+    out = []
+    for parts in block.tolist():
+        try:
+            out.append([math.fsum(part) for part in parts])
+        except (ValueError, ArithmeticError) as exc:
+            out.append(exc)
+    return out
+
+
+def _check_row_fsums(block):
+    want = _loop_sums(block)
+    failed = [isinstance(sums, Exception) for sums in want]
+    nan = [math.nan] * block.shape[1]
+    want_hex = [[x.hex() for x in (nan if bad else sums)] for sums, bad in zip(want, failed)]
+    stages = []
+    got = _row_fsums(block, stages)
+    assert [[x.hex() for x in sums] for sums in got.tolist()] == want_hex
+    # one stage per exception class, in the order the grid rows first raise it
+    first = {}
+    for row, exc in enumerate(want):
+        if isinstance(exc, Exception):
+            first.setdefault(type(exc), (np.zeros(len(block), dtype=bool), exc))[0][row] = True
+    assert [(mask.tolist(), type(exc), str(exc)) for mask, exc in stages] == [
+        (mask.tolist(), type(exc), str(exc)) for mask, exc in first.values()]
+    if not any(failed):
+        assert [[x.hex() for x in sums] for sums in _row_fsums(block).tolist()] == want_hex
+        return
+    exc = want[failed.index(True)]
+    with pytest.raises(type(exc)) as raised:
+        _row_fsums(block)
+    assert str(raised.value) == str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=_row_blocks())
+@example(block=_explicit_block(_FINITE_ROWS, 3, 65, 5))
+@example(block=_explicit_block(_FINITE_ROWS + _SPECIAL_ROWS, 4, 64, 1))
+@example(block=_explicit_block(_SPECIAL_ROWS + _FINITE_ROWS, 4, 63, 3))
+def test_row_fsums_equal_math_fsum_row_by_row(block):
+    _check_row_fsums(block)
+
+
+@pytest.mark.parametrize("row", _FINITE_ROWS + _SPECIAL_ROWS)
+@pytest.mark.parametrize("k, n, parts", [(4, 64, 2), (8, 65, 5)])
+def test_row_fsums_on_one_hand_picked_row(row, k, n, parts):
+    # the only row of its block that may lack a proof
+    _check_row_fsums(_explicit_block((row,), k, n, parts))

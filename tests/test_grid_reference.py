@@ -239,7 +239,7 @@ def test_protocol_table_matches_the_scalar_reference(instance, cfg):
 
 
 _GRIDS = st.lists(st.one_of(st.integers(1, 100), st.integers(1, 10**12)),
-                  min_size=1, max_size=40, unique=True)
+                  min_size=1, max_size=100, unique=True)
 _PROTOCOL_LISTS = st.lists(st.sampled_from(PROTOCOLS), min_size=1, max_size=6, unique=True)
 
 
@@ -247,6 +247,13 @@ _PROTOCOL_LISTS = st.lists(st.sampled_from(PROTOCOLS), min_size=1, max_size=6, u
 @given(instance=chains(min_count=1), cfg=configs(), grid=_GRIDS, protocols=_PROTOCOL_LISTS)
 @example(instance=(_yb((1, 1, 1, 1)), _SPLIT), cfg=_LOSSY, grid=[1, 3, 4, 9, 10**6],
          protocols=list(PROTOCOLS))  # allocation rows, then no_contrast at large N
+# 64 grid points and more: the row sums take the numpy path, not math.fsum
+@example(instance=(_yb((1, 1, 1, 1)), _SPLIT), cfg=_PLAIN, grid=[4 * i for i in range(1, 81)],
+         protocols=list(PROTOCOLS))  # every row finite
+# from about 10^4 atoms on, the fit sums have no proof and math.fsum sums them;
+# near 10^11 they overflow, and the lossy cats have no contrast
+@example(instance=(_yb((1, 1, 1, 1)), _SPLIT), cfg=replace(_LOSSY, omega=1e146),
+         grid=[round(4 * 1.47**i) for i in range(70)], protocols=list(PROTOCOLS))
 def test_atom_scan_matches_the_scalar_reference(instance, cfg, grid, protocols):
     chain, h = instance
     spec = ScanSpec(axis="atom_number", grid=tuple(float(v) for v in sorted(grid)),
