@@ -253,8 +253,8 @@ def _row_blocks(draw):
     parts = draw(st.sampled_from([p for p in (1, 2, 3, 5) if n % p == 0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-200, 200, (n, 1))
-    cancel = rng.random(n) < 0.3
-    rows[cancel, -1] = -rows[cancel, :-1].sum(axis=1)
+    cancel = (rng.random(n) < 0.3) & (k > 1)
+    rows[cancel, -1] = -rows[cancel, :-1].sum(axis=1) * (1 + 2.0**-40 * rng.standard_normal(cancel.sum()))
     picked = draw(st.lists(st.sampled_from(_FINITE_ROWS + _SPECIAL_ROWS), max_size=6))
     picked += draw(st.lists(st.lists(st.floats(), min_size=k, max_size=k), max_size=3))
     for row in picked:
