@@ -14,14 +14,7 @@ from .chain import (
     reallocate,
     weak_charge,
 )
-from .interference import (
-    AmplitudePair,
-    InterferenceSpec,
-    amplitude_ratio,
-    interference_rate,
-    pv_light_shift,
-    ramsey_phase,
-)
+from .interference import InterferenceSpec
 from .protocols import (
     GATE_COUNT_MODELS,
     PROTOCOLS,
@@ -54,7 +47,6 @@ from .oracle import (
 from .scans import (
     AllocationError,
     BeamSpec,
-    ScanRow,
     ScanSpec,
     ScanTable,
     allocate_atoms,

@@ -86,9 +86,6 @@ class IsotopeChain:
     sin2_theta_w: float
     q: tuple[float, ...]
 
-    def __len__(self) -> int:
-        return len(self.isotopes)
-
     @property
     def n_atoms(self) -> tuple[int, ...]:
         return tuple(iso.n_atoms for iso in self.isotopes)

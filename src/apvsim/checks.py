@@ -32,7 +32,7 @@ from .oracle import (
 from .protocols import ProtocolConfig, SensitivityResult, combine_classical_fit, protocol_table
 from .rules import check_fields
 
-__all__ = ["CheckResult", "OracleSpec", "KNOWN_CHECKS", "DEFAULT_TOLERANCES", "run_oracle_checks"]
+__all__ = ["CheckResult", "OracleSpec", "KNOWN_CHECKS", "run_oracle_checks"]
 
 
 @dataclass(frozen=True)
@@ -314,9 +314,7 @@ _CHECKS = (
     ("dfs_apv_separation", 1e-12, 4, _check_dfs_apv_separation),
 )
 
-DEFAULT_TOLERANCES = {name: tol for name, tol, _, _ in _CHECKS}
-
-KNOWN_CHECKS = tuple(DEFAULT_TOLERANCES)
+KNOWN_CHECKS = tuple(name for name, *_ in _CHECKS)
 
 
 @dataclass(frozen=True)

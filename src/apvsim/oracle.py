@@ -73,14 +73,6 @@ class StateVector:
     def __post_init__(self):
         self.amplitudes.setflags(write=False)
 
-    @property
-    def num_qubits(self) -> int:
-        return len(self.labels)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
 
 @dataclass(frozen=True)
 class DiagonalGenerator:

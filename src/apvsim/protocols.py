@@ -56,7 +56,6 @@ __all__ = [
     "squeezing_factor",
     "cat_contrast",
     "combine_classical_fit",
-    "ProtocolColumn",
     "protocol_grid",
     "protocol_table",
 ]
@@ -134,21 +133,24 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class SensitivityResult:
-    """One protocol's uncertainty on theta with its intermediates.
+    """One protocol's uncertainty on theta with its intermediates, at one
+    allocation as Python values (:func:`protocol_table`), or at G of them as
+    arrays with a leading grid axis (:func:`protocol_grid`).
 
     ``per_isotope`` holds delta omega_A (Hz) in chain order for protocols
     that go through the classical fit (math.inf marks isotopes without
     atoms); ``contrast_used`` and ``eigsep`` (the generator eigenvalue
     separation) belong to global cats.  A failed row carries an ``error``
-    slug and NaN delta_theta.
+    slug and NaN delta_theta; on a grid ``error`` holds a slug or None per
+    row, and the intermediates keep their values at failed rows.
     """
 
     protocol: str
-    delta_theta: float
-    per_isotope: tuple[float, ...] | None = None
-    contrast_used: float | None = None
-    eigsep: float | None = None
-    error: str | None = None
+    delta_theta: float | np.ndarray
+    per_isotope: tuple[float, ...] | np.ndarray | None = None
+    contrast_used: float | np.ndarray | None = None
+    eigsep: float | np.ndarray | None = None
+    error: str | np.ndarray | None = None
 
 
 def gate_counts(n_atoms: float, model: str = "linear") -> tuple[float, float]:
@@ -367,40 +369,20 @@ def _slugs(stages: list, delta: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ProtocolColumn:
-    """One protocol at G allocations: ``delta_theta`` holds the G values, NaN
-    where ``error`` holds a slug (None elsewhere); ``intermediates`` holds the
-    protocol's other :class:`SensitivityResult` fields over the grid, either
-    ``per_isotope`` (G x k) or ``contrast_used`` and ``eigsep`` (G)."""
-
-    protocol: str
-    delta_theta: np.ndarray
-    error: np.ndarray
-    intermediates: dict[str, np.ndarray]
-
-    def result(self, row: int) -> SensitivityResult:
-        """The :class:`SensitivityResult` of one grid row."""
-        if self.error[row] is not None:
-            return SensitivityResult(protocol=self.protocol, delta_theta=math.nan, error=self.error[row])
-        values = {name: tuple(value[row].tolist()) if value.ndim > 1 else value[row].item()
-                  for name, value in self.intermediates.items()}
-        return SensitivityResult(protocol=self.protocol, delta_theta=self.delta_theta[row].item(), **values)
-
-
 def protocol_grid(
     chain: IsotopeChain,
     h: DeviationPattern | tuple[float, ...] | list[float],
     cfg: ProtocolConfig,
     counts: np.ndarray | None = None,
     protocols: tuple[str, ...] = PROTOCOLS,
-) -> Iterator[ProtocolColumn]:
+) -> Iterator[SensitivityResult]:
     """Evaluate the requested protocols at every row of the G x k atom
     ``counts`` made by :func:`apvsim.scans.allocate_atoms` (None: the chain's
-    own), one column at a time in request order, so that a grid holds one
-    protocol's intermediates at once.  Each protocol lists its failures as
-    (row mask, exception) stages in the order a one-row evaluation meets
-    them; a failed row gets the slug of its first stage, not an abort."""
+    own), one :class:`SensitivityResult` of G rows at a time in request
+    order, so that a grid holds one protocol's intermediates at once.  Each
+    protocol lists its failures as (row mask, exception) stages in the order
+    a one-row evaluation meets them; a failed row gets the slug of its first
+    stage, not an abort."""
     unknown = [name for name in protocols if name not in _REGISTRY]
     if unknown:
         raise ValueError(f"unknown protocols {unknown}; choose from {PROTOCOLS}")
@@ -433,7 +415,7 @@ def protocol_grid(
             stages.append((~((0 < delta) & (delta < math.inf)),
                            ArithmeticError("delta theta is not a finite positive number")))
             error = _slugs(stages, delta)
-        yield ProtocolColumn(name, delta, error, intermediates)
+        yield SensitivityResult(name, delta, error=error, **intermediates)
 
 
 def protocol_table(
@@ -448,4 +430,12 @@ def protocol_table(
     A protocol that cannot be evaluated contributes a row with an error
     slug instead of aborting the table.  Output order follows the request.
     """
-    return [column.result(0) for column in protocol_grid(chain, h, cfg, None, protocols)]
+    rows = []
+    for grid in protocol_grid(chain, h, cfg, None, protocols):
+        if grid.error[0] is not None:
+            rows.append(SensitivityResult(grid.protocol, math.nan, error=grid.error[0]))
+            continue
+        rows.append(SensitivityResult(grid.protocol, grid.delta_theta[0].item(), *(
+            None if value is None else tuple(value[0].tolist()) if value.ndim > 1 else value[0].item()
+            for value in (grid.per_isotope, grid.contrast_used, grid.eigsep))))
+    return rows

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import chain as chain_from, combinations, cycle, repeat
-from typing import NamedTuple, Sequence
+from itertools import combinations, repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .rules import check_fields
 __all__ = [
     "BeamSpec",
     "ScanSpec",
-    "ScanRow",
     "ScanTable",
     "AllocationError",
     "allocate_atoms",
@@ -92,14 +91,6 @@ class ScanSpec:
         return errors
 
 
-class ScanRow(NamedTuple):
-    axis_value: float
-    protocol: str
-    delta_theta_stat: float
-    delta_theta_tot: float
-    error: str | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class ScanTable:
     """A scan as columns: G grid ``values`` by P ``protocols`` ("beam" last
@@ -121,14 +112,6 @@ class ScanTable:
 
     def __len__(self) -> int:
         return len(self.values) * len(self.protocols)
-
-    @property
-    def rows(self) -> tuple[ScanRow, ...]:
-        """The rows as :class:`ScanRow` s of Python values, grid point major."""
-        axis = chain_from.from_iterable(repeat(v, len(self.protocols)) for v in self.values)
-        return tuple(map(ScanRow._make, zip(
-            axis, cycle(self.protocols), self.stat.ravel().tolist(), self.tot.ravel().tolist(),
-            self.errors.ravel().tolist())))
 
 
 def allocate_atoms(chain: IsotopeChain, total: int | Sequence[int]) -> tuple[int, ...] | np.ndarray:
@@ -173,9 +156,9 @@ def atom_scan(
         placed = np.flatnonzero([total >= len(chain.isotopes) for total in totals])
         if len(placed):
             counts = allocate_atoms(chain, [totals[i] for i in placed.tolist()])
-            for j, column in enumerate(protocol_grid(chain, h, cfg, counts, protocols)):
-                deltas[start + placed, j] = column.delta_theta
-                slugs[start + placed, j] = column.error
+            for j, result in enumerate(protocol_grid(chain, h, cfg, counts, protocols)):
+                deltas[start + placed, j] = result.delta_theta
+                slugs[start + placed, j] = result.error
     errors = Counter(filter(None, slugs.ravel().tolist()))
     return ScanTable("atom_number", spec.grid, protocols, deltas, deltas, slugs, dict(errors))
 
@@ -198,7 +181,7 @@ def time_scan(
     base = protocol_table(chain_n, h, replace(cfg, t_avg=t0), spec.protocols)
     grid = np.array(spec.grid)
     scale = np.sqrt(t0 / grid)
-    columns = [(res.delta_theta * scale, spec.sigma_sys or 0.0, res.error) for res in base]
+    columns = [(res.delta_theta * scale, spec.sigma_sys, res.error) for res in base]
     if spec.beam is not None:
         columns.append((spec.beam.coefficient / np.sqrt(grid), spec.beam.floor, None))
     stat = np.empty((len(grid), len(columns)))

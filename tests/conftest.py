@@ -59,3 +59,18 @@ def random_chain(rng: np.random.Generator, max_isotopes=4, min_atoms=1, max_tota
     chain = build_chain(isotopes, ref_index=int(rng.integers(0, k)), sin2_theta_w=0.2325)
     h = tuple(float(x) for x in rng.normal(size=k))
     return chain, h
+
+
+def scan_cells(table):
+    """Each cell of a scan table as (grid value, protocol, stat, tot, slug)
+    of Python values, grid point major."""
+    errors = np.broadcast_to(table.errors, table.stat.shape).tolist()
+    return [(value, protocol, stat, tot, error)
+            for value, stats, tots, slugs in zip(table.values, table.stat.tolist(), table.tot.tolist(), errors)
+            for protocol, stat, tot, error in zip(table.protocols, stats, tots, slugs)]
+
+
+def assert_same_cells(got, want):
+    """Cell lists equal field by field, each value by its repr: a float bit
+    for bit, and NaN equal to NaN."""
+    assert [tuple(map(repr, cell)) for cell in got] == [tuple(map(repr, cell)) for cell in want]

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from apvsim import (
+    InterferenceSpec,
     ProtocolConfig,
     ScanSpec,
-    amplitude_ratio,
     atom_scan,
     build_common_generator,
     build_generator,
@@ -55,7 +55,7 @@ def test_01_scaling_reproduction():
     logs = np.log(grid)
     slopes = {}
     for name in ("sql", "cross_cat_ideal"):
-        deltas = [r.delta_theta_stat for r in table.rows if r.protocol == name]
+        deltas = table.stat[:, table.protocols.index(name)]
         slopes[name] = float(np.polyfit(logs, np.log(deltas), 1)[0])
     elapsed = time.perf_counter() - t0
     ok = (
@@ -188,9 +188,9 @@ def test_07_time_scan_floor():
     table = time_scan(make_yb_chain(), H_SPLIT, BENCH, spec)
     ok = True
     for name in protocols:
-        rows = [r for r in table.rows if r.protocol == name]
-        deep = [r for r in rows if r.delta_theta_stat < sigma / 10]
-        if not deep or any(abs(r.delta_theta_tot - sigma) > 0.01 * sigma for r in deep):
+        j = table.protocols.index(name)
+        deep = table.tot[table.stat[:, j] < sigma / 10, j]
+        if not deep.size or any(abs(deep - sigma) > 0.01 * sigma):
             ok = False
     report("time_scan_floor", ok, f"floor {sigma} reached by all {len(protocols)} protocols")
 
@@ -208,8 +208,9 @@ def test_08_crossover_behavior():
 
 
 def test_09_interference_magnitudes():
-    ratio = amplitude_ratio(-2.4, 1e5)
-    fraction = 2 * ratio
+    # zeta/beta = -24 mV/cm against E = 1 kV/cm, in V/m
+    diagnostics = InterferenceSpec(zeta_over_beta=-2.4, e_field=1e5).report(1.0)
+    ratio, fraction = diagnostics["amplitude_ratio"], diagnostics["reversal_odd_fraction"]
     ok = (
         ratio == pytest.approx(-2.4e-5, rel=1e-12)
         and 1e-4 / 3 <= abs(fraction) <= 3e-4

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import apvsim
 from apvsim import PROTOCOLS, bundled_scenario_path, parse_scenario, run, validate
 from apvsim.cli import _write_scan_csv, format_sig, main
-from apvsim.scans import BeamSpec, ScanRow, ScanSpec, ScanTable, atom_scan, time_scan
-from conftest import make_yb_chain
+from apvsim.scans import BeamSpec, ScanSpec, ScanTable, atom_scan, time_scan
+from conftest import make_yb_chain, scan_cells
 
 
 def read_csv(path):
@@ -44,16 +44,16 @@ def _reference_write_scan_csv(path, table):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["axis", "protocol", "delta_theta_stat", "delta_theta_tot"])
-        for row in table.rows:
-            if row.error is not None:
-                marker = f"error:{row.error}"
-                writer.writerow([_reference_format_sig(row.axis_value), row.protocol, marker, marker])
+        for value, protocol, stat, tot, error in scan_cells(table):
+            if error is not None:
+                marker = f"error:{error}"
+                writer.writerow([_reference_format_sig(value), protocol, marker, marker])
             else:
                 writer.writerow([
-                    _reference_format_sig(row.axis_value),
-                    row.protocol,
-                    _reference_format_sig(row.delta_theta_stat),
-                    _reference_format_sig(row.delta_theta_tot),
+                    _reference_format_sig(value),
+                    protocol,
+                    _reference_format_sig(stat),
+                    _reference_format_sig(tot),
                 ])
 
 
@@ -146,14 +146,6 @@ class TestWriteScanCsv:
         assert peak < 16e6
         assert len(table) == 350_000
 
-    def test_scan_rows_are_plain_tuples(self):
-        row = ScanRow(4.0, "sql", 1.0, 2.0)
-        assert row == (4.0, "sql", 1.0, 2.0, None)
-        axis_value, protocol, stat, tot, error = row
-        assert (axis_value, protocol, stat, tot, error) == (4.0, "sql", 1.0, 2.0, None)
-        with pytest.raises(AttributeError):
-            row.error = "allocation"
-
     def test_bundled_run_formats_through_the_module_global(self, tmp_path, monkeypatch):
         scenario = parse_scenario(bundled_scenario_path())
         calls = []
@@ -167,10 +159,9 @@ class TestWriteScanCsv:
         expected = 0
         for spec in scenario.scans:
             scan = atom_scan if spec.axis == "atom_number" else time_scan
-            rows = scan(scenario.chain, scenario.deviation, scenario.protocol, spec).rows
-            expected += len({r.axis_value for r in rows})
-            expected += sum(1 + (r.delta_theta_tot != r.delta_theta_stat)
-                            for r in rows if r.error is None)
+            table = scan(scenario.chain, scenario.deviation, scenario.protocol, spec)
+            expected += len(table.values)
+            expected += sum(1 + (tot != stat) for *_, stat, tot, error in scan_cells(table) if error is None)
         assert len(calls) == expected
 
 
@@ -190,6 +181,20 @@ class TestRun:
         assert stored["scenario_sha256"] == summary.scenario_sha256
         # interference diagnostics from the bundled block
         assert stored["interference"]["amplitude_ratio"] == pytest.approx(-2.4e-5)
+
+    def test_bundled_interference_diagnostics_bit_for_bit(self, tmp_path):
+        run(parse_scenario(bundled_scenario_path()), tmp_path, quiet=True)
+        stored = json.loads((tmp_path / "summary.json").read_text())["interference"]
+        terms = stored.pop("rate_terms")
+        assert {name: value.hex() for name, value in terms.items()} == {
+            "rate": "0x1.d1ae0ed720000p+39", "reversal_odd": "0x1.312d000000000p+25"}
+        assert {name: value.hex() for name, value in stored.items()} == {
+            "amplitude_ratio": "-0x1.92a737110e454p-16",
+            "reversal_odd_fraction": "-0x1.92a737110e454p-15",
+            "total_shift": "0x1.36dca798e3686p+15",
+            "pv_shift": "0x1.976fc893c3aa4p+0",
+            "ramsey_phase": "0x1.976fc893c3aa4p+0",
+        }
 
     def test_summary_splits_scan_time_into_scan_and_write(self, tmp_path):
         run(parse_scenario(bundled_scenario_path()), tmp_path, quiet=True)

@@ -25,7 +25,8 @@ from apvsim.protocols import (
     ZeroSignalError,
     protocol_table,
 )
-from apvsim.scans import AllocationError, ScanRow, ScanSpec, atom_scan
+from apvsim.scans import AllocationError, ScanSpec, atom_scan
+from conftest import assert_same_cells, scan_cells
 
 # --- the scalar reference -----------------------------------------------------
 
@@ -150,11 +151,11 @@ def _reference_scan(chain, h, cfg, spec):
         try:
             counts = _reference_allocation(chain, int(round(value)))
         except AllocationError:
-            rows.extend(ScanRow(value, p, math.nan, math.nan, "allocation") for p in spec.protocols)
+            rows.extend((value, p, math.nan, math.nan, "allocation") for p in spec.protocols)
             continue
         isotopes = tuple(replace(iso, n_atoms=n) for iso, n in zip(chain.isotopes, counts))
         for res in _reference_table(replace(chain, isotopes=isotopes), h, cfg, spec.protocols):
-            rows.append(ScanRow(value, res.protocol, res.delta_theta, res.delta_theta, res.error))
+            rows.append((value, res.protocol, res.delta_theta, res.delta_theta, res.error))
     return tuple(rows)
 
 
@@ -260,11 +261,11 @@ def test_atom_scan_matches_the_scalar_reference(instance, cfg, grid, protocols):
                     protocols=tuple(protocols))
     table = atom_scan(chain, h, cfg, spec)
     want = _reference_scan(chain, h, cfg, spec)
-    assert [repr(r) for r in table.rows] == [repr(r) for r in want]
+    assert_same_cells(scan_cells(table), want)
     counted = {}
-    for row in want:
-        if row.error is not None:
-            counted[row.error] = counted.get(row.error, 0) + 1
+    for *_, error in want:
+        if error is not None:
+            counted[error] = counted.get(error, 0) + 1
     assert table.error_rows == counted
 
 
@@ -276,7 +277,7 @@ def test_examples_reach_every_slug():
     ]
     slugs = {row.error for table in tables for row in table}
     spec = ScanSpec(axis="atom_number", grid=(1.0, 8.0), protocols=("sql",))
-    slugs |= {row.error for row in _reference_scan(_yb((1, 1, 1, 1)), _SPLIT, _PLAIN, spec)}
+    slugs |= {error for *_, error in _reference_scan(_yb((1, 1, 1, 1)), _SPLIT, _PLAIN, spec)}
     assert slugs >= {"singular_fit", "no_signal", "no_contrast", "invalid_config", "allocation"}
 
 

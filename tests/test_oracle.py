@@ -53,7 +53,7 @@ def small_yb(counts=(1, 1, 1, 1)):
 
 def brute_force_moments(state, gen):
     """Enumeration oracle: accumulate <G> and <G^2> bit by bit."""
-    m = state.num_qubits
+    m = len(state.labels)
     mean = 0.0
     mean_sq = 0.0
     for b in range(1 << m):
@@ -142,7 +142,7 @@ class TestStateConstruction:
         chain, _, proj = small_yb((2, 2, 1, 1))
         for kind in ("product_x", "ghz_per_isotope", "cross_cat"):
             state = build_state(kind, chain, proj, phase=0.7)
-            assert state.norm_sq == pytest.approx(1.0, abs=1e-12)
+            assert np.vdot(state.amplitudes, state.amplitudes).real == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_kind(self):
         chain, _, proj = small_yb()
@@ -249,7 +249,8 @@ class TestEvolution:
         gen = build_generator(chain, proj, 1.0, 1.0)
         state = build_state("ghz_per_isotope", chain, phase=1.1)
         for theta in (0.1, 2.0, 17.3):
-            assert ramsey_evolve(state, gen, theta).norm_sq == pytest.approx(1.0, abs=1e-12)
+            amplitudes = ramsey_evolve(state, gen, theta).amplitudes
+            assert np.vdot(amplitudes, amplitudes).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestParityReadout:

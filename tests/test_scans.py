@@ -20,8 +20,9 @@ from conftest import make_yb_chain
 H_SPLIT = (-1.0, -1.0, 1.0, 1.0)
 
 
-def rows_by_protocol(table, protocol):
-    return [r for r in table.rows if r.protocol == protocol]
+def column(table, protocol, values="stat"):
+    """One protocol's ``stat`` or ``tot`` column as Python floats."""
+    return getattr(table, values)[:, table.protocols.index(protocol)].tolist()
 
 
 def atom_spec(grid, protocols=("sql", "cross_cat_ideal")):
@@ -58,18 +59,17 @@ class TestAllocation:
 class TestAtomScan:
     def test_sql_inverse_root_ratio(self, yb_chain, benchmark_cfg):
         table = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([100, 400]))
-        lo, hi = rows_by_protocol(table, "sql")
-        assert lo.delta_theta_stat == pytest.approx(2 * hi.delta_theta_stat, rel=1e-12)
+        lo, hi = column(table, "sql")
+        assert lo == pytest.approx(2 * hi, rel=1e-12)
 
     def test_cat_inverse_linear_ratio(self, yb_chain, benchmark_cfg):
         table = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([100, 200]))
-        lo, hi = rows_by_protocol(table, "cross_cat_ideal")
-        assert lo.delta_theta_stat == pytest.approx(2 * hi.delta_theta_stat, rel=1e-12)
+        lo, hi = column(table, "cross_cat_ideal")
+        assert lo == pytest.approx(2 * hi, rel=1e-12)
 
     def test_stat_equals_tot_without_floor(self, yb_chain, benchmark_cfg):
         table = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([64, 128]))
-        for row in table.rows:
-            assert row.delta_theta_tot == row.delta_theta_stat
+        assert np.array_equal(table.tot, table.stat)
 
     def test_noisy_global_cat_turns_over_while_subarray_cats_degrade_slower(
         self, yb_chain, benchmark_cfg
@@ -77,8 +77,8 @@ class TestAtomScan:
         grid = [2**k for k in range(6, 14)]
         spec = atom_spec(grid, protocols=("cross_cat_noisy", "same_isotope_cat"))
         table = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, spec)
-        noisy = [r.delta_theta_stat for r in rows_by_protocol(table, "cross_cat_noisy")]
-        same = [r.delta_theta_stat for r in rows_by_protocol(table, "same_isotope_cat")]
+        noisy = column(table, "cross_cat_noisy")
+        same = column(table, "same_isotope_cat")
         assert noisy[-1] > min(noisy)  # contrast collapse wins at large N
         n_star_noisy = grid[int(np.argmin(noisy))]
         n_star_same = grid[int(np.argmin(same))]
@@ -86,17 +86,17 @@ class TestAtomScan:
 
     def test_too_small_budget_marks_rows(self, yb_chain, benchmark_cfg):
         table = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([2, 8]))
-        first = [r for r in table.rows if r.axis_value == 2.0]
-        assert all(r.error == "allocation" and math.isnan(r.delta_theta_stat) for r in first)
-        second = [r for r in table.rows if r.axis_value == 8.0]
-        assert all(r.error is None for r in second)
+        assert table.values == (2.0, 8.0)
+        assert table.errors[0].tolist() == ["allocation"] * 2 and np.isnan(table.stat[0]).all()
+        assert table.errors[1].tolist() == [None] * 2
 
     def test_row_order_is_grid_major_then_protocol(self, yb_chain, benchmark_cfg):
         spec = atom_spec([8, 16], protocols=("cross_cat_ideal", "sql"))
         table = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, spec)
-        assert [(r.axis_value, r.protocol) for r in table.rows] == [
-            (8.0, "cross_cat_ideal"), (8.0, "sql"), (16.0, "cross_cat_ideal"), (16.0, "sql"),
-        ]
+        assert table.values == (8.0, 16.0) and table.protocols == ("cross_cat_ideal", "sql")
+        for j, name in enumerate(table.protocols):
+            alone = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([8, 16], protocols=(name,)))
+            assert table.stat[:, j].tolist() == alone.stat[:, 0].tolist()
 
 
 def time_spec(grid, sigma=0.0, n_fixed=1000, protocols=("sql", "cross_cat_noisy"), **kw):
@@ -109,13 +109,12 @@ def time_spec(grid, sigma=0.0, n_fixed=1000, protocols=("sql", "cross_cat_noisy"
 class TestTimeScan:
     def test_without_floor_tot_equals_stat(self, yb_chain, benchmark_cfg):
         table = time_scan(yb_chain, H_SPLIT, benchmark_cfg, time_spec([1, 10, 100]))
-        for row in table.rows:
-            assert row.delta_theta_tot == pytest.approx(row.delta_theta_stat, rel=1e-15)
+        np.testing.assert_allclose(table.tot, table.stat, rtol=1e-15)
 
     def test_hundredfold_time_gives_tenfold_gain(self, yb_chain, benchmark_cfg):
         table = time_scan(yb_chain, H_SPLIT, benchmark_cfg, time_spec([1, 100]))
-        first, last = rows_by_protocol(table, "sql")
-        assert first.delta_theta_stat == pytest.approx(10 * last.delta_theta_stat, rel=1e-12)
+        first, last = column(table, "sql")
+        assert first == pytest.approx(10 * last, rel=1e-12)
 
     def test_every_protocol_saturates_at_the_floor(self, yb_chain, benchmark_cfg):
         sigma = 5e-3
@@ -125,11 +124,11 @@ class TestTimeScan:
         table = time_scan(yb_chain, H_SPLIT, benchmark_cfg,
                           time_spec(grid, sigma=sigma, protocols=protocols))
         for name in protocols:
-            rows = rows_by_protocol(table, name)
-            deep = [r for r in rows if r.delta_theta_stat < sigma / 10]
+            deep = [tot for stat, tot in zip(column(table, name), column(table, name, "tot"))
+                    if stat < sigma / 10]
             assert deep, name
-            for r in deep:
-                assert abs(r.delta_theta_tot - sigma) <= 0.01 * sigma
+            for tot in deep:
+                assert abs(tot - sigma) <= 0.01 * sigma
 
     def test_rescaling_equals_fresh_evaluation(self, yb_chain, benchmark_cfg):
         grid = [3.0, 48.0, 777.0]
@@ -139,30 +138,28 @@ class TestTimeScan:
             fresh = protocol_table(chain_n, H_SPLIT, replace(benchmark_cfg, t_avg=t),
                                    ("sql", "cross_cat_noisy"))
             fresh_by_name = {r.protocol: r.delta_theta for r in fresh}
-            for row in [r for r in table.rows if r.axis_value == t]:
-                assert row.delta_theta_stat == pytest.approx(
-                    fresh_by_name[row.protocol], rel=1e-12
-                )
+            i = table.values.index(t)
+            for j, name in enumerate(table.protocols):
+                assert table.stat[i, j] == pytest.approx(fresh_by_name[name], rel=1e-12)
 
     def test_quadrature_monotone_and_bounded_below(self, yb_chain, benchmark_cfg):
         sigma = 2e-3
         table = time_scan(yb_chain, H_SPLIT, benchmark_cfg,
                           time_spec([1, 10, 100, 1e4, 1e6], sigma=sigma))
         for name in ("sql", "cross_cat_noisy"):
-            rows = rows_by_protocol(table, name)
-            tots = [r.delta_theta_tot for r in rows]
+            stats, tots = column(table, name), column(table, name, "tot")
             assert all(b <= a * (1 + 1e-12) for a, b in zip(tots, tots[1:]))
-            for r in rows:
-                assert r.delta_theta_tot >= sigma
-                assert r.delta_theta_tot - sigma <= r.delta_theta_stat**2 / (2 * sigma)
+            for stat, tot in zip(stats, tots):
+                assert tot >= sigma
+                assert tot - sigma <= stat**2 / (2 * sigma)
 
     def test_beam_comparison_curve(self, yb_chain, benchmark_cfg):
         spec = time_spec([1, 100], sigma=0.0, beam=BeamSpec(coefficient=0.02, floor=1e-3))
         table = time_scan(yb_chain, H_SPLIT, benchmark_cfg, spec)
-        beam = rows_by_protocol(table, "beam")
-        assert beam[0].delta_theta_stat == pytest.approx(0.02)
-        assert beam[1].delta_theta_stat == pytest.approx(0.002)
-        assert beam[1].delta_theta_tot == pytest.approx(math.hypot(0.002, 1e-3), rel=1e-13)
+        stat, tot = column(table, "beam"), column(table, "beam", "tot")
+        assert stat[0] == pytest.approx(0.02)
+        assert stat[1] == pytest.approx(0.002)
+        assert tot[1] == pytest.approx(math.hypot(0.002, 1e-3), rel=1e-13)
 
     def test_scan_spec_validation(self):
         with pytest.raises(ValueError, match="sigma_sys"):

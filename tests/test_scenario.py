@@ -585,6 +585,8 @@ FIELD_RULE_CASES = [
     (ScanSpec, _TIMES, "grid", (1.0, _INF), ("scans", 1, "grid")),
     (ScanSpec, _ATOMS, "grid", (8.5, 16.0), ("scans", 0, "grid")),
     (ScanSpec, _ATOMS, "sigma_sys", 0.3, ("scans", 0, "sigma_sys")),
+    # appended so that the ids above keep their indices: the Ramsey time is positive
+    (ProtocolConfig, {}, "tau", -1.0, ("protocol", "tau")),
 ]
 
 

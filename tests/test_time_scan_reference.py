@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from apvsim.chain import reallocate
 from apvsim.protocols import PROTOCOLS, protocol_table
-from apvsim.scans import BeamSpec, ScanRow, ScanSpec, allocate_atoms, time_scan
+from apvsim.scans import BeamSpec, ScanSpec, allocate_atoms, time_scan
+from conftest import assert_same_cells, scan_cells
 from test_grid_reference import _PLAIN, _PROTOCOL_LISTS, _SPLIT, _yb, chains, configs
 
 
@@ -32,13 +33,13 @@ def _reference_time_scan(chain, h, cfg, spec):
         scale = math.sqrt(t0 / t)
         for res in base:
             if res.error is not None:
-                rows.append(ScanRow(t, res.protocol, math.nan, math.nan, res.error))
+                rows.append((t, res.protocol, math.nan, math.nan, res.error))
             else:
                 stat = res.delta_theta * scale
-                rows.append(ScanRow(t, res.protocol, stat, math.hypot(stat, sigma)))
+                rows.append((t, res.protocol, stat, math.hypot(stat, sigma), None))
         if spec.beam is not None:
             stat = spec.beam.coefficient / math.sqrt(t)
-            rows.append(ScanRow(t, "beam", stat, math.hypot(stat, spec.beam.floor)))
+            rows.append((t, "beam", stat, math.hypot(stat, spec.beam.floor), None))
     return tuple(rows), {slug: n * len(spec.grid) for slug, n in errors.items()}
 
 
@@ -74,6 +75,6 @@ def test_time_scan_matches_the_scalar_reference(instance, cfg, spec):
     chain, h = instance
     table = time_scan(chain, h, cfg, spec)
     rows, errors = _reference_time_scan(chain, h, cfg, spec)
-    assert [repr(r) for r in table.rows] == [repr(r) for r in rows]
+    assert_same_cells(scan_cells(table), rows)
     assert table.error_rows == errors
     assert len(table) == len(rows)
