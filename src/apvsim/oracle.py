@@ -90,34 +90,24 @@ class DiagonalGenerator:
 
 
 def _register(chain: IsotopeChain, dfs: bool) -> tuple[tuple[int, int], ...]:
-    labels: list[tuple[int, int]] = []
-    for i, iso in enumerate(chain.isotopes):
-        if iso.n_atoms == 0:
-            continue
-        if dfs:
-            labels.extend([(i, +1)] * iso.n_atoms)
-            labels.extend([(i, -1)] * iso.n_atoms)
-        else:
-            labels.extend([(i, 0)] * iso.n_atoms)
-    return tuple(labels)
-
-
-def _check_register(labels):
-    m = len(labels)
+    """Per-qubit labels of the chain's register, paired when ``dfs``; it must
+    hold from 1 to QUBIT_CAP qubits."""
+    channels = (+1, -1) if dfs else (0,)
+    m = len(channels) * sum(iso.n_atoms for iso in chain.isotopes)
     if m == 0:
         raise ValueError("register is empty: no isotope carries atoms")
     if m > QUBIT_CAP:
         raise ValueError(f"register needs {m} qubits, exceeding the cap of {QUBIT_CAP}")
-    return m
+    return tuple((i, chan) for i, iso in enumerate(chain.isotopes) for chan in channels for _ in range(iso.n_atoms))
 
 
-def _diag_from_coeffs(coeffs: list[float]) -> np.ndarray:
+def _generator(labels, coeffs: list[float]) -> DiagonalGenerator:
     # each qubit doubles the vector as its new highest bit, so qubit j is
     # bit j; its bit-0 half (z = +1) comes first
     diag = np.zeros(1)
     for g in coeffs:
         diag = np.concatenate((diag + g, diag - g))
-    return diag
+    return DiagonalGenerator(diag=diag, per_qubit_coeff=tuple(coeffs), labels=labels)
 
 
 def build_generator(
@@ -134,14 +124,7 @@ def build_generator(
     add signal phase while common noise cancels.
     """
     labels = _register(chain, dfs)
-    _check_register(labels)
-    coeffs = []
-    for iso_idx, chan in labels:
-        g = math.pi * tau * omega * proj.h_perp[iso_idx]
-        if chan == -1:
-            g = -g
-        coeffs.append(g)
-    return DiagonalGenerator(diag=_diag_from_coeffs(coeffs), per_qubit_coeff=tuple(coeffs), labels=labels)
+    return _generator(labels, [math.pi * tau * omega * proj.h_perp[i] * (chan or 1) for i, chan in labels])
 
 
 def build_common_generator(
@@ -154,10 +137,7 @@ def build_common_generator(
     qubit, with no channel sign flip (ordinary Zeeman or scalar shifts do
     not know about the reversal)."""
     labels = _register(chain, dfs)
-    _check_register(labels)
-    g = math.pi * tau * omega
-    coeffs = [g] * len(labels)
-    return DiagonalGenerator(diag=_diag_from_coeffs(coeffs), per_qubit_coeff=tuple(coeffs), labels=labels)
+    return _generator(labels, [math.pi * tau * omega] * len(labels))
 
 
 def _branch_indices(labels, proj: ProjectedPattern) -> tuple[int, int]:
@@ -191,7 +171,7 @@ def build_state(
     if kind not in STATE_KINDS:
         raise ValueError(f"unknown state kind {kind!r}; choose from {STATE_KINDS}")
     labels = _register(chain, dfs=(kind == "dfs_cat"))
-    m = _check_register(labels)
+    m = len(labels)
     dim = 1 << m
     amp = np.zeros(dim, dtype=np.complex128)
 

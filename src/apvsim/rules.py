@@ -17,7 +17,17 @@ import re
 from contextlib import suppress
 from itertools import repeat
 
-__all__ = ["read", "write", "check_fields"]
+__all__ = ["FieldError", "read", "write", "check_fields"]
+
+
+class FieldError(ValueError):
+    """Fields that break their rules, as (key path, reason) pairs in
+    ``errors``; its message is one line "path: reason" per pair, the reason
+    alone for the whole block (path "")."""
+
+    def __init__(self, errors: list[tuple[str, str]]):
+        self.errors = list(errors)
+        super().__init__("\n".join(f"{path}: {reason}" if path else reason for path, reason in self.errors))
 
 
 def _bound(value, rule) -> str | None:
@@ -114,8 +124,8 @@ def _keyed_numbers(value, rule) -> tuple[tuple | None, list[tuple[str, str]]]:
 
 def _block(value, cls) -> tuple[object | None, list[tuple[str, str]]]:
     """The dataclass ``cls`` built from the object ``value``: an unknown key
-    is an error, a missing required one reads as None, and each line
-    "field: reason" of the constructor's ValueError is reported at that field."""
+    is an error, a missing required one reads as None, and each error of the
+    constructor's :class:`FieldError` is reported at its key path."""
     if isinstance(value, cls):
         return value, []
     if not isinstance(value, dict):
@@ -125,12 +135,8 @@ def _block(value, cls) -> tuple[object | None, list[tuple[str, str]]]:
     kw = {name: value.get(name) for name, f in names.items() if name in value or f.metadata.get("required")}
     try:
         block = cls(**kw)
-    except ValueError as exc:
-        for line in str(exc).splitlines():
-            field, sep, reason = line.partition(": ")
-            named = sep and re.match(r"\w*", field).group() in names
-            errors.append((f".{field}", reason) if named else ("", line))
-        return None, errors
+    except FieldError as exc:
+        return None, errors + [(f".{path}" if path else "", reason) for path, reason in exc.errors]
     return block, errors
 
 
@@ -213,4 +219,4 @@ def check_fields(obj, block_rules=lambda bad: ()) -> None:
             object.__setattr__(obj, name, value)
     errors += [(name, reason) for name, reason in block_rules(bad) if name not in bad]
     if errors:
-        raise ValueError("\n".join(f"{name}: {reason}" if name else reason for name, reason in errors))
+        raise FieldError(errors)

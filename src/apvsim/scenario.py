@@ -51,7 +51,7 @@ from .chain import DeviationPattern, Isotope, IsotopeChain, build_chain
 from .checks import OracleSpec
 from .interference import InterferenceSpec
 from .protocols import ProtocolConfig
-from .rules import read, write
+from .rules import FieldError, read, write
 from .scans import ScanSpec
 
 __all__ = [
@@ -66,13 +66,11 @@ __all__ = [
 ]
 
 
-class ScenarioError(ValueError):
+class ScenarioError(FieldError):
     """Validation failure(s), each carrying the offending key path."""
 
-    def __init__(self, errors: list[tuple[str, str]]):
-        self.errors = list(errors)
-        lines = "\n".join(f"  {path}: {reason}" for path, reason in self.errors)
-        super().__init__(f"invalid scenario:\n{lines}")
+    def __str__(self):
+        return "invalid scenario:\n" + "\n".join(f"  {path}: {reason}" for path, reason in self.errors)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import csv
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -459,3 +461,13 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_package_exports_each_module_all():
+    modules = ("chain", "interference", "protocols", "oracle", "scans", "checks", "scenario", "cli")
+    exported = {name for module in modules for name in importlib.import_module(f"apvsim.{module}").__all__}
+    public = {name for name, value in vars(apvsim).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == exported
+    assert isinstance(apvsim.__version__, str)
+    assert apvsim.protocol_grid is apvsim.protocols.protocol_grid

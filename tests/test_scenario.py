@@ -502,6 +502,10 @@ ERROR_CORPUS = [
     ("tolerance-inf-text", ("oracle", "tolerances", "cross_cat_qfi"), "inf", []),
     ("protocol-t2-infinity", ("protocol", "t2"), _INF, []),
     ("scan-name-non-ascii", ("scans", 0, "name"), "\u00e9\u0663\u00df", ["scans[0].name"]),
+    # a key that holds ": " is reported whole, at its own path
+    ("tolerance-key-with-colon", ("oracle", "tolerances", "cfi_bound: x"), 1e-9,
+     ["oracle.tolerances.cfi_bound: x"]),
+    ("beam-key-with-colon", ("scans", 1, "beam", "a: b"), 1.0, ["scans[1].beam.a: b"]),
 ]
 
 
