@@ -6,7 +6,8 @@ allocation), all grid points at once over one matrix of atom counts.  Time
 scans evaluate once at the first grid time and rescale statistically by
 sqrt(T0/T), adding an optional non-averaging systematic floor in
 quadrature; the rescaling is exactly equivalent to re-evaluating with a
-larger repetition count.
+larger repetition count.  A time scan keeps that one row and rescales it for
+each block of grid rows read.
 
 A scan returns one column per protocol; its rows are read in deterministic
 order: grid point major, protocol order as requested.
@@ -15,10 +16,12 @@ order: grid point major, protocol order as requested.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations, repeat
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,6 +57,11 @@ class BeamSpec:
 
     __post_init__ = check_fields
 
+    def curve(self, times):
+        """The statistical part, coefficient / sqrt(T), at the times ``times`` (inf past the float range)."""
+        with np.errstate(over="ignore"):
+            return self.coefficient / np.sqrt(times)
+
 
 @dataclass(frozen=True)
 class ScanSpec:
@@ -80,8 +88,11 @@ class ScanSpec:
 
     def _axis_rule(self, bad) -> list[tuple[str, str]]:
         if self.axis == "time":
-            return [(name, "required on time scans")
-                    for name in ("sigma_sys", "n_fixed") if getattr(self, name) is None]
+            errors = [(name, "required on time scans")
+                      for name in ("sigma_sys", "n_fixed") if getattr(self, name) is None]
+            if not bad & {"grid", "beam"} and self.beam and _failed_rows(self.beam.curve, self.beam.floor, self.grid):
+                errors.append(("beam", "must give a finite positive stat and tot at every grid time"))
+            return errors
         if self.axis != "atom_number":
             return []
         errors = [(name, "only valid for time scans") for name, f in self.__dataclass_fields__.items()
@@ -94,21 +105,27 @@ class ScanSpec:
 @dataclass(frozen=True, eq=False)
 class ScanTable:
     """A scan as columns: G grid ``values`` by P ``protocols`` ("beam" last
-    on a time scan), ``stat`` and ``tot`` G x P float arrays (NaN at a slug),
-    ``errors`` one slug or None per cell (a time scan broadcasts one per
-    column), and the row count of each slug in ``error_rows``."""
+    on a time scan), and the row count of each slug in ``error_rows``.
+    ``cells(rows)`` gives a slice of grid rows as ``stat`` and ``tot`` float
+    arrays (NaN at a slug) and ``errors``, one slug or None per cell; the
+    attributes of those names hold every row, read-only, from the first read."""
 
     axis: str
     values: tuple[float, ...]
     protocols: tuple[str, ...]
-    stat: np.ndarray
-    tot: np.ndarray
-    errors: np.ndarray
+    cells: Callable[[slice], tuple[np.ndarray, np.ndarray, np.ndarray]]
     error_rows: dict[str, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        for array in (self.stat, self.tot, self.errors):
+    @cached_property
+    def _all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        arrays = self.cells(slice(None))
+        for array in arrays:
             array.flags.writeable = False  # frozen, like the rest of the table
+        return arrays
+
+    stat = property(lambda self: self._all[0])
+    tot = property(lambda self: self._all[1])
+    errors = property(lambda self: self._all[2])
 
     def __len__(self) -> int:
         return len(self.values) * len(self.protocols)
@@ -159,8 +176,17 @@ def atom_scan(
             for j, result in enumerate(protocol_grid(chain, h, cfg, counts, protocols)):
                 deltas[start + placed, j] = result.delta_theta
                 slugs[start + placed, j] = result.error
-    errors = Counter(filter(None, slugs.ravel().tolist()))
-    return ScanTable("atom_number", spec.grid, protocols, deltas, deltas, slugs, dict(errors))
+    return ScanTable("atom_number", spec.grid, protocols, lambda rows: (deltas[rows], deltas[rows], slugs[rows]),
+                     dict(Counter(filter(None, slugs.ravel().tolist()))))
+
+
+def _failed_rows(curve, floor: float, grid: tuple[float, ...]) -> int:
+    """How many grid times T give a stat curve(T), or a tot hypot(stat, floor),
+    that is not finite and positive.  The stat falls with T, so the others run
+    from the first time whose tot is finite to the first whose stat is not
+    positive (at once for a NaN stat)."""
+    first = bisect_left(grid, True, key=lambda t: math.hypot(curve(t), floor) < math.inf)
+    return len(grid) - max(bisect_left(grid, True, key=lambda t: not curve(t) > 0) - first, 0)
 
 
 def time_scan(
@@ -172,28 +198,37 @@ def time_scan(
     """delta theta versus total averaging time at fixed atom number.
 
     delta_theta_stat(T) = delta_theta_stat(T0) * sqrt(T0 / T) with T0 the
-    first grid time; delta_theta_tot adds sigma_sys in quadrature.
+    first grid time; delta_theta_tot adds sigma_sys in quadrature.  The table
+    keeps the row at T0 and rescales it in ``cells``, where a stat or tot that
+    is not a finite positive number gets the slug no_contrast.
     """
     if spec.axis != "time":
         raise ValueError(f"time_scan needs axis 'time', got {spec.axis!r}")
     chain_n = reallocate(chain, allocate_atoms(chain, spec.n_fixed))
     t0 = spec.grid[0]
     base = protocol_table(chain_n, h, replace(cfg, t_avg=t0), spec.protocols)
-    grid = np.array(spec.grid)
-    scale = np.sqrt(t0 / grid)
-    columns = [(res.delta_theta * scale, spec.sigma_sys, res.error) for res in base]
+    # per column: its stat at given times (NaN at a slug), its floor and the slug of a row that fails
+    columns = [(lambda grid, delta=res.delta_theta: delta * np.sqrt(t0 / grid), spec.sigma_sys,
+                res.error or "no_contrast") for res in base]
     if spec.beam is not None:
-        columns.append((spec.beam.coefficient / np.sqrt(grid), spec.beam.floor, None))
-    stat = np.empty((len(grid), len(columns)))
-    tot = np.full(stat.shape, math.nan)
-    for j, (column, floor, slug) in enumerate(columns):
-        stat[:, j] = column
-        if slug is None:  # math.hypot per value: np.hypot rounds some pairs differently
-            tot[:, j] = np.fromiter(map(math.hypot, column.tolist(), repeat(floor)), float, len(grid))
-    slugs = np.array([slug for *_, slug in columns], dtype=object)
-    errors = Counter(filter(None, slugs.tolist()))
-    return ScanTable("time", spec.grid, spec.protocols + ("beam",) * (spec.beam is not None), stat, tot,
-                     np.broadcast_to(slugs, stat.shape), {slug: n * len(grid) for slug, n in errors.items()})
+        columns.append((spec.beam.curve, spec.beam.floor, "no_contrast"))
+    curves, floors, slugs = zip(*columns)
+
+    def cells(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        grid = np.array(spec.grid[rows])
+        stat = np.column_stack([curve(grid) for curve in curves])
+        # math.hypot per value: np.hypot rounds some pairs differently
+        tot = np.column_stack([np.fromiter(map(math.hypot, column.tolist(), repeat(floor)), float, len(grid))
+                               for column, floor in zip(stat.T, floors)])
+        bad = ~((stat > 0) & (tot < math.inf))
+        stat[bad] = tot[bad] = math.nan
+        return stat, tot, np.where(bad, np.array(slugs, dtype=object), None)
+
+    error_rows = Counter()
+    for curve, floor, slug in columns:
+        error_rows[slug] += _failed_rows(curve, floor, spec.grid)
+    return ScanTable("time", spec.grid, spec.protocols + ("beam",) * (spec.beam is not None), cells,
+                     dict(+error_rows))
 
 
 def crossover_finder(table: ScanTable) -> list[tuple[tuple[str, str], float]]:

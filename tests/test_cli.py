@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -111,19 +112,20 @@ class TestWriteScanCsv:
     # axis value: NaN stat with a finite tot, 0.0 / -0.0, values that round
     # up a decade, inf, and both slugs.
     NAN, INF = math.nan, math.inf
+    STAT = np.array([[2.5e-3, 1.25e-4, 1.9e-3, NAN, 7.0e-2],
+                     [NAN, 0.0, 1e-13, NAN, INF],
+                     [9.99999999999951, 1.0e-4, 3.3e-3, 1.2e-4, 7.0e-2]])
+    TOT = np.array([[2.5e-3, 3.0e-4, 2.6e-3, NAN, 7.000001e-2],
+                    [4.0e-3, -0.0, 2e-13, NAN, INF],
+                    [1e300, 1.0e-4, 3.3e-3, 2.2e-4, 7.0e-2]])
+    ERRORS = np.array([[None, None, None, "no_contrast", None],
+                       [None, None, None, "allocation", None],
+                       [None, None, None, None, None]], dtype=object)
     TABLE = ScanTable(
         axis="time",
         values=(1.0, 2.0, 1.0),
         protocols=("sql", "cross_cat_ideal", "squeezed", "dfs_cat", "beam"),
-        stat=np.array([[2.5e-3, 1.25e-4, 1.9e-3, NAN, 7.0e-2],
-                       [NAN, 0.0, 1e-13, NAN, INF],
-                       [9.99999999999951, 1.0e-4, 3.3e-3, 1.2e-4, 7.0e-2]]),
-        tot=np.array([[2.5e-3, 3.0e-4, 2.6e-3, NAN, 7.000001e-2],
-                      [4.0e-3, -0.0, 2e-13, NAN, INF],
-                      [1e300, 1.0e-4, 3.3e-3, 2.2e-4, 7.0e-2]]),
-        errors=np.array([[None, None, None, "no_contrast", None],
-                         [None, None, None, "allocation", None],
-                         [None, None, None, None, None]], dtype=object),
+        cells=lambda rows, arrays=(STAT, TOT, ERRORS): tuple(array[rows] for array in arrays),
     )
 
     def test_bytes_match_csv_writer_reference(self, tmp_path):
@@ -145,8 +147,44 @@ class TestWriteScanCsv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        assert peak < 4e6
         assert len(table) == 350_000
+
+    def test_time_scan_holds_no_cells_until_one_is_read(self, benchmark_cfg):
+        # 5e5 grid times: today's G x P float tables alone would take 28 MB
+        spec = ScanSpec(axis="time", grid=tuple(np.geomspace(1.0, 1.512e6, 500_000).tolist()),
+                        protocols=PROTOCOLS, sigma_sys=1e-3, n_fixed=1000,
+                        beam=BeamSpec(coefficient=0.02, floor=1e-4))
+        chain = make_yb_chain()
+        tracemalloc.start()
+        try:
+            table = time_scan(chain, (-1.0, -1.0, 1.0, 1.0), benchmark_cfg, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert len(table) == 3_500_000 and table.error_rows == {}
+
+    @pytest.mark.parametrize("points", [1, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("case", ["beam", "short_rep", "h_parallel_q", "underflow"])
+    def test_time_scan_bytes_match_the_full_columns(self, tmp_path, benchmark_cfg, points, case):
+        # block edges at 1024 grid points; slug columns, and no_contrast rows at the last times
+        chain, h, cfg, first, last = make_yb_chain(), (-1.0, -1.0, 1.0, 1.0), benchmark_cfg, 1.0, 1.512e6
+        beam = BeamSpec(coefficient=0.02, floor=1e-4)
+        if case == "short_rep":  # R T0 < 1: every protocol column is invalid_config
+            first = 0.5
+        elif case == "h_parallel_q":  # singular_fit and no_signal columns
+            h, beam = chain.q, None
+        elif case == "underflow":  # T0 / T underflows to 0 over the last times
+            cfg, first, last, beam = replace(cfg, rep_rate=1e300), 1e-300, 1.7e308, None
+        spec = ScanSpec(axis="time", grid=tuple(np.geomspace(first, last, points).tolist()),
+                        protocols=PROTOCOLS, sigma_sys=1e-3, n_fixed=1000, beam=beam)
+        table = time_scan(chain, h, cfg, spec)
+        _write_scan_csv(tmp_path / "new.csv", table)
+        _reference_write_scan_csv(tmp_path / "ref.csv", table)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        if points > 1:
+            assert bool(table.error_rows) == (case != "beam")
 
     def test_bundled_run_formats_through_the_module_global(self, tmp_path, monkeypatch):
         scenario = parse_scenario(bundled_scenario_path())
@@ -309,6 +347,24 @@ class TestRun:
             cats = [r for r in rows if r["protocol"] in ("cross_cat_ideal", "cross_cat_noisy")]
             assert cats and all(r["delta_theta_stat"] == "error:no_contrast" for r in cats)
 
+    def test_rescaled_rows_that_underflow_give_no_contrast_not_zero(self, tmp_path):
+        # T0 / T underflows to 0 at the last time, so every stat there would be 0
+        data = json.loads(bundled_scenario_path().read_text())
+        data["protocol"]["rep_rate"] = 1e300
+        data["scans"][1]["grid"] = [1e-300, 1e10, 1.7e308]
+        path = tmp_path / "underflow.json"
+        path.write_text(json.dumps(data))
+        run(parse_scenario(path), tmp_path / "out", quiet=True)
+        rows = read_csv(tmp_path / "out" / "averaging_time.csv")
+        for r in rows:
+            for value in (r["delta_theta_stat"], r["delta_theta_tot"]):
+                assert value.startswith("error:") or 0 < float(value) < math.inf, r
+        last = [r for r in rows if r["axis"] == format_sig(1.7e308)]
+        assert {r["protocol"]: r["delta_theta_tot"] for r in last} == dict.fromkeys(
+            data["scans"][1]["protocols"], "error:no_contrast")
+        stored = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert stored["scans"][1]["error_rows"] == {"no_contrast": len(last)}
+
     def test_summary_counts_error_rows_per_slug(self, tmp_path):
         data = json.loads(bundled_scenario_path().read_text())
         data["scans"][0].update(grid=[1, 3, 4, 1000000, 10000000], protocols=list(PROTOCOLS))
@@ -445,6 +501,17 @@ class TestMain:
         stored = json.loads((out / "summary.json").read_text(), parse_constant=no_constant)
         tolerances = {c["name"]: c["tolerance"] for c in stored["checks"]}
         assert tolerances["single_qubit_ramsey"] == "inf"
+
+    def test_beam_that_underflows_exits_2_naming_it(self, tmp_path, capsys):
+        # 5e-324 / sqrt(4) rounds to 0: the beam row at 4 s would read 0
+        data = json.loads(bundled_scenario_path().read_text())
+        data["scans"] = [{"name": "t", "axis": "time", "grid": [1, 4, 1e300], "protocols": ["sql"],
+                          "sigma_sys": 0, "n_fixed": 1000, "beam": {"coefficient": 5e-324, "floor": 0}}]
+        path = tmp_path / "beam.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "scans[0].beam: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from apvsim import (
+    PROTOCOLS,
     AllocationError,
     BeamSpec,
     ScanSpec,
@@ -15,6 +16,7 @@ from apvsim import (
     reallocate,
     time_scan,
 )
+from apvsim.rules import FieldError
 from conftest import make_yb_chain
 
 H_SPLIT = (-1.0, -1.0, 1.0, 1.0)
@@ -171,6 +173,19 @@ class TestTimeScan:
         with pytest.raises(ValueError, match="unknown protocols"):
             ScanSpec(axis="atom_number", grid=(4.0,), protocols=("blah",))
 
+    @pytest.mark.parametrize("grid,coefficient,floor", [
+        ((1.0, 4.0), 5e-324, 0.0),  # the stat underflows to 0 at the last time
+        ((1e-300, 1.0), 1e300, 0.0),  # the stat overflows at the first time
+        ((1.0, 4.0), 1.7e308, 1.7e308),  # only the tot overflows, at the first time
+    ])
+    def test_beam_that_leaves_the_float_range_is_rejected(self, grid, coefficient, floor):
+        beam = BeamSpec(coefficient=coefficient, floor=floor)
+        with pytest.raises(FieldError) as exc:
+            time_spec(grid, beam=beam)
+        assert [path for path, _ in exc.value.errors] == ["beam"]
+        # a beam that stays in range on the same grid is accepted
+        time_spec(grid, beam=BeamSpec(coefficient=1e-3, floor=floor / 2))
+
 
 class TestCrossoverFinder:
     def test_identical_series_yield_nothing(self, yb_chain, benchmark_cfg):
@@ -202,6 +217,28 @@ class TestCrossoverFinder:
         # so no table holds two columns of one protocol for the finder to count twice
         with pytest.raises(ValueError, match="may not repeat"):
             atom_spec([2, 8], protocols=("same_isotope_cat", "same_isotope_cat", "cross_cat_noisy"))
+
+
+def _hexes(array):
+    return [[float.hex(v) if isinstance(v, float) else v for v in row] for row in array.tolist()]
+
+
+@pytest.mark.parametrize("make", [
+    # allocation and no_contrast rows
+    lambda chain, cfg: atom_scan(chain, H_SPLIT, cfg, atom_spec([1, 3, 4, 100, 10**6, 10**7], PROTOCOLS)),
+    # no_contrast rows at the last time beside a finite beam
+    lambda chain, cfg: time_scan(chain, H_SPLIT, replace(cfg, rep_rate=1e300), time_spec(
+        [1e-300, 1e-10, 1e10, 1e300, 1.7e308], sigma=5e-3, protocols=PROTOCOLS,
+        beam=BeamSpec(coefficient=1e-160, floor=1e-3))),
+], ids=["atom", "time"])
+def test_cells_of_a_slice_are_those_rows_of_the_full_arrays(yb_chain, benchmark_cfg, make):
+    table = make(yb_chain, benchmark_cfg)
+    slices = [slice(0, 1), slice(1, 4), slice(2, 2), slice(4, None), slice(None)]
+    parts = [table.cells(rows) for rows in slices]  # read before the full arrays exist
+    whole = (table.stat, table.tot, table.errors)
+    assert {"no_contrast"} <= set(table.error_rows)
+    for rows, cells in zip(slices, parts):
+        assert [_hexes(array) for array in cells] == [_hexes(array[rows]) for array in whole]
 
 
 def test_scan_tables_are_read_only(yb_chain, benchmark_cfg):
