@@ -80,22 +80,45 @@ _PAIRED = (
 )
 
 
+# the closed-form protocols the checks compare on a plain and on a paired register
+_PROTOCOLS = {False: ("sql", "same_isotope_cat", "cross_cat_ideal"), True: ("cross_cat_ideal", "dfs_cat")}
+
+
 @dataclass
-class _Instance:
-    """One (chain, pattern) on a plain or paired register, with everything
-    the checks read of it built on first use and then kept."""
+class _Pattern:
+    """One (chain, deviation pattern) with what its plain and paired registers
+    share: the projection and one closed-form table, built on first use."""
 
     chain: IsotopeChain
     h: tuple[float, ...] | None
-    paired: bool = False
-
-    @property
-    def qubits(self) -> int:
-        return (1 + self.paired) * self.chain.total_atoms
+    protocols: tuple[str, ...] = ()
 
     @functools.cached_property
     def proj(self) -> ProjectedPattern:
         return project_deviation(self.chain, self.h)
+
+    @functools.cached_property
+    def rows(self) -> dict[str, SensitivityResult]:
+        """The row at the ideal config of each protocol its registers compare on."""
+        return {row.protocol: row for row in protocol_table(self.chain, self.h, _IDEAL_CFG, self.protocols)}
+
+
+@dataclass
+class _Instance:
+    """A pattern on a plain or paired register, with everything the checks
+    read of it built on first use and then kept."""
+
+    pattern: _Pattern
+    paired: bool = False
+
+    chain = property(lambda self: self.pattern.chain)
+    h = property(lambda self: self.pattern.h)
+    proj = property(lambda self: self.pattern.proj)
+    rows = property(lambda self: self.pattern.rows)
+
+    @property
+    def qubits(self) -> int:
+        return (1 + self.paired) * self.chain.total_atoms
 
     @functools.cached_property
     def gen(self) -> DiagonalGenerator:
@@ -109,14 +132,6 @@ class _Instance:
     @functools.cached_property
     def cat(self) -> StateVector:
         return build_state("dfs_cat" if self.paired else "cross_cat", self.chain, self.proj)
-
-    @functools.cached_property
-    def rows(self) -> dict[str, SensitivityResult]:
-        """The closed-form row at the ideal config of each protocol the
-        checks compare on this instance, from one table."""
-        protocols = ("cross_cat_ideal", "dfs_cat") if self.paired else (
-            "sql", "same_isotope_cat", "cross_cat_ideal")
-        return {row.protocol: row for row in protocol_table(self.chain, self.h, _IDEAL_CFG, protocols)}
 
 
 class _Lone(_Instance):
@@ -133,27 +148,35 @@ class _Suite:
 
     budget: int
 
-    def _fitting(self, table, paired):
-        return [_Instance(_chain(zdefs, counts, ref), h, paired)
-                for zdefs, counts, ref, h in table if (1 + paired) * sum(counts) <= self.budget]
-
     @functools.cached_property
-    def plain(self) -> list[_Instance]:
-        return self._fitting(_PLAIN, False)
+    def _fitting(self) -> list[_Instance]:
+        """Plain instances, then paired ones; the two of one (zdefs, counts,
+        ref, h) share its pattern."""
+        fits = [(row, paired) for paired, table in ((False, _PLAIN), (True, _PAIRED))
+                for row in table if (1 + paired) * sum(row[1]) <= self.budget]
+        protocols = {}
+        for row, paired in fits:
+            protocols[row] = tuple(dict.fromkeys(protocols.get(row, ()) + _PROTOCOLS[paired]))
+        patterns = {row: _Pattern(_chain(*row[:3]), row[3], protocols[row]) for row in protocols}
+        return [_Instance(patterns[row], paired) for row, paired in fits]
 
-    @functools.cached_property
-    def paired(self) -> list[_Instance]:
-        return self._fitting(_PAIRED, True)
+    plain = property(lambda self: [i for i in self._fitting if not i.paired])
+    paired = property(lambda self: [i for i in self._fitting if i.paired])
 
     @functools.cached_property
     def lone(self) -> _Lone:
-        return _Lone(_chain(_SR, (1, 0), ref=1), None)
+        return _Lone(_Pattern(_chain(_SR, (1, 0), ref=1), None))
 
     @property
     def signal(self) -> list[_Instance]:
         """The plain instances, or the lone atom when the budget admits
         nothing larger."""
         return self.plain or [self.lone]
+
+    @functools.cached_property
+    def isotope_dw(self) -> dict[int, float]:
+        """:func:`_cat_dw` of each atom number of the plain instances."""
+        return {n: _cat_dw(n) for n in sorted({n for i in self.plain for n in i.chain.n_atoms} - {0})}
 
 
 def _worst(pairs) -> tuple[float, int]:
@@ -175,6 +198,15 @@ def _spread(gen) -> float:
 
 def _oracle_delta_theta(state, gen):
     return 1.0 / math.sqrt(qfi(state, gen) * _IDEAL_CFG.reps)
+
+
+def _cat_dw(n):
+    """The frequency sensitivity of an isotope of ``n`` atoms from its own
+    cat: an n-qubit GHZ state under the common generator pi tau, which
+    depends on n alone, so it is built on an n-atom register."""
+    register = _chain(_SR, (n, 0), ref=1)
+    return _oracle_delta_theta(build_state("ghz_per_isotope", register),
+                               build_common_generator(register, _IDEAL_CFG.tau, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -226,26 +258,17 @@ def _check_sql_oracle_equiv(suite):
                   for i in suite.plain)
 
 
-def _isotope_dw(chain, index):
-    """The frequency sensitivity of isotope ``index`` from its own cat."""
-    from .chain import reallocate
-
-    sub = reallocate(chain, [iso.n_atoms if i == index else 0 for i, iso in enumerate(chain.isotopes)])
-    freq_gen = build_common_generator(sub, _IDEAL_CFG.tau, 1.0)
-    return _oracle_delta_theta(build_state("ghz_per_isotope", sub), freq_gen)
-
-
 def _check_same_isotope_cat_oracle_equiv(suite):
     def devs(inst):
-        # per-isotope frequency sensitivity from each subarray's own cat,
-        # pushed through the same classical fit as the analytic path
-        isotopes = inst.chain.isotopes
-        dws = tuple(_isotope_dw(inst.chain, i) if iso.n_atoms else math.inf for i, iso in enumerate(isotopes))
+        # per-isotope frequency sensitivity from each subarray's own cat
+        # (inf: an isotope without atoms is unmeasured), pushed through the
+        # same classical fit as the analytic path
+        dws = tuple(suite.isotope_dw.get(n, math.inf) for n in inst.chain.n_atoms)
         analytic = inst.rows["same_isotope_cat"].delta_theta
         # the fit would take a NaN sensitivity for an unmeasured isotope
         nan = any(map(math.isnan, dws))
         yield math.nan if nan else _rel(combine_classical_fit(inst.chain, inst.h, dws, _IDEAL_CFG), analytic)
-        if len({iso.n_atoms for iso in isotopes}) == 1:
+        if len(set(inst.chain.n_atoms)) == 1:
             # equal allocation: the joint product-of-cats state agrees directly
             joint = build_state("ghz_per_isotope", inst.chain)
             yield _rel(_oracle_delta_theta(joint, inst.gen), analytic)
@@ -343,7 +366,8 @@ def run_oracle_checks(budget: int = 10, tolerances: dict[str, float] | None = No
     restricts the suite to the named checks; a value that :class:`OracleSpec`
     rejects raises ValueError.
     """
-    if budget > QUBIT_CAP:
+    # anything but a number is OracleSpec's to reject, at ``budget``
+    if isinstance(budget, (int, float)) and budget > QUBIT_CAP:
         raise ValueError(f"qubit budget {budget} exceeds the register cap of {QUBIT_CAP}")
     overrides = dict(OracleSpec(budget, tolerances or (), only).tolerances)
     suite, results = _Suite(budget), []

@@ -5,9 +5,12 @@ import pytest
 
 import apvsim.checks
 from apvsim import bundled_scenario_path
-from apvsim.checks import KNOWN_CHECKS, run_oracle_checks
+from apvsim.chain import reallocate
+from apvsim.checks import _IDEAL_CFG, _PROTOCOLS, KNOWN_CHECKS, _Suite, run_oracle_checks
 from apvsim.cli import main
-from apvsim.protocols import ProtocolConfig, combine_classical_fit
+from apvsim.oracle import build_common_generator, build_state, qfi
+from apvsim.protocols import ProtocolConfig, combine_classical_fit, protocol_table
+from apvsim.rules import FieldError
 
 # The register size M of each check in KNOWN_CHECKS order at each budget;
 # None: the check does not run at that budget.
@@ -42,6 +45,43 @@ def test_suite_shape_at_each_budget(budget):
     assert [(r.name, r.qubits) for r in results] == expected
     for r in results:
         assert r.passed and r.max_rel_dev <= r.tolerance, r
+
+
+def _subregister_dw(chain, index):
+    """The frequency sensitivity of isotope ``index`` from its own cat, on the
+    chain with every other isotope emptied."""
+    sub = reallocate(chain, [n if i == index else 0 for i, n in enumerate(chain.n_atoms)])
+    gen = build_common_generator(sub, _IDEAL_CFG.tau, 1.0)
+    return 1.0 / math.sqrt(qfi(build_state("ghz_per_isotope", sub), gen) * _IDEAL_CFG.reps)
+
+
+def test_isotope_cat_depends_on_the_atom_number_alone():
+    # the suite builds one cat per atom number in place of one per (instance, isotope)
+    suite = _Suite(14)
+    pairs = [(n, _subregister_dw(inst.chain, index)) for inst in suite.plain
+             for index, n in enumerate(inst.chain.n_atoms) if n]
+    assert {n for n, _ in pairs} == set(suite.isotope_dw) == {1, 2, 3, 4, 5}
+    assert [dw.hex() for _, dw in pairs] == [suite.isotope_dw[n].hex() for n, _ in pairs]
+
+
+def test_instances_of_one_pattern_share_a_table_with_their_own_rows():
+    suite = _Suite(14)
+    patterns = {id(inst.pattern): inst.pattern for inst in suite.plain + suite.paired}
+    # the plain and paired registers of _SR (1, 1) and _YB (1, 1, 1, 1)
+    union = ("sql", "same_isotope_cat", "cross_cat_ideal", "dfs_cat")
+    shared = [p for p in patterns.values() if p.protocols == union]
+    assert [p.chain.n_atoms for p in shared] == [(1, 1), (1, 1, 1, 1)]
+    assert len(patterns) == len(suite.plain) + len(suite.paired) - 2
+    for inst in suite.plain + suite.paired:
+        own = protocol_table(inst.chain, inst.h, _IDEAL_CFG, _PROTOCOLS[inst.paired])
+        assert [repr(row) for row in own] == [repr(inst.rows[row.protocol]) for row in own]
+
+
+@pytest.mark.parametrize("budget", [None, "10"])
+def test_budget_that_is_not_a_number_is_a_field_error(budget):
+    # not a TypeError from the comparison with the register cap
+    with pytest.raises(FieldError, match="^budget: "):
+        run_oracle_checks(budget)
 
 
 @pytest.fixture
