@@ -8,7 +8,6 @@ The package exports each module's ``__all__``; field rules stay in
 __version__ = "0.1.0"
 
 from .chain import *
-from .interference import *
 from .protocols import *
 from .oracle import *
 from .scans import *

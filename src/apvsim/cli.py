@@ -52,18 +52,16 @@ class RunSummary:
     checks: tuple[CheckResult, ...]
     all_checks_passed: bool
     wall_seconds: float
-    interference: dict | None = None
 
     def to_dict(self) -> dict:
-        """The ``summary.json`` content, one key per field (each check too);
-        ``interference`` is left out when None.  JSON has no NaN or infinity,
-        so a NaN deviation is written "nan" and an infinite tolerance (a
-        check that never fails) "inf"."""
+        """The ``summary.json`` content, one key per field (each check too).
+        JSON has no NaN or infinity, so a NaN deviation is written "nan" and
+        an infinite tolerance (a check that never fails) "inf"."""
         out = asdict(self)
         for check in out["checks"]:
             for key in ("max_rel_dev", "tolerance"):
                 check[key] = check[key] if math.isfinite(check[key]) else str(check[key])
-        return {key: value for key, value in out.items() if value is not None}
+        return out
 
 
 def _cells(protocol: str, stats: list, tots: list, slugs: list) -> list[str]:
@@ -112,7 +110,6 @@ def _summary(scenario: Scenario, scans: list[dict], checks: tuple, t_start: floa
         checks=checks,
         all_checks_passed=all(c.passed for c in checks),
         wall_seconds=time.perf_counter() - t_start,
-        interference=scenario.interference and scenario.interference.report(scenario.protocol.tau),
     )
 
 

@@ -38,7 +38,6 @@ def _bound(value, rule) -> str | None:
     maximum = rule.get("maximum")
     if maximum is not None and not (value <= maximum if rule.get("max_inclusive") else value < maximum):
         return f"must be {'<=' if rule.get('max_inclusive') else '<'} {maximum}, got {value}"
-    return "must be nonzero" if value == 0 and rule.get("nonzero") else None
 
 
 def _number(value, rule) -> tuple[float | None, str | None]:
@@ -150,8 +149,8 @@ def read(value, rule, name: str = "value") -> tuple[object, list[tuple[str, str]
     a [A-Za-z0-9_-] name; ``items``, the names a nonempty list may hold, none
     repeated; ``numbers``, a nonempty list of finite numbers (``positive``,
     ``increasing``); ``keys``, the names of an object of numbers; ``integer``;
-    and with none of them, a number.  ``minimum`` (``exclusive_min``),
-    ``maximum`` (``max_inclusive``) and ``nonzero`` bound each number,
+    and with none of them, a number.  ``minimum`` (``exclusive_min``) and
+    ``maximum`` (``max_inclusive``) bound each number,
     ``allow_inf`` admits an infinite one, and a ``required`` value is not None.
     """
     if value is None and rule.get("required"):

@@ -10,7 +10,8 @@ offending key path reported):
 
 ``deviation`` (required) -- exactly one of
     ``h``: list of finite numbers, one per isotope in chain order, not all zero
-    ``preset``: ``"sign_split"`` (-1 on the lighter half, +1 on the heavier)
+    ``preset``: ``"sign_split"`` (-1 on the lighter half, +1 on the heavier);
+    either way, its projection must stay within the float range (error at ``h``)
 
 ``protocol`` (optional) -- any subset of the :class:`ProtocolConfig`
     fields.  Coherence times accept a number or the string ``"inf"``.  When
@@ -26,10 +27,6 @@ offending key path reported):
     ``tolerances`` (check name -> tolerance, a number or ``"inf"``) and
     ``checks``.
 
-``interference`` (optional) -- an :class:`InterferenceSpec` block: either
-    or both of its field groups (``zeta_over_beta`` with ``e_field``) and
-    (``omega_pc``, ``omega_pnc``, ``detuning``).
-
 Every block that has a dataclass is built by it from its JSON object, and
 written from its fields; each field's metadata holds its rule (see
 :mod:`apvsim.rules`).  This module checks only the rules that need more
@@ -42,14 +39,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .chain import DeviationPattern, Isotope, IsotopeChain, build_chain
+import numpy as np
+
+from .chain import DeviationPattern, Isotope, IsotopeChain, build_chain, project_deviation
 from .checks import OracleSpec
-from .interference import InterferenceSpec
 from .protocols import ProtocolConfig
 from .rules import FieldError, read, write
 from .scans import ScanSpec
@@ -80,7 +78,6 @@ class Scenario:
     protocol: ProtocolConfig
     scans: tuple[ScanSpec, ...]
     oracle: OracleSpec | None = None
-    interference: InterferenceSpec | None = None
 
 
 def _expect_mapping(node, path, errs):
@@ -191,16 +188,25 @@ def _parse_scan(node, index, errs, n_isotopes) -> tuple[str | None, ScanSpec | N
     return None if bad_name else name, spec
 
 
-def _parse_interference(node, errs, tau: float | None) -> InterferenceSpec | None:
-    """The block, or None after recording why not; its Ramsey phase at time
-    ``tau`` (None: the protocol block is invalid) must fit in a float."""
-    spec = _read(node, "interference", errs, {"block": InterferenceSpec})
-    if spec is None or tau is None:
-        return None
-    if math.isfinite(spec.report(tau).get("ramsey_phase", 0.0)):
-        return spec
-    errs.append(("interference", "its diagnostics are beyond the range of a float"))
-    return None
+def _check_projection_range(chain, deviation, scans, errs):
+    """Record at ``deviation.h`` a pattern whose projection leaves the float
+    range at the chain's allocation, as projected, or at a scan's, as bounded
+    through the largest total N of its grid or ``n_fixed``: with Q = max |q_A|
+    and R = max |h_A / q_A| >= |beta|, each sum of :func:`project_deviation`
+    (of N_A h_A q_A, N_A q_A^2 and N_A |h_A - beta q_A|) and each of its terms
+    is at most N max(R, 1) Q max(Q, 2)."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if chain.total_atoms:
+                project_deviation(chain, deviation)
+    except (ArithmeticError, ValueError):  # FloatingPointError, or fsum's inf - inf
+        errs.append(("deviation.h", "too large: its projection leaves the float range at the chain's allocation"))
+        return
+    n = max((spec.grid[-1] if spec.axis == "atom_number" else spec.n_fixed for spec in scans), default=0)
+    q = max(map(abs, chain.q))
+    r = max(abs(h / qa) for h, qa in zip(deviation.h, chain.q))
+    if not n * max(r, 1.0) * q * max(q, 2.0) < sys.float_info.max / 2:
+        errs.append(("deviation.h", f"too large: its projection may leave the float range at {n:.6g} atoms"))
 
 
 def parse_scenario_dict(data: dict) -> Scenario:
@@ -233,18 +239,11 @@ def parse_scenario_dict(data: dict) -> Scenario:
         repeated = sorted(n for n in names if folded.count(n.lower()) > 1)
         errs.append(("scans", f"duplicate scan names, ignoring case: {repeated}"))
     oracle = _read(data["oracle"], "oracle", errs, {"block": OracleSpec}) if "oracle" in data else None
-    tau = protocol.tau if protocol is not None else None
-    interference = _parse_interference(data["interference"], errs, tau) if "interference" in data else None
+    if chain and deviation:
+        _check_projection_range(chain, deviation, scans, errs)
     if errs:
         raise ScenarioError(errs)
-    return Scenario(
-        chain=chain,
-        deviation=deviation,
-        protocol=protocol,
-        scans=tuple(scans),
-        oracle=oracle,
-        interference=interference,
-    )
+    return Scenario(chain=chain, deviation=deviation, protocol=protocol, scans=tuple(scans), oracle=oracle)
 
 
 def parse_scenario(path: str | Path) -> Scenario:
@@ -272,8 +271,6 @@ def scenario_to_dict(s: Scenario) -> dict:
         out["scans"] = [write(spec) for spec in s.scans]
     if s.oracle is not None:
         out["oracle"] = write(s.oracle)
-    if s.interference is not None:
-        out["interference"] = write(s.interference)
     return out
 
 

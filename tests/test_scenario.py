@@ -4,6 +4,7 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,6 @@ from apvsim import (
     KNOWN_CHECKS,
     PROTOCOLS,
     BeamSpec,
-    InterferenceSpec,
     Isotope,
     OracleSpec,
     ProtocolConfig,
@@ -27,7 +27,9 @@ from apvsim import (
     scenario_sha256,
     scenario_to_dict,
 )
-from apvsim.scans import SCAN_AXES
+from apvsim.chain import project_deviation
+from apvsim.scans import SCAN_AXES, allocate_atoms
+from conftest import random_chain
 
 MINIMAL = {
     "chain": {
@@ -244,22 +246,46 @@ class TestOracleBlock:
         assert "oracle.checks" in error_paths(exc)
 
 
-class TestInterferenceBlock:
-    def test_groups_must_be_complete(self):
-        data = scenario_with(interference={"zeta_over_beta": -2.4})
-        with pytest.raises(ScenarioError):
-            parse_scenario_dict(data)
-        data = scenario_with(interference={"zeta_over_beta": -2.4, "e_field": 1e5})
-        s = parse_scenario_dict(data)
-        assert s.interference.e_field == 1e5
-        assert scenario_to_dict(s)["interference"] == data["interference"]
-        assert parse_scenario_dict(scenario_to_dict(s)) == s
-
-    def test_zero_denominators_rejected(self):
-        data = scenario_with(interference={"zeta_over_beta": -2.4, "e_field": 0.0})
+class TestRemovedInterferenceBlock:
+    def test_bundled_with_an_interference_object_is_rejected_at_its_key(self):
+        data = json.loads(bundled_scenario_path().read_text())
+        parse_scenario_dict(data)
+        data["interference"] = {"zeta_over_beta": -2.4, "e_field": 1e5}
         with pytest.raises(ScenarioError) as exc:
             parse_scenario_dict(data)
-        assert "interference.e_field" in error_paths(exc)
+        assert exc.value.errors == [("$.interference", "unknown key")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), h_exp=st.integers(0, 307), chain_exp=st.integers(0, 306),
+       grid_exp=st.floats(0.0, 308.0))
+def test_an_accepted_pattern_projects_within_the_float_range(seed, h_exp, chain_exp, grid_exp):
+    """The pattern is rejected at deviation.h, or its projection is finite,
+    with no float overflow, at the chain's allocation and at both ends of an
+    atom grid (the counts of every total in between lie between theirs)."""
+    chain, h = random_chain(np.random.default_rng(seed))
+    k = len(chain.isotopes)
+    grid = [k, max(k + 1, round(10.0**grid_exp))]
+    data = {
+        "chain": {"sin2_theta_w": chain.sin2_theta_w, "ref_A": chain.isotopes[chain.ref_index].A,
+                  "isotopes": [{"A": iso.A, "Z": iso.Z, "n_atoms": iso.n_atoms * 10**chain_exp}
+                               for iso in chain.isotopes]},
+        "deviation": {"h": [x * 10.0**h_exp for x in h]},
+        "protocol": {"omega": 1.0, "tau": 1.0},
+        "scans": [{"axis": "atom_number", "grid": grid, "protocols": ["sql"]}],
+    }
+    try:
+        s = parse_scenario_dict(data)
+    except ScenarioError as exc:
+        assert [path for path, _ in exc.errors] == ["deviation.h"]
+        return
+    with np.errstate(over="raise", invalid="raise"):
+        projections = [project_deviation(s.chain, s.deviation, allocate_atoms(s.chain, grid))]
+        if s.chain.total_atoms:
+            projections.append(project_deviation(s.chain, s.deviation))
+    for proj in projections:
+        for value in (proj.beta, proj.h_perp, proj.weighted_l1):
+            assert np.isfinite(value).all()
 
 
 class TestRoundTrip:
@@ -326,7 +352,6 @@ FULL = {
          "sigma_sys": 0.0, "n_fixed": 8, "beam": {"coefficient": 0.02, "floor": 0.001}},
     ],
     "oracle": {"budget": 4, "tolerances": {"cross_cat_qfi": 1e-8}, "checks": ["cross_cat_qfi"]},
-    "interference": {"zeta_over_beta": -2.4, "e_field": 1e5},
 }
 
 _DELETE = object()
@@ -384,6 +409,8 @@ ERROR_CORPUS = [
     ("h-text-entry", ("deviation", "h"), [1.0, "x"], ["deviation.h[1]"]),
     ("h-wrong-length", ("deviation", "h"), [1.0, -1.0, 0.5], ["deviation.h"]),
     ("h-all-zero", ("deviation", "h"), [0.0, 0.0], ["deviation.h"]),
+    # sum_A N_A |h_perp_A| of the chain's 20 atoms is beyond a float
+    ("h-projection-beyond-float", ("deviation", "h"), [1e307, -1e307], ["deviation.h"]),
     ("protocol-not-object", ("protocol",), [], ["protocol"]),
     ("protocol-unknown-key", ("protocol", "bogus"), 1, ["protocol.bogus"]),
     ("protocol-omega-implicit", ("protocol", "omega"), _DELETE, ["protocol.omega"]),
@@ -466,24 +493,6 @@ ERROR_CORPUS = [
     ("checks-empty", ("oracle", "checks"), [], ["oracle.checks"]),
     ("checks-unknown", ("oracle", "checks"), ["cfi_bound", "nope"], ["oracle.checks"]),
     ("checks-repeated", ("oracle", "checks"), ["cfi_bound", "cfi_bound"], ["oracle.checks"]),
-    ("interference-not-object", ("interference",), 1.0, ["interference"]),
-    ("interference-unknown-key", ("interference", "gain"), 1.0, ["interference.gain"]),
-    ("interference-empty", ("interference",), {}, ["interference"]),
-    ("interference-group-incomplete", ("interference", "e_field"), _DELETE, ["interference"]),
-    ("interference-e-field-zero", ("interference", "e_field"), 0.0, ["interference.e_field"]),
-    ("interference-detuning-zero", ("interference",),
-     {"omega_pc": 1e6, "omega_pnc": 20.0, "detuning": 0.0}, ["interference.detuning"]),
-    ("interference-text", ("interference", "zeta_over_beta"), "x",
-     ["interference.zeta_over_beta"]),
-    # diagnostics beyond the range of a float: |omega_pc + omega_pnc|^2 overflows,
-    # zeta / (beta E) is infinite, and so is the Ramsey phase pv_shift * tau
-    ("interference-rabi-overflow", ("interference",),
-     {"omega_pc": 1e200, "omega_pnc": 20.0, "detuning": 1.0}, ["interference"]),
-    ("interference-ratio-infinite", ("interference",),
-     {"zeta_over_beta": 1e300, "e_field": 1e-300}, ["interference"]),
-    ("interference-ramsey-phase-infinite", (),
-     {**FULL, "protocol": {"omega": 1.0, "tau": 1e303, "rep_rate": 1.0},
-      "interference": {"omega_pc": 1e6, "omega_pnc": 20.0, "detuning": 1.0}}, ["interference"]),
     # JSON integers beyond a float's range (~1.8e308), wherever a number is read
     ("s2w-beyond-float", ("chain", "sin2_theta_w"), 10**400, ["chain.sin2_theta_w"]),
     ("protocol-omega-beyond-float", ("protocol", "omega"), 10**400, ["protocol.omega"]),
@@ -553,7 +562,6 @@ _TIMES = {"axis": "time", "grid": (1.0, 10.0), "protocols": ("sql",), "name": "t
 _ISOTOPE = {"A": 170, "Z": 70, "n_atoms": 10}
 _BEAM = {"coefficient": 0.02, "floor": 0.001}
 _ORACLE = {"budget": 4}
-_STARK = {"zeta_over_beta": -2.4, "e_field": 1e5}
 FIELD_RULE_CASES = [
     (Isotope, _ISOTOPE, "A", 0, ("chain", "isotopes", 0, "A")),
     (Isotope, _ISOTOPE, "Z", 0, ("chain", "isotopes", 0, "Z")),
@@ -582,7 +590,7 @@ FIELD_RULE_CASES = [
     (OracleSpec, _ORACLE, "tolerances", (("nope", 1e-9),), ("oracle", "tolerances")),
     (OracleSpec, _ORACLE, "checks", ("cfi_bound", "nope"), ("oracle", "checks")),
     (OracleSpec, _ORACLE, "checks", ("cfi_bound", "cfi_bound"), ("oracle", "checks")),
-    (InterferenceSpec, _STARK, "e_field", 0.0, ("interference", "e_field")),
+    (ScanSpec, _TIMES, "n_fixed", 0, ("scans", 1, "n_fixed")),
     # conversion checks and block rules that only the parser applied before
     (Isotope, _ISOTOPE, "n_atoms", 10**400, ("chain", "isotopes", 0, "n_atoms")),
     (Isotope, _ISOTOPE, "A", 170.5, ("chain", "isotopes", 0, "A")),
@@ -613,23 +621,6 @@ def test_constructor_rejects_what_the_parser_rejects(cls, valid, name, value, ke
     assert str(built.value) == f"{path[path.rindex('.' + name) + 1:]}: {reason}"
 
 
-@pytest.mark.parametrize("block", [
-    {"zeta_over_beta": 1.0},
-    {},
-    # diagnostics that need no Ramsey time and leave the float range
-    {"omega_pc": 1e200, "omega_pnc": 20.0, "detuning": 1.0},
-    {"zeta_over_beta": 1e300, "e_field": 1e-300},
-])
-def test_interference_constructor_gives_the_parser_reason(block):
-    with pytest.raises(ScenarioError) as parsed:
-        parse_scenario_dict(scenario_with(interference=block))
-    [(path, reason)] = parsed.value.errors
-    assert path == "interference"
-    with pytest.raises(ValueError) as built:
-        InterferenceSpec(**block)
-    assert str(built.value) == reason
-
-
 def test_constructor_converts_as_the_parser_does():
     block = {"name": "times", "axis": "time", "grid": [1, 10], "protocols": ["sql"],
              "sigma_sys": 0, "n_fixed": 8.0, "beam": {"coefficient": 1, "floor": 0}}
@@ -654,11 +645,6 @@ ORACLE_OPTIONAL = {
     "tolerances": st.dictionaries(st.sampled_from(KNOWN_CHECKS), st.floats(0.0, 1.0)),
     "checks": st.lists(st.sampled_from(KNOWN_CHECKS), min_size=1, max_size=4, unique=True),
 }
-INTERFERENCE_GROUPS = (
-    {"zeta_over_beta": st.floats(-10.0, 10.0), "e_field": st.floats(1.0, 1e7)},
-    {"omega_pc": st.floats(-1e7, 1e7), "omega_pnc": st.floats(-1e3, 1e3),
-     "detuning": st.one_of(st.floats(-1e8, -1.0), st.floats(1.0, 1e8))},
-)
 
 
 def isotope_values(z, a):
@@ -716,10 +702,6 @@ def valid_scenarios(draw):
         data["scans"] = scans
     if draw(st.booleans()):
         data["oracle"] = draw(st.fixed_dictionaries(ORACLE_REQUIRED, optional=ORACLE_OPTIONAL))
-    groups = [g for g in INTERFERENCE_GROUPS if draw(st.booleans())]
-    if groups:
-        data["interference"] = draw(st.fixed_dictionaries({key: v for g in groups
-                                                           for key, v in g.items()}))
     return data
 
 
@@ -733,7 +715,6 @@ def test_generator_covers_every_field():
     assert set(BEAM_VALUES) == names(BeamSpec)
     assert set(ORACLE_REQUIRED) | set(ORACLE_OPTIONAL) == names(OracleSpec)
     assert set(SCENARIO_PROTOCOL_VALUES) == names(ProtocolConfig)
-    assert set().union(*INTERFERENCE_GROUPS) == names(InterferenceSpec)
 
 
 DOCUMENTED_SLUGS = {"allocation", "singular_fit", "no_signal", "no_contrast", "invalid_config"}
