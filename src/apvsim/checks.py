@@ -30,7 +30,7 @@ from .oracle import (
     ramsey_evolve,
 )
 from .protocols import ProtocolConfig, SensitivityResult, combine_classical_fit, protocol_table
-from .rules import check_fields
+from .rules import FieldError, check_fields, read
 
 __all__ = ["CheckResult", "OracleSpec", "KNOWN_CHECKS", "run_oracle_checks"]
 
@@ -133,6 +133,14 @@ class _Instance:
     def cat(self) -> StateVector:
         return build_state("dfs_cat" if self.paired else "cross_cat", self.chain, self.proj)
 
+    @functools.cached_property
+    def product_qfi(self) -> float:
+        return qfi(self.product, self.gen)
+
+    @functools.cached_property
+    def cat_qfi(self) -> float:
+        return qfi(self.cat, self.gen)
+
 
 class _Lone(_Instance):
     """One atom under the common generator: the one-qubit register."""
@@ -196,8 +204,9 @@ def _spread(gen) -> float:
     return float(np.max(gen.diag) - np.min(gen.diag))
 
 
-def _oracle_delta_theta(state, gen):
-    return 1.0 / math.sqrt(qfi(state, gen) * _IDEAL_CFG.reps)
+def _oracle_delta_theta(f_q):
+    """The sensitivity that the quantum Fisher information ``f_q`` gives."""
+    return 1.0 / math.sqrt(f_q * _IDEAL_CFG.reps)
 
 
 def _cat_dw(n):
@@ -205,8 +214,8 @@ def _cat_dw(n):
     cat: an n-qubit GHZ state under the common generator pi tau, which
     depends on n alone, so it is built on an n-atom register."""
     register = _chain(_SR, (n, 0), ref=1)
-    return _oracle_delta_theta(build_state("ghz_per_isotope", register),
-                               build_common_generator(register, _IDEAL_CFG.tau, 1.0))
+    return _oracle_delta_theta(qfi(build_state("ghz_per_isotope", register),
+                                   build_common_generator(register, _IDEAL_CFG.tau, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +253,17 @@ def _check_eigenstate_qfi_zero(suite):
 
 
 def _check_product_qfi_independence(suite):
-    return _worst((_rel(qfi(i.product, i.gen), 4.0 * math.fsum(g * g for g in i.gen.per_qubit_coeff)),
+    return _worst((_rel(i.product_qfi, 4.0 * math.fsum(g * g for g in i.gen.per_qubit_coeff)),
                    i.qubits) for i in suite.signal)
 
 
 def _check_cross_cat_qfi(suite):
-    return _worst((_rel(qfi(i.cat, i.gen), i.rows["cross_cat_ideal"].eigsep ** 2), i.qubits)
+    return _worst((_rel(i.cat_qfi, i.rows["cross_cat_ideal"].eigsep ** 2), i.qubits)
                   for i in suite.plain)
 
 
 def _check_sql_oracle_equiv(suite):
-    return _worst((_rel(_oracle_delta_theta(i.product, i.gen), i.rows["sql"].delta_theta), i.qubits)
+    return _worst((_rel(_oracle_delta_theta(i.product_qfi), i.rows["sql"].delta_theta), i.qubits)
                   for i in suite.plain)
 
 
@@ -271,13 +280,13 @@ def _check_same_isotope_cat_oracle_equiv(suite):
         if len(set(inst.chain.n_atoms)) == 1:
             # equal allocation: the joint product-of-cats state agrees directly
             joint = build_state("ghz_per_isotope", inst.chain)
-            yield _rel(_oracle_delta_theta(joint, inst.gen), analytic)
+            yield _rel(_oracle_delta_theta(qfi(joint, inst.gen)), analytic)
 
     return _worst((dev, i.qubits) for i in suite.plain for dev in devs(i))
 
 
 def _cat_equiv(instances, protocol):
-    return _worst((_rel(_oracle_delta_theta(i.cat, i.gen), i.rows[protocol].delta_theta), i.qubits)
+    return _worst((_rel(_oracle_delta_theta(i.cat_qfi), i.rows[protocol].delta_theta), i.qubits)
                   for i in instances)
 
 
@@ -292,13 +301,13 @@ def _check_dfs_oracle_equiv(suite):
 def _check_cfi_saturation(suite):
     largest = suite.plain[-1]
     theta_mid = math.pi / (2.0 * _spread(largest.gen))
-    return _worst([(_rel(cfi_parity(largest.cat, largest.gen, theta_mid), qfi(largest.cat, largest.gen)),
+    return _worst([(_rel(cfi_parity(largest.cat, largest.gen, theta_mid), largest.cat_qfi),
                     largest.qubits)])
 
 
 def _check_cfi_bound(suite):
     largest = suite.plain[-1]
-    f_q = qfi(largest.cat, largest.gen)
+    f_q = largest.cat_qfi
     period = 2.0 * math.pi / _spread(largest.gen)
     cfi = cfi_parity(largest.cat, largest.gen, (np.arange(100) + 0.5) / 100.0 * period)
     return _worst((abs(f / f_q - 1.0), largest.qubits) for f in cfi.tolist())
@@ -320,7 +329,7 @@ def _check_dfs_apv_separation(suite):
                   for i in suite.paired)
 
 
-# (name, default tolerance, smallest register, function) of each check in run order;
+# (name, tolerance, smallest register, function) of each check in run order;
 # a tolerance is relative, or absolute on an order-one quantity (single qubit, overlap)
 _CHECKS = (
     ("single_qubit_ramsey", 1e-12, 1, _check_single_qubit_ramsey),
@@ -342,39 +351,31 @@ KNOWN_CHECKS = tuple(name for name, *_ in _CHECKS)
 
 @dataclass(frozen=True)
 class OracleSpec:
-    """The arguments of :func:`run_oracle_checks` for one run: ``tolerances``
-    holds (check name, tolerance) overrides sorted by name, and ``checks``
-    None runs every check.  The field metadata is the rule for each key of
-    the ``oracle`` block (see :mod:`apvsim.rules`)."""
+    """The ``oracle`` block: the qubit budget of :func:`run_oracle_checks`.
+    The field metadata is the rule for its key (see :mod:`apvsim.rules`)."""
 
     budget: int = field(metadata={"integer": True, "required": True, "minimum": 1,
                                   "maximum": QUBIT_CAP, "max_inclusive": True})
-    # +inf: the check never fails
-    tolerances: tuple[tuple[str, float], ...] = field(
-        default=(), metadata={"keys": KNOWN_CHECKS, "minimum": 0.0, "allow_inf": True}
-    )
-    checks: tuple[str, ...] | None = field(default=None, metadata={"items": KNOWN_CHECKS})
 
     __post_init__ = check_fields
 
 
-def run_oracle_checks(budget: int = 10, tolerances: dict[str, float] | None = None,
-                      only: tuple[str, ...] | None = None) -> list[CheckResult]:
-    """Run every check whose smallest instance fits within ``budget`` qubits.
-
-    ``tolerances`` overrides the default per-check tolerances, and ``only``
-    restricts the suite to the named checks; a value that :class:`OracleSpec`
-    rejects raises ValueError.
+def run_oracle_checks(budget: int = 10, only: tuple[str, ...] | None = None) -> list[CheckResult]:
+    """Run, at its pinned tolerance, every check whose smallest instance fits
+    within ``budget`` qubits; ``only`` restricts the suite to the named checks.
+    A budget that :class:`OracleSpec` rejects, or an unknown or repeated name,
+    raises ValueError.
     """
     # anything but a number is OracleSpec's to reject, at ``budget``
     if isinstance(budget, (int, float)) and budget > QUBIT_CAP:
         raise ValueError(f"qubit budget {budget} exceeds the register cap of {QUBIT_CAP}")
-    overrides = dict(OracleSpec(budget, tolerances or (), only).tolerances)
+    OracleSpec(budget)
+    if only is not None and (reasons := read(only, {"items": KNOWN_CHECKS}, "checks")[1]):
+        raise FieldError([("only" + below, reason) for below, reason in reasons])
     suite, results = _Suite(budget), []
-    for name, default, min_qubits, fn in _CHECKS:
+    for name, tol, min_qubits, fn in _CHECKS:
         if min_qubits > budget or (only is not None and name not in only):
             continue
-        tol = overrides.get(name, default)
         dev, used = fn(suite)
         results.append(CheckResult(name=name, passed=dev <= tol, max_rel_dev=dev, tolerance=tol, qubits=used))
     return results

@@ -106,21 +106,6 @@ def _names(value, rule, name) -> tuple[tuple | None, list[tuple[str, str]]]:
     return (None, [("", f"names may not repeat: {repeated}")]) if repeated else (tuple(value), [])
 
 
-def _keyed_numbers(value, rule) -> tuple[tuple | None, list[tuple[str, str]]]:
-    """An object of (name, number) pairs as a tuple sorted by name, each number
-    read by ``rule``; a constructor may also give the tuple."""
-    if not isinstance(value, (dict, tuple)):
-        return None, [("", f"expected an object, got {type(value).__name__}")]
-    pairs, errors = [], []
-    unknown = f"unknown name; choose from {list(rule['keys'])}"
-    for key, number in sorted(dict(value).items()):
-        number, reason = _number(number, rule) if key in rule["keys"] else (None, unknown)
-        pairs.append((key, number))
-        if reason:
-            errors.append((f".{key}", reason))
-    return (None if errors else tuple(pairs)), errors
-
-
 def _block(value, cls) -> tuple[object | None, list[tuple[str, str]]]:
     """The dataclass ``cls`` built from the object ``value``: an unknown key
     is an error, a missing required one reads as None, and each error of the
@@ -148,10 +133,10 @@ def read(value, rule, name: str = "value") -> tuple[object, list[tuple[str, str]
     ``block``, a nested dataclass; ``choices``, the values allowed; ``label``,
     a [A-Za-z0-9_-] name; ``items``, the names a nonempty list may hold, none
     repeated; ``numbers``, a nonempty list of finite numbers (``positive``,
-    ``increasing``); ``keys``, the names of an object of numbers; ``integer``;
-    and with none of them, a number.  ``minimum`` (``exclusive_min``) and
-    ``maximum`` (``max_inclusive``) bound each number,
-    ``allow_inf`` admits an infinite one, and a ``required`` value is not None.
+    ``increasing``); ``integer``; and with none of them, a number.
+    ``minimum`` (``exclusive_min``) and ``maximum`` (``max_inclusive``) bound
+    each number, ``allow_inf`` admits an infinite one, and a ``required``
+    value is not None.
     """
     if value is None and rule.get("required"):
         return None, [("", "required key missing")]
@@ -169,8 +154,6 @@ def read(value, rule, name: str = "value") -> tuple[object, list[tuple[str, str]
         return _names(value, rule, name)
     if "numbers" in rule:
         return _numbers(value, rule)
-    if "keys" in rule:
-        return _keyed_numbers(value, rule)
     value, reason = (_integer if "integer" in rule else _number)(value, rule)
     return (None, [("", reason)]) if reason else (value, [])
 
@@ -185,8 +168,6 @@ def write(block) -> dict:
             continue
         if "block" in f.metadata:
             value = write(value)
-        elif "keys" in f.metadata:
-            value = {key: "inf" if number == math.inf else number for key, number in value}
         elif isinstance(value, tuple):
             value = list(value)
         elif value == math.inf:

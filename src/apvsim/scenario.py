@@ -21,11 +21,12 @@ offending key path reported):
 ``scans`` (optional) -- list of :class:`ScanSpec` blocks.  ``name``
     defaults to ``scan<index>`` and is unique ignoring case; atom grids
     are integral; ``sigma_sys``, ``n_fixed`` (at least one atom per
-    isotope) and the :class:`BeamSpec` ``beam`` belong to time scans only.
+    isotope) and the :class:`BeamSpec` ``beam`` belong to time scans only;
+    a time grid must start at one repetition or more (``rep_rate``, or
+    1/``tau`` when unset, times the first time).
 
-``oracle`` (optional) -- an :class:`OracleSpec` block: ``budget``,
-    ``tolerances`` (check name -> tolerance, a number or ``"inf"``) and
-    ``checks``.
+``oracle`` (optional) -- an :class:`OracleSpec` block: ``budget``, the
+    qubit budget; every check that fits in it runs at its pinned tolerance.
 
 Every block that has a dataclass is built by it from its JSON object, and
 written from its fields; each field's metadata holds its rule (see
@@ -40,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -172,8 +173,9 @@ def _parse_protocol(node, errs, scans_present) -> ProtocolConfig | None:
 _SCAN_RULES = {f.name: f.metadata for f in fields(ScanSpec)}
 
 
-def _parse_scan(node, index, errs, n_isotopes) -> tuple[str | None, ScanSpec | None]:
-    """The block's name (None if invalid) and its ScanSpec (None if invalid)."""
+def _parse_scan(node, index, errs, n_isotopes, protocol) -> tuple[str | None, ScanSpec | None]:
+    """The block's name (None if invalid) and its ScanSpec (None if invalid).
+    A time scan evaluates at its first time, so that time must hold a repetition."""
     path = f"scans[{index}]"
     if not _expect_mapping(node, path, errs):
         return None, None
@@ -184,6 +186,10 @@ def _parse_scan(node, index, errs, n_isotopes) -> tuple[str | None, ScanSpec | N
     n_fixed, bad_n_fixed = read(node.get("n_fixed"), _SCAN_RULES["n_fixed"])
     if node.get("axis") == "time" and not bad_n_fixed and n_fixed < n_isotopes:
         errs.append((f"{path}.n_fixed", f"must be >= {n_isotopes} (one atom per isotope), got {n_fixed}"))
+        spec = None
+    reps = replace(protocol, t_avg=spec.grid[0]).reps if spec and protocol and spec.axis == "time" else 1
+    if reps < 1:
+        errs.append((f"{path}.grid", f"rep_rate * the first time must be >= 1, got {reps}"))
         spec = None
     return None if bad_name else name, spec
 
@@ -228,7 +234,7 @@ def parse_scenario_dict(data: dict) -> Scenario:
         errs.append(("scans", "expected a list of scan blocks"))
         raw_scans = []
     protocol = _parse_protocol(data.get("protocol"), errs, scans_present=bool(raw_scans))
-    parsed = [_parse_scan(raw, i, errs, len(chain.isotopes) if chain else 1)
+    parsed = [_parse_scan(raw, i, errs, len(chain.isotopes) if chain else 1, protocol)
               for i, raw in enumerate(raw_scans)]
     scans = [spec for _, spec in parsed if spec is not None]
     # a scan rejected for another reason still claims its name, and names

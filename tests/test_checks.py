@@ -84,12 +84,18 @@ def test_budget_that_is_not_a_number_is_a_field_error(budget):
         run_oracle_checks(budget)
 
 
+@pytest.mark.parametrize("only", [("nope",), ("cfi_bound", "cfi_bound")])
+def test_unknown_or_repeated_check_name_is_a_field_error(only):
+    with pytest.raises(FieldError, match="^only: "):
+        run_oracle_checks(10, only=only)
+
+
 @pytest.fixture
 def nan_qfi(monkeypatch):
     monkeypatch.setattr(apvsim.checks, "qfi", lambda state, gen: math.nan)
 
 
-def test_nan_deviation_fails_its_check(nan_qfi):
+def test_nan_deviation_fails_its_check(nan_qfi, monkeypatch):
     # the same-isotope cat check too: its classical fit would take a NaN
     # sensitivity for an unmeasured isotope, or abort the suite
     results = {r.name: r for r in run_oracle_checks(10)}
@@ -100,8 +106,11 @@ def test_nan_deviation_fails_its_check(nan_qfi):
         else:
             assert r.passed, r
     # a NaN fails even a check that is never meant to fail
-    [r] = run_oracle_checks(10, tolerances={"cross_cat_qfi": math.inf}, only=("cross_cat_qfi",))
-    assert not r.passed
+    rows = [(name, math.inf if name == "cross_cat_qfi" else tol, *rest)
+            for name, tol, *rest in apvsim.checks._CHECKS]
+    monkeypatch.setattr(apvsim.checks, "_CHECKS", tuple(rows))
+    [r] = run_oracle_checks(10, only=("cross_cat_qfi",))
+    assert r.tolerance == math.inf and not r.passed
 
 
 def test_nan_sensitivity_is_rejected_by_the_fit(nan_qfi, yb_chain, yb_pattern):

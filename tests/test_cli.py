@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apvsim
-from apvsim import PROTOCOLS, bundled_scenario_path, parse_scenario, run, validate
+from apvsim import KNOWN_CHECKS, PROTOCOLS, bundled_scenario_path, parse_scenario, run, validate
 from apvsim.cli import _write_scan_csv, format_sig, main
 from apvsim.scans import BeamSpec, ScanSpec, ScanTable, atom_scan, time_scan
 from conftest import make_yb_chain, scan_cells
@@ -268,14 +268,15 @@ class TestRun:
                 ],
             },
             "deviation": {"h": [1.0, -1.0]},
-            "oracle": {"budget": 4, "checks": ["cross_cat_qfi"]},
+            "oracle": {"budget": 4},
         }
         path = tmp_path / "checks_only.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "out"
         summary = run(parse_scenario(path), out, quiet=True)
         assert summary.scans == ()
-        assert [c.name for c in summary.checks] == ["cross_cat_qfi"]
+        # every check fits in 4 qubits
+        assert [c.name for c in summary.checks] == list(KNOWN_CHECKS)
         assert list(out.glob("*.csv")) == []
 
     def test_allocation_failure_rows_carry_markers(self, tmp_path):
@@ -425,13 +426,12 @@ class TestMain:
         main(["run", str(bundled_scenario_path()), "--out", str(tmp_path / "o"), "--quiet"])
         assert capsys.readouterr().out == ""
 
-    def test_tampered_tolerance_fails_with_named_check(self, tmp_path):
-        data = json.loads(bundled_scenario_path().read_text())
-        data["oracle"]["tolerances"] = {"cfi_saturation": 0.0}
-        path = tmp_path / "tampered.json"
-        path.write_text(json.dumps(data))
+    def test_tampered_tolerance_fails_with_named_check(self, tmp_path, monkeypatch):
+        rows = [(name, 0.0 if name == "cfi_saturation" else tol, *rest)
+                for name, tol, *rest in apvsim.checks._CHECKS]
+        monkeypatch.setattr(apvsim.checks, "_CHECKS", tuple(rows))
         out = tmp_path / "out"
-        code = main(["run", str(path), "--out", str(out), "--quiet"])
+        code = main(["run", str(bundled_scenario_path()), "--out", str(out), "--quiet"])
         assert code == 1
         stored = json.loads((out / "summary.json").read_text())
         failing = [c["name"] for c in stored["checks"] if not c["passed"]]
@@ -494,21 +494,6 @@ class TestMain:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["run", str(path), "--out", str(tmp_path / "o"), "--quiet"]) == 2
         assert "deviation.h: too large" in capsys.readouterr().err
-
-    def test_infinite_tolerance_writes_strict_json(self, tmp_path):
-        data = json.loads(bundled_scenario_path().read_text())
-        data["oracle"] = {"budget": 2, "tolerances": {"single_qubit_ramsey": math.inf}}
-        path = tmp_path / "inf.json"
-        path.write_text(json.dumps(data))
-        out = tmp_path / "out"
-        assert main(["run", str(path), "--out", str(out), "--quiet"]) == 0
-
-        def no_constant(name):
-            raise ValueError(f"{name} is not JSON")
-
-        stored = json.loads((out / "summary.json").read_text(), parse_constant=no_constant)
-        tolerances = {c["name"]: c["tolerance"] for c in stored["checks"]}
-        assert tolerances["single_qubit_ramsey"] == "inf"
 
     def test_beam_that_underflows_exits_2_naming_it(self, tmp_path, capsys):
         # 5e-324 / sqrt(4) rounds to 0: the beam row at 4 s would read 0

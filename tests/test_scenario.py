@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from apvsim import (
     GATE_COUNT_MODELS,
-    KNOWN_CHECKS,
     PROTOCOLS,
     BeamSpec,
     Isotope,
@@ -224,27 +223,6 @@ class TestOracleBlock:
                 parse_scenario_dict(data)
             assert "oracle.budget" in error_paths(exc)
 
-    def test_unknown_tolerance_name(self):
-        data = scenario_with(oracle={"budget": 4, "tolerances": {"nope": 1e-9}})
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario_dict(data)
-        assert "oracle.tolerances.nope" in error_paths(exc)
-
-    def test_tolerance_overrides_survive(self):
-        data = scenario_with(oracle={"budget": 4, "tolerances": {"cross_cat_qfi": 1e-8}})
-        s = parse_scenario_dict(data)
-        assert s.oracle.tolerances == (("cross_cat_qfi", 1e-8),)
-
-    def test_check_subset_selection(self):
-        data = scenario_with(oracle={"budget": 4, "checks": ["cross_cat_qfi"]})
-        s = parse_scenario_dict(data)
-        assert s.oracle.checks == ("cross_cat_qfi",)
-        assert parse_scenario_dict(scenario_to_dict(s)) == s
-        data["oracle"]["checks"] = ["nope"]
-        with pytest.raises(ScenarioError) as exc:
-            parse_scenario_dict(data)
-        assert "oracle.checks" in error_paths(exc)
-
 
 class TestRemovedInterferenceBlock:
     def test_bundled_with_an_interference_object_is_rejected_at_its_key(self):
@@ -351,7 +329,7 @@ FULL = {
         {"name": "times", "axis": "time", "grid": [1.0, 10.0], "protocols": ["sql"],
          "sigma_sys": 0.0, "n_fixed": 8, "beam": {"coefficient": 0.02, "floor": 0.001}},
     ],
-    "oracle": {"budget": 4, "tolerances": {"cross_cat_qfi": 1e-8}, "checks": ["cross_cat_qfi"]},
+    "oracle": {"budget": 4},
 }
 
 _DELETE = object()
@@ -458,6 +436,8 @@ ERROR_CORPUS = [
     ("scan-n-fixed-below-isotopes", ("scans", 1, "n_fixed"), 1, ["scans[1].n_fixed"]),
     ("scan-n-fixed-zero", ("scans", 1, "n_fixed"), 0, ["scans[1].n_fixed"]),
     ("scan-n-fixed-fraction", ("scans", 1, "n_fixed"), 8.5, ["scans[1].n_fixed"]),
+    # a time scan evaluates at its first time: 0.5 s at one repetition per second
+    ("scan-time-under-one-rep", ("scans", 1, "grid"), [0.5, 10.0], ["scans[1].grid"]),
     ("beam-not-object", ("scans", 1, "beam"), 0.02, ["scans[1].beam"]),
     ("beam-unknown-key", ("scans", 1, "beam", "width"), 1.0, ["scans[1].beam.width"]),
     ("beam-coefficient-missing", ("scans", 1, "beam", "coefficient"), _DELETE,
@@ -480,40 +460,23 @@ ERROR_CORPUS = [
     ("oracle-budget-above-cap", ("oracle", "budget"), 15, ["oracle.budget"]),
     ("oracle-budget-fraction", ("oracle", "budget"), 4.5, ["oracle.budget"]),
     ("oracle-budget-bool", ("oracle", "budget"), True, ["oracle.budget"]),
-    ("tolerances-not-object", ("oracle", "tolerances"), [1e-8], ["oracle.tolerances"]),
-    ("tolerance-unknown-check", ("oracle", "tolerances", "nope"), 1e-9,
-     ["oracle.tolerances.nope"]),
-    ("tolerance-negative", ("oracle", "tolerances", "cross_cat_qfi"), -1e-9,
-     ["oracle.tolerances.cross_cat_qfi"]),
-    ("tolerance-text", ("oracle", "tolerances", "cfi_bound"), "x",
-     ["oracle.tolerances.cfi_bound"]),
-    ("tolerance-bool", ("oracle", "tolerances", "cfi_bound"), False,
-     ["oracle.tolerances.cfi_bound"]),
-    ("checks-not-list", ("oracle", "checks"), "cfi_bound", ["oracle.checks"]),
-    ("checks-empty", ("oracle", "checks"), [], ["oracle.checks"]),
-    ("checks-unknown", ("oracle", "checks"), ["cfi_bound", "nope"], ["oracle.checks"]),
-    ("checks-repeated", ("oracle", "checks"), ["cfi_bound", "cfi_bound"], ["oracle.checks"]),
+    # the block is its budget: every check that fits runs at its pinned tolerance
+    ("oracle-tolerances-unknown-key", ("oracle", "tolerances"), {"cross_cat_qfi": "inf"},
+     ["oracle.tolerances"]),
+    ("oracle-checks-unknown-key", ("oracle", "checks"), ["cross_cat_qfi"], ["oracle.checks"]),
     # JSON integers beyond a float's range (~1.8e308), wherever a number is read
     ("s2w-beyond-float", ("chain", "sin2_theta_w"), 10**400, ["chain.sin2_theta_w"]),
     ("protocol-omega-beyond-float", ("protocol", "omega"), 10**400, ["protocol.omega"]),
     ("h-beyond-float", ("deviation", "h"), [1.0, -(10**400)], ["deviation.h[1]"]),
     ("scan-grid-beyond-float", ("scans", 0, "grid"), [8, 16, 10**400], ["scans[0].grid[2]"]),
-    ("tolerance-beyond-float", ("oracle", "tolerances", "cross_cat_qfi"), 10**400,
-     ["oracle.tolerances.cross_cat_qfi"]),
     ("isotope-a-beyond-float", ("chain", "isotopes", 0, "A"), 10**400, ["chain.isotopes[0].A"]),
     ("isotope-n-beyond-float", ("chain", "isotopes", 1, "n_atoms"), 10**400,
      ["chain.isotopes[1].n_atoms"]),
     ("scan-n-fixed-beyond-float", ("scans", 1, "n_fixed"), 10**400, ["scans[1].n_fixed"]),
     ("isotope-n-largest-float", ("chain", "isotopes", 1, "n_atoms"), 10**308, []),
-    ("tolerance-nan", ("oracle", "tolerances", "cross_cat_qfi"), _NAN,
-     ["oracle.tolerances.cross_cat_qfi"]),
-    ("tolerance-inf", ("oracle", "tolerances", "cross_cat_qfi"), _INF, []),
-    ("tolerance-inf-text", ("oracle", "tolerances", "cross_cat_qfi"), "inf", []),
     ("protocol-t2-infinity", ("protocol", "t2"), _INF, []),
     ("scan-name-non-ascii", ("scans", 0, "name"), "\u00e9\u0663\u00df", ["scans[0].name"]),
     # a key that holds ": " is reported whole, at its own path
-    ("tolerance-key-with-colon", ("oracle", "tolerances", "cfi_bound: x"), 1e-9,
-     ["oracle.tolerances.cfi_bound: x"]),
     ("beam-key-with-colon", ("scans", 1, "beam", "a: b"), 1.0, ["scans[1].beam.a: b"]),
 ]
 
@@ -586,10 +549,10 @@ FIELD_RULE_CASES = [
     (BeamSpec, _BEAM, "floor", -1e-3, ("scans", 1, "beam", "floor")),
     (OracleSpec, _ORACLE, "budget", 0, ("oracle", "budget")),
     (OracleSpec, _ORACLE, "budget", 15, ("oracle", "budget")),
-    (OracleSpec, _ORACLE, "tolerances", (("cross_cat_qfi", -1e-9),), ("oracle", "tolerances")),
-    (OracleSpec, _ORACLE, "tolerances", (("nope", 1e-9),), ("oracle", "tolerances")),
-    (OracleSpec, _ORACLE, "checks", ("cfi_bound", "nope"), ("oracle", "checks")),
-    (OracleSpec, _ORACLE, "checks", ("cfi_bound", "cfi_bound"), ("oracle", "checks")),
+    (OracleSpec, _ORACLE, "budget", 4.5, ("oracle", "budget")),
+    (OracleSpec, _ORACLE, "budget", True, ("oracle", "budget")),
+    (OracleSpec, _ORACLE, "budget", "4", ("oracle", "budget")),
+    (OracleSpec, _ORACLE, "budget", 10**400, ("oracle", "budget")),
     (ScanSpec, _TIMES, "n_fixed", 0, ("scans", 1, "n_fixed")),
     # conversion checks and block rules that only the parser applied before
     (Isotope, _ISOTOPE, "n_atoms", 10**400, ("chain", "isotopes", 0, "n_atoms")),
@@ -603,8 +566,6 @@ FIELD_RULE_CASES = [
 
 
 def _as_json(value):
-    if isinstance(value, tuple) and value and isinstance(value[0], tuple):
-        return dict(value)  # (name, tolerance) pairs
     return list(value) if isinstance(value, tuple) else value
 
 
@@ -627,7 +588,6 @@ def test_constructor_converts_as_the_parser_does():
     built = ScanSpec(**block)
     assert built == parse_scenario_dict(_mutated(("scans", 1), block)).scans[1]
     assert type(built.n_fixed) is int and type(built.grid) is tuple
-    assert OracleSpec(4, {"cfi_bound": "inf"}).tolerances == (("cfi_bound", math.inf),)
 
 
 # A generator of valid scenario dicts over every section.  Each section is
@@ -641,22 +601,19 @@ SCENARIO_PROTOCOL_VALUES = {
 _ATOM_COUNT = st.integers(0, 10**12)
 BEAM_VALUES = {"coefficient": st.floats(1e-6, 1e3), "floor": st.floats(0.0, 1.0)}
 ORACLE_REQUIRED = {"budget": st.integers(1, 6)}
-ORACLE_OPTIONAL = {
-    "tolerances": st.dictionaries(st.sampled_from(KNOWN_CHECKS), st.floats(0.0, 1.0)),
-    "checks": st.lists(st.sampled_from(KNOWN_CHECKS), min_size=1, max_size=4, unique=True),
-}
 
 
 def isotope_values(z, a):
     return {"A": st.just(a), "Z": st.just(z), "n_atoms": _ATOM_COUNT}
 
 
-def scan_values(axis, n_isotopes, index):
-    """(required, optional) field strategies of block ``index`` of ``scans``."""
+def scan_values(axis, n_isotopes, index, rate=1e3):
+    """(required, optional) field strategies of block ``index`` of ``scans``;
+    a time grid starts at one repetition or more at ``rate`` repetitions per second."""
     if axis == "atom_number":
         points = st.integers(1, 10**12)
     else:
-        points = st.floats(1e-3, 1e7)
+        points = st.floats(max(1e-3, 1.0 / rate), 1e7).filter(lambda t: rate * t >= 1.0)
     required = {
         "axis": st.just(axis),
         "grid": st.lists(points, min_size=1, max_size=5, unique=True).map(sorted),
@@ -695,13 +652,14 @@ def valid_scenarios(draw):
                       if key not in ("omega", "tau")})),
     }
     scans = []
+    rate = data["protocol"].get("rep_rate", 1.0 / data["protocol"]["tau"])
     for i, axis in enumerate(draw(st.lists(st.sampled_from(SCAN_AXES), max_size=3))):
-        required, optional = scan_values(axis, k, i)
+        required, optional = scan_values(axis, k, i, rate)
         scans.append(draw(st.fixed_dictionaries(required, optional=optional)))
     if scans:
         data["scans"] = scans
     if draw(st.booleans()):
-        data["oracle"] = draw(st.fixed_dictionaries(ORACLE_REQUIRED, optional=ORACLE_OPTIONAL))
+        data["oracle"] = draw(st.fixed_dictionaries(ORACLE_REQUIRED))
     return data
 
 
@@ -713,7 +671,7 @@ def test_generator_covers_every_field():
     required, optional = scan_values("time", 2, 0)
     assert set(required) | set(optional) == names(ScanSpec)
     assert set(BEAM_VALUES) == names(BeamSpec)
-    assert set(ORACLE_REQUIRED) | set(ORACLE_OPTIONAL) == names(OracleSpec)
+    assert set(ORACLE_REQUIRED) == names(OracleSpec)
     assert set(SCENARIO_PROTOCOL_VALUES) == names(ProtocolConfig)
 
 
