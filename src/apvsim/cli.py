@@ -73,19 +73,17 @@ def _cells(protocol: str, stats: list, tots: list, slugs: list) -> list[str]:
 
 
 def _write_scan_csv(path: Path, table: ScanTable):
-    # No field can need CSV quoting.  Lines are made from the table's cells
-    # one block of grid points at a time, so that the cells and text held at
-    # once stay small, and each grid point's axis value is formatted once.
+    # No field can need CSV quoting.  Cells are made one block of grid points
+    # at a time and each grid point's lines are written as they are made, so
+    # the cells and text held at once stay small; each axis value is formatted once.
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("axis,protocol,delta_theta_stat,delta_theta_tot\n")
         for start in range(0, len(table.values), GRID_BLOCK):
             block = slice(start, start + GRID_BLOCK)
             columns = zip(table.protocols, *(array.T.tolist() for array in table.cells(block)))
-            lines = []
             for value, cells in zip(table.values[block], zip(*[_cells(*c) for c in columns])):
                 axis = f"{format_sig(value)},"
-                lines.append(axis + axis.join(cells))
-            fh.writelines(lines)
+                fh.write(axis + axis.join(cells))
 
 
 def _run_checks(scenario: Scenario, budget_override: int | None, quiet: bool):

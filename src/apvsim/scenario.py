@@ -253,11 +253,10 @@ def parse_scenario_dict(data: dict) -> Scenario:
 
 
 def parse_scenario(path: str | Path) -> Scenario:
-    """Read and validate a scenario file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read and validate a scenario file; its text is freed once parsed as JSON."""
     try:
-        data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, JSONDecodeError, or an integer of too many digits
         raise ScenarioError([("$", f"not valid JSON: {exc}")]) from exc
     return parse_scenario_dict(data)
 
@@ -280,13 +279,61 @@ def scenario_to_dict(s: Scenario) -> dict:
     return out
 
 
+_SLICE = 4096
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _holds_long_list(node) -> bool:
+    """Whether ``node`` is, or holds, a list of more than ``_SLICE`` items;
+    :func:`scenario_to_dict` makes plain dicts and lists only."""
+    if type(node) is dict:
+        node = node.values()
+    elif type(node) is not list:
+        return False
+    elif len(node) > _SLICE:
+        return True
+    return not {dict, list}.isdisjoint(map(type, node)) and any(map(_holds_long_list, node))
+
+
+def _pieces(node):
+    """The canonical text of a JSON tree, in pieces that do not grow with a
+    scan grid: a subtree holding no list longer than ``_SLICE`` items is one
+    piece, and a longer list is encoded ``_SLICE`` items at a time."""
+    if not _holds_long_list(node):
+        yield _ENCODE(node)
+    elif type(node) is dict:
+        sep = "{"
+        for key in sorted(node):
+            yield f"{sep}{_ENCODE(key)}:"
+            yield from _pieces(node[key])
+            sep = ","
+        yield "}"
+    else:
+        sep = "["
+        for start in range(0, len(node), _SLICE):
+            part = node[start:start + _SLICE]
+            if _holds_long_list(part):  # a long list within a list
+                for item in part:
+                    yield sep
+                    yield from _pieces(item)
+                    sep = ","
+            else:
+                yield sep + _ENCODE(part)[1:-1]
+                sep = ","
+        yield "]"
+
+
 def canonical_json(s: Scenario) -> str:
     """Canonical serialization: sorted keys, fixed separators."""
-    return json.dumps(scenario_to_dict(s), sort_keys=True, separators=(",", ":"))
+    return "".join(_pieces(scenario_to_dict(s)))
 
 
 def scenario_sha256(s: Scenario) -> str:
-    return hashlib.sha256(canonical_json(s).encode("utf-8")).hexdigest()
+    """SHA-256 of :func:`canonical_json`, fed in its pieces."""
+    digest = hashlib.sha256()
+    for piece in _pieces(scenario_to_dict(s)):
+        digest.update(piece.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def bundled_scenario_path(name: str = "yb_even_chain") -> Path:

@@ -1,9 +1,19 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from apvsim import DeviationPattern, Isotope, ProtocolConfig, build_chain
+from apvsim import (
+    DeviationPattern,
+    Isotope,
+    ProtocolConfig,
+    build_chain,
+    canonical_json,
+    scenario_sha256,
+    scenario_to_dict,
+)
 
 YB_EVEN = ((170, 70), (172, 70), (174, 70), (176, 70))
 
@@ -11,6 +21,14 @@ YB_EVEN = ((170, 70), (172, 70), (174, 70), (176, 70))
 def make_yb_chain(counts=(250, 250, 250, 250), ref_index=2, sin2_theta_w=0.2325):
     isotopes = [Isotope(A=a, Z=z, n_atoms=n) for (a, z), n in zip(YB_EVEN, counts)]
     return build_chain(isotopes, ref_index=ref_index, sin2_theta_w=sin2_theta_w)
+
+
+def assert_canonical_form(s):
+    """``canonical_json`` and ``scenario_sha256``, which serialize in slices,
+    give the text and hash of the one-shot reference serialization."""
+    text = json.dumps(scenario_to_dict(s), sort_keys=True, separators=(",", ":"))
+    assert scenario_sha256(s) == hashlib.sha256(text.encode()).hexdigest()
+    assert canonical_json(s) == text
 
 
 @pytest.fixture

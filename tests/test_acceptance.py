@@ -31,7 +31,7 @@ from apvsim import (
     time_scan,
     bundled_scenario_path,
 )
-from conftest import make_yb_chain, random_chain
+from conftest import assert_canonical_form, make_yb_chain, random_chain
 
 H_SPLIT = (-1.0, -1.0, 1.0, 1.0)
 
@@ -218,7 +218,9 @@ BUNDLED_SCENARIO_SHA256 = "83876ec35eddde35a792fb0a12bf99cf2281e0a3e5f013a19d25e
 
 
 def test_bundled_scenario_hash_is_pinned():
-    assert scenario_sha256(parse_scenario(bundled_scenario_path())) == BUNDLED_SCENARIO_SHA256
+    s = parse_scenario(bundled_scenario_path())
+    assert scenario_sha256(s) == BUNDLED_SCENARIO_SHA256
+    assert_canonical_form(s)
 
 
 def test_10_csv_determinism(tmp_path):

@@ -1,6 +1,7 @@
 """The benchmark runs ``apvsim run`` on the bundled scenario and on generated
 scenarios; a tighter parser that rejected one of them would only show up as
-failed benchmark ops.  Each input must parse."""
+failed benchmark ops.  Each input must parse, and hash as the one-shot
+serialization of its canonical form does."""
 
 import importlib.util
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from apvsim import bundled_scenario_path, parse_scenario, parse_scenario_dict
+from conftest import assert_canonical_form
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -23,12 +25,17 @@ _WORKLOADS = _workloads()
 
 
 def test_bundled_scenario_parses():
-    assert parse_scenario(bundled_scenario_path()).scans
+    s = parse_scenario(bundled_scenario_path())
+    assert s.scans
+    assert_canonical_form(s)
 
 
 @pytest.mark.parametrize("generate", [_WORKLOADS.atom_sweep_scenarios, _WORKLOADS.time_sweep_scenarios])
 def test_every_pool_input_parses(generate):
-    # the seeds of the pool whose outputs the benchmark checks byte for byte
+    # the seeds of the pool whose outputs the benchmark checks byte for byte,
+    # and whose grids of 10^4 and 5 x 10^4 points are hashed in slices
     for seed in range(_WORKLOADS.SEED_POOL):
         for data in generate(seed):
-            assert parse_scenario_dict(data).scans, seed
+            s = parse_scenario_dict(data)
+            assert s.scans, seed
+            assert_canonical_form(s)

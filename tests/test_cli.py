@@ -510,6 +510,16 @@ class TestMain:
         code = main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_scenario_that_is_not_utf8_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"chain": "\xff\xfe"}')
+        options = ["--out", str(tmp_path / "o")] if command == "run" else []
+        assert main([command, str(path), *options]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario:\n  $: not valid JSON: 'utf-8' codec can't decode"), err
+        assert not (tmp_path / "o").exists()
+
 
 def test_python_dash_m_runs_the_cli(tmp_path):
     src = str(Path(apvsim.__file__).resolve().parent.parent)

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -26,9 +27,10 @@ from apvsim import (
     scenario_sha256,
     scenario_to_dict,
 )
+from apvsim import scenario as scenario_module
 from apvsim.chain import project_deviation
 from apvsim.scans import SCAN_AXES, allocate_atoms
-from conftest import random_chain
+from conftest import assert_canonical_form, random_chain
 
 MINIMAL = {
     "chain": {
@@ -288,6 +290,52 @@ class TestRoundTrip:
         bad.write_text("{nope")
         with pytest.raises(ScenarioError, match="not valid JSON"):
             parse_scenario(bad)
+
+
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=7) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_JSON_TREES, size=st.integers(1, 3))
+def test_pieces_join_to_the_one_shot_text(tree, size):
+    # slices of 1-3 items reach every branch, long lists within long lists too
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario_module, "_SLICE", size)
+        text = "".join(scenario_module._pieces(tree))
+    assert text == json.dumps(tree, sort_keys=True, separators=(",", ":"))
+
+
+class TestBoundedMemory:
+    """The hash and the parse of a 5e4-point time scan, as the time_sweep
+    benchmark runs it, hold a slice of its text at a time."""
+
+    @pytest.fixture
+    def long_time_scan(self, tmp_path):
+        data = json.loads(bundled_scenario_path().read_text())
+        data["scans"][1]["grid"] = np.geomspace(1.0, 1.512e6, 50_000).tolist()
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    @staticmethod
+    def traced_peak(call, *args):
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_hash_is_taken_in_slices(self, long_time_scan):
+        # the one-shot text and the encoder's list of value texts take 5.4 MB
+        assert self.traced_peak(scenario_sha256, parse_scenario(long_time_scan)) < 1.5e6
+
+    def test_parse_drops_the_file_text(self, long_time_scan):
+        # the 0.97 MB text held through the checks would take the peak to 3.4 MB
+        assert self.traced_peak(parse_scenario, long_time_scan) < 3.0e6
 
 
 _POSITIVE = st.floats(1e-3, 1e3)
@@ -685,6 +733,7 @@ def test_generated_scenarios_round_trip_and_run(data):
     again = parse_scenario_dict(scenario_to_dict(s))
     assert again == s
     assert canonical_json(again) == canonical_json(s)
+    assert_canonical_form(s)
     with tempfile.TemporaryDirectory() as out:
         summary = run(s, out, quiet=True)
         for record in summary.scans:
@@ -697,3 +746,17 @@ def test_generated_scenarios_round_trip_and_run(data):
                 else:
                     for text in (stat, tot):
                         assert math.isfinite(float(text)) and float(text) > 0, line
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=valid_scenarios().filter(lambda d: "scans" in d), points=st.sampled_from((4096, 4097, 8193)))
+def test_long_grids_round_trip_and_hash_as_one_text(data, points):
+    # one full slice, one point past it, and two slices and a point
+    for scan in data["scans"]:
+        first = scan["grid"][0]
+        scan["grid"] = ([first + i for i in range(points)] if scan["axis"] == "atom_number"
+                        else np.geomspace(first, 1e3 * first, points).tolist())
+    s = parse_scenario_dict(data)
+    assert parse_scenario_dict(scenario_to_dict(s)) == s
+    assert all(len(spec.grid) == points for spec in s.scans)
+    assert_canonical_form(s)
