@@ -309,8 +309,8 @@ def test_pieces_join_to_the_one_shot_text(tree, size):
 
 
 class TestBoundedMemory:
-    """The hash and the parse of a 5e4-point time scan, as the time_sweep
-    benchmark runs it, hold a slice of its text at a time."""
+    """A 5e4-point time scan, as the time_sweep benchmark runs it: its hash
+    holds a slice of its text at a time, and its parse frees the file text."""
 
     @pytest.fixture
     def long_time_scan(self, tmp_path):
