@@ -64,26 +64,47 @@ class RunSummary:
         return out
 
 
-def _cells(protocol: str, stats: list, tots: list, slugs: list) -> list[str]:
-    """``protocol,stat,tot`` and a line feed for each grid point of one column;
-    a slug fills both fields, and a tot equal to its stat reuses its text."""
+def _decimals(values: list) -> list[int] | None:
+    """``format_sig``'s decimals per value, or None unless each takes its ``"%.*f"`` branch."""
+    log10, floor = math.log10, math.floor
+    try:  # ValueError or OverflowError at zero, a negative value, nan or +-inf
+        decimals = [11 - floor(log10(v)) for v in values]
+    except (ValueError, OverflowError):
+        return None
+    return decimals if min(decimals) > 0 else None
+
+
+def _column(protocol: str, stats: list, tots: list, slugs: list) -> tuple[str, list]:
+    """A block's column as its line piece ``%s,<protocol>,stat,tot`` and the piece's
+    fields, one list each.  Values that all take ``format_sig``'s ``"%.*f"`` branch are
+    formatted by the piece, or once where every tot equals its stat.  Else ``format_sig``
+    runs per field; a slug fills both fields, a tot equal to its stat reuses its text."""
+    piece = "%s," + protocol.replace("%", "%%")
+    decimals = None if any(slugs) else _decimals(stats)
+    if decimals is not None and tots == stats:
+        texts = list(map("%.*f".__mod__, zip(decimals, stats)))
+        return piece + ",%s,%s\n", [texts, texts]
+    tot_decimals = None if decimals is None else _decimals(tots)
+    if tot_decimals is not None:
+        return piece + ",%.*f,%.*f\n", [decimals, stats, tot_decimals, tots]
     texts = [format_sig(stat) if slug is None else f"error:{slug}" for stat, slug in zip(stats, slugs)]
-    return [f"{protocol},{text},{text if slug is not None or tot == stat else format_sig(tot)}\n"
-            for text, stat, tot, slug in zip(texts, stats, tots, slugs)]
+    return piece + ",%s,%s\n", [texts, [text if slug is not None or tot == stat else format_sig(tot)
+                                         for text, stat, tot, slug in zip(texts, stats, tots, slugs)]]
 
 
 def _write_scan_csv(path: Path, table: ScanTable):
-    # No field can need CSV quoting.  Cells are made one block of grid points
-    # at a time and each grid point's lines are written as they are made, so
-    # the cells and text held at once stay small; each axis value is formatted once.
+    # No field can need CSV quoting.  A block of grid points is written through one
+    # line template per grid point, joined from its columns' pieces, so the text held
+    # at once stays one grid point's lines; each axis value is formatted once.
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("axis,protocol,delta_theta_stat,delta_theta_tot\n")
         for start in range(0, len(table.values), GRID_BLOCK):
             block = slice(start, start + GRID_BLOCK)
-            columns = zip(table.protocols, *(array.T.tolist() for array in table.cells(block)))
-            for value, cells in zip(table.values[block], zip(*[_cells(*c) for c in columns])):
-                axis = f"{format_sig(value)},"
-                fh.write(axis + axis.join(cells))
+            axis, template, fields = list(map(format_sig, table.values[block])), "", []
+            for piece, column in map(_column, table.protocols, *(array.T.tolist() for array in table.cells(block))):
+                template += piece
+                fields += [axis, *column]
+            fh.writelines(map(template.__mod__, zip(*fields)))
 
 
 def _run_checks(scenario: Scenario, budget_override: int | None, quiet: bool):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import types
 import warnings
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import apvsim
 from apvsim import KNOWN_CHECKS, PROTOCOLS, bundled_scenario_path, parse_scenario, run, validate
 from apvsim.cli import _write_scan_csv, format_sig, main
-from apvsim.scans import BeamSpec, ScanSpec, ScanTable, atom_scan, time_scan
+from apvsim.scans import GRID_BLOCK, BeamSpec, ScanSpec, ScanTable, atom_scan, time_scan
 from conftest import make_yb_chain, scan_cells
 
 
@@ -187,8 +188,11 @@ class TestWriteScanCsv:
         if points > 1:
             assert bool(table.error_rows) == (case != "beam")
 
-    def test_bundled_run_formats_through_the_module_global(self, tmp_path, monkeypatch):
-        scenario = parse_scenario(bundled_scenario_path())
+    @staticmethod
+    def assert_format_sig_calls(tmp_path, monkeypatch, data, per_field_columns):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        scenario = parse_scenario(path)
         calls = []
 
         def counting(value, *args):
@@ -196,14 +200,95 @@ class TestWriteScanCsv:
             return format_sig(value, *args)
 
         monkeypatch.setattr("apvsim.cli.format_sig", counting)
-        run(scenario, tmp_path, quiet=True)
-        expected = 0
+        run(scenario, tmp_path / "out", quiet=True)
+        expected, per_field = 0, 0
         for spec in scenario.scans:
             scan = atom_scan if spec.axis == "atom_number" else time_scan
             table = scan(scenario.chain, scenario.deviation, scenario.protocol, spec)
-            expected += len(table.values)
-            expected += sum(1 + (tot != stat) for *_, stat, tot, error in scan_cells(table) if error is None)
+            expected += len(table.values)  # one call per axis value
+            for start in range(0, len(table.values), GRID_BLOCK):
+                block = slice(start, start + GRID_BLOCK)
+                stat, tot, errors = (a[block].T.tolist() for a in (table.stat, table.tot, table.errors))
+                for stats, tots, slugs in zip(stat, tot, errors):
+                    # a column of the block that holds a slug, or a field that does not
+                    # take format_sig's "%.*f" branch, is formatted per field
+                    if any(slugs) or not all(map(_fixed_point, stats + tots)):
+                        per_field += 1
+                        expected += sum(1 + (t != s) for s, t, slug in zip(stats, tots, slugs) if slug is None)
+        assert per_field == per_field_columns
         assert len(calls) == expected
+
+    def test_bundled_run_formats_through_the_module_global(self, tmp_path, monkeypatch):
+        # every column takes a "%.*f" path: format_sig formats the axis values alone
+        self.assert_format_sig_calls(tmp_path, monkeypatch, json.loads(bundled_scenario_path().read_text()), 0)
+
+    def test_columns_with_slugs_format_per_field_through_the_module_global(self, tmp_path, monkeypatch):
+        # allocation slugs at 1 and 3 atoms, no_contrast at the largest totals
+        data = json.loads(bundled_scenario_path().read_text())
+        data["scans"][0].update(grid=[1, 3, 4, 1000000, 10000000], protocols=list(PROTOCOLS))
+        self.assert_format_sig_calls(tmp_path, monkeypatch, data, len(PROTOCOLS))
+
+
+def _fixed_point(value: float) -> bool:
+    """Whether ``format_sig`` writes ``value`` through its ``"%.*f"`` branch at
+    positive decimals (a finite positive value below 1e11, within log10's rounding)."""
+    return math.isfinite(value) and value > 0 and 11 - math.floor(math.log10(value)) > 0
+
+
+_POWERS_OF_TEN = st.tuples(st.integers(-300, 300), st.sampled_from([0.0, math.inf, None])).map(
+    lambda kt: float(f"1e{kt[0]}") if kt[1] is None else math.nextafter(float(f"1e{kt[0]}"), kt[1]))
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+_POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+# value strategies a column draws its cells from: the first keeps a column on
+# format_sig's "%.*f" branch, the next three cross its edges, and the last mixes
+# in zeros, negative values and values that are not finite
+_CELL_VALUES = [
+    st.floats(min_value=1e-300, max_value=9e10),
+    _POSITIVE,
+    st.floats(min_value=9e10, max_value=2e11),
+    _POWERS_OF_TEN,
+    st.one_of(_POSITIVE, _POWERS_OF_TEN, _SPECIAL, _POSITIVE.map(lambda v: -v)),
+]
+
+
+@st.composite
+def _scan_tables(draw):
+    points = draw(st.integers(1, 7))
+    protocols = draw(st.lists(st.sampled_from(["sql", "cross_cat_ideal", "beam", "50%_cat", "%s%%d"]),
+                              min_size=1, max_size=4, unique=True))
+    stat, tot, errors = (np.empty((points, len(protocols)), dtype=dtype) for dtype in (float, float, object))
+    for j in range(len(protocols)):
+        values = st.lists(draw(st.sampled_from(_CELL_VALUES)), min_size=points, max_size=points)
+        stat[:, j] = draw(values)
+        tots = draw(st.sampled_from(["equal", "different", "mixed"]))
+        tot[:, j] = stat[:, j] if tots == "equal" else draw(values)
+        if tots == "mixed":
+            same = draw(st.lists(st.booleans(), min_size=points, max_size=points))
+            tot[:, j] = np.where(same, stat[:, j], tot[:, j])
+        slugs = st.none() if draw(st.booleans()) else st.sampled_from([None, "no_contrast", "allocation"])
+        errors[:, j] = draw(st.lists(slugs, min_size=points, max_size=points))
+    values = tuple(draw(st.lists(st.one_of(_POSITIVE, _POWERS_OF_TEN, _SPECIAL), min_size=points, max_size=points)))
+    return ScanTable("time", values, tuple(protocols),
+                     cells=lambda rows, arrays=(stat, tot, errors): tuple(array[rows] for array in arrays))
+
+
+# one block of each path: shared text, numbers in the template, and per field
+_THREE_PATHS = ScanTable("time", (1.0, 2.0), ("sql", "beam", "50%_cat"), cells=lambda rows, arrays=(
+    np.array([[2.5e-3, 7.0e-2, 1.9e-3], [1.25e-3, 4.9e-2, math.nan]]),
+    np.array([[2.5e-3, 7.1e-2, 2.6e-3], [1.25e-3, 5.0e-2, math.nan]]),
+    np.array([[None, None, None], [None, None, "no_contrast"]], dtype=object)): tuple(a[rows] for a in arrays))
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=_scan_tables(), block=st.integers(1, 3))
+@example(table=_THREE_PATHS, block=2)
+def test_writer_matches_the_reference_block_by_block(table, block):
+    # blocks of 1-3 grid points: one block mixes columns of every formatting path
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch:
+        patch.setattr("apvsim.cli.GRID_BLOCK", block)
+        _write_scan_csv(Path(out) / "new.csv", table)
+        _reference_write_scan_csv(Path(out) / "ref.csv", table)
+        assert (Path(out) / "new.csv").read_bytes() == (Path(out) / "ref.csv").read_bytes()
 
 
 class TestRun:
