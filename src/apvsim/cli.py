@@ -15,11 +15,12 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -56,12 +57,10 @@ class RunSummary:
     def to_dict(self) -> dict:
         """The ``summary.json`` content, one key per field (each check too).
         JSON has no NaN or infinity, so a deviation that is not finite is
-        written as text ("nan")."""
-        out = asdict(self)
-        for check in out["checks"]:
-            if not math.isfinite(check["max_rel_dev"]):
-                check["max_rel_dev"] = str(check["max_rel_dev"])
-        return out
+        written as text ("nan").  The scan records are the summary's own."""
+        checks = [{**vars(c), "max_rel_dev": c.max_rel_dev if math.isfinite(c.max_rel_dev) else str(c.max_rel_dev)}
+                  for c in self.checks]
+        return {**vars(self), "checks": checks}
 
 
 def _decimals(values: list) -> list[int] | None:
@@ -159,8 +158,7 @@ def run(scenario: Scenario, out_dir: str | Path, quiet: bool = False) -> RunSumm
             print(f"scan {spec.name}: {len(table)} rows -> {path}")
     summary = _summary(scenario, scan_records, _run_checks(scenario, None, quiet), t_start)
     with open(out_dir / "summary.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(summary.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(summary.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n")
     return summary
 
 
@@ -176,6 +174,7 @@ def validate(scenario: Scenario, budget: int | None = None, quiet: bool = False)
     return _summary(scenario, [], _run_checks(scenario, budget, quiet), t_start)
 
 
+@functools.cache  # argparse set-up would cost each in-process main() call about 0.4 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apvsim",

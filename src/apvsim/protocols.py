@@ -430,12 +430,13 @@ def protocol_table(
     A protocol that cannot be evaluated contributes a row with an error
     slug instead of aborting the table.  Output order follows the request.
     """
-    rows = []
-    for grid in protocol_grid(chain, h, cfg, None, protocols):
-        if grid.error[0] is not None:
-            rows.append(SensitivityResult(grid.protocol, math.nan, error=grid.error[0]))
-            continue
-        rows.append(SensitivityResult(grid.protocol, grid.delta_theta[0].item(), *(
-            None if value is None else tuple(value[0].tolist()) if value.ndim > 1 else value[0].item()
-            for value in (grid.per_isotope, grid.contrast_used, grid.eigsep))))
-    return rows
+    return [_row(grid, 0) for grid in protocol_grid(chain, h, cfg, None, protocols)]
+
+
+def _row(grid: SensitivityResult, i: int) -> SensitivityResult:
+    """Row ``i`` of a :func:`protocol_grid` result as Python values."""
+    if grid.error[i] is not None:
+        return SensitivityResult(grid.protocol, math.nan, error=grid.error[i])
+    return SensitivityResult(grid.protocol, grid.delta_theta[i].item(), *(
+        None if value is None else tuple(value[i].tolist()) if value.ndim > 1 else value[i].item()
+        for value in (grid.per_isotope, grid.contrast_used, grid.eigsep)))

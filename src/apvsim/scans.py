@@ -189,6 +189,11 @@ def _failed_rows(curve, floor: float, grid: tuple[float, ...]) -> int:
     return len(grid) - max(bisect_left(grid, True, key=lambda t: not curve(t) > 0) - first, 0)
 
 
+def _short_first_time(cfg_t0: ProtocolConfig) -> str | None:
+    """Why a time scan evaluated at ``cfg_t0.t_avg``, its first time, is refused; None if it holds a repetition."""
+    return f"rep_rate * the first time must be >= 1, got {cfg_t0.reps}" if cfg_t0.reps < 1 else None
+
+
 def time_scan(
     chain: IsotopeChain,
     h: DeviationPattern | tuple[float, ...] | list[float],
@@ -200,13 +205,15 @@ def time_scan(
     delta_theta_stat(T) = delta_theta_stat(T0) * sqrt(T0 / T) with T0 the
     first grid time; delta_theta_tot adds sigma_sys in quadrature.  The table
     keeps the row at T0 and rescales it in ``cells``, where a stat or tot that
-    is not a finite positive number gets the slug no_contrast.
+    is not a finite positive number gets the slug no_contrast.  R T0 < 1 raises ValueError.
     """
     if spec.axis != "time":
         raise ValueError(f"time_scan needs axis 'time', got {spec.axis!r}")
-    chain_n = reallocate(chain, allocate_atoms(chain, spec.n_fixed))
     t0 = spec.grid[0]
-    base = protocol_table(chain_n, h, replace(cfg, t_avg=t0), spec.protocols)
+    if reason := _short_first_time(cfg_t0 := replace(cfg, t_avg=t0)):
+        raise ValueError(reason)
+    chain_n = reallocate(chain, allocate_atoms(chain, spec.n_fixed))
+    base = protocol_table(chain_n, h, cfg_t0, spec.protocols)
     # per column: its stat at given times (NaN at a slug), its floor and the slug of a row that fails
     columns = [(lambda grid, delta=res.delta_theta: delta * np.sqrt(t0 / grid), spec.sigma_sys,
                 res.error or "no_contrast") for res in base]

@@ -51,7 +51,7 @@ from .chain import DeviationPattern, Isotope, IsotopeChain, build_chain, project
 from .checks import OracleSpec
 from .protocols import ProtocolConfig
 from .rules import FieldError, read, write
-from .scans import ScanSpec
+from .scans import ScanSpec, _short_first_time
 
 __all__ = [
     "Scenario",
@@ -174,8 +174,7 @@ _SCAN_RULES = {f.name: f.metadata for f in fields(ScanSpec)}
 
 
 def _parse_scan(node, index, errs, n_isotopes, protocol) -> tuple[str | None, ScanSpec | None]:
-    """The block's name (None if invalid) and its ScanSpec (None if invalid).
-    A time scan evaluates at its first time, so that time must hold a repetition."""
+    """The block's name (None if invalid) and its ScanSpec (None if invalid)."""
     path = f"scans[{index}]"
     if not _expect_mapping(node, path, errs):
         return None, None
@@ -187,9 +186,9 @@ def _parse_scan(node, index, errs, n_isotopes, protocol) -> tuple[str | None, Sc
     if node.get("axis") == "time" and not bad_n_fixed and n_fixed < n_isotopes:
         errs.append((f"{path}.n_fixed", f"must be >= {n_isotopes} (one atom per isotope), got {n_fixed}"))
         spec = None
-    reps = replace(protocol, t_avg=spec.grid[0]).reps if spec and protocol and spec.axis == "time" else 1
-    if reps < 1:
-        errs.append((f"{path}.grid", f"rep_rate * the first time must be >= 1, got {reps}"))
+    timed = spec and protocol and spec.axis == "time"
+    if timed and (reason := _short_first_time(replace(protocol, t_avg=spec.grid[0]))):
+        errs.append((f"{path}.grid", reason))
         spec = None
     return None if bad_name else name, spec
 

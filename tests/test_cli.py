@@ -9,7 +9,7 @@ import tempfile
 import tracemalloc
 import types
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 import apvsim
 from apvsim import KNOWN_CHECKS, PROTOCOLS, bundled_scenario_path, parse_scenario, run, validate
-from apvsim.cli import _write_scan_csv, format_sig, main
+from apvsim.checks import CheckResult
+from apvsim.cli import _build_parser, _write_scan_csv, format_sig, main
 from apvsim.scans import GRID_BLOCK, BeamSpec, ScanSpec, ScanTable, atom_scan, time_scan
 from conftest import make_yb_chain, scan_cells
 
@@ -173,14 +174,18 @@ class TestWriteScanCsv:
         # block edges at 1024 grid points; slug columns, and no_contrast rows at the last times
         chain, h, cfg, first, last = make_yb_chain(), (-1.0, -1.0, 1.0, 1.0), benchmark_cfg, 1.0, 1.512e6
         beam = BeamSpec(coefficient=0.02, floor=1e-4)
-        if case == "short_rep":  # R T0 < 1: every protocol column is invalid_config
+        if case == "short_rep":  # R T0 < 1: refused before any row, as the parser refuses it
             first = 0.5
-        elif case == "h_parallel_q":  # singular_fit and no_signal columns
-            h, beam = chain.q, None
+        elif case == "h_parallel_q":  # singular_fit and no_signal columns beside a finite beam
+            h = chain.q
         elif case == "underflow":  # T0 / T underflows to 0 over the last times
             cfg, first, last, beam = replace(cfg, rep_rate=1e300), 1e-300, 1.7e308, None
         spec = ScanSpec(axis="time", grid=tuple(np.geomspace(first, last, points).tolist()),
                         protocols=PROTOCOLS, sigma_sys=1e-3, n_fixed=1000, beam=beam)
+        if case == "short_rep":
+            with pytest.raises(ValueError, match=r"^rep_rate \* the first time must be >= 1, got 0\.5$"):
+                time_scan(chain, h, cfg, spec)
+            return
         table = time_scan(chain, h, cfg, spec)
         _write_scan_csv(tmp_path / "new.csv", table)
         _reference_write_scan_csv(tmp_path / "ref.csv", table)
@@ -334,6 +339,26 @@ class TestRun:
         run(scenario, tmp_path / "b", quiet=True)
         for name in ("atoms.csv", "averaging_time.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_summary_dict_is_the_asdict_one(self, tmp_path):
+        # the reference: a deep copy by dataclasses.asdict, each deviation that is not finite as text
+        ran = run(parse_scenario(bundled_scenario_path()), tmp_path, quiet=True)
+        assert json.loads((tmp_path / "summary.json").read_text()) == json.loads(json.dumps(ran.to_dict()))
+        checks = (*ran.checks[:2], CheckResult("nan_check", False, math.nan, 1e-9, 4),
+                  CheckResult("inf_check", False, math.inf, 1e-9, 4))
+        failed = replace(ran, checks=checks, all_checks_passed=False)
+        for summary in (ran, failed):
+            reference = asdict(summary)
+            for check in reference["checks"]:
+                if not math.isfinite(check["max_rel_dev"]):
+                    check["max_rel_dev"] = str(check["max_rel_dev"])
+            written = summary.to_dict()
+            assert (json.dumps(written, sort_keys=True, allow_nan=False)
+                    == json.dumps(reference, sort_keys=True, allow_nan=False))
+            assert summary.to_dict() == written  # a second call gives the same
+        assert [check["max_rel_dev"] for check in written["checks"][2:]] == ["nan", "inf"]
+        # writing "nan" into the dict left the frozen CheckResult as it was
+        assert math.isnan(failed.checks[2].max_rel_dev) and failed.checks[3].max_rel_dev == math.inf
 
     def test_line_feed_endings_and_header(self, tmp_path):
         scenario = parse_scenario(bundled_scenario_path())
@@ -590,6 +615,31 @@ class TestMain:
         assert main(["run", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
         assert "scans[0].beam: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_in_process_runs_share_one_parser(self, tmp_path, capsys):
+        bundled = str(bundled_scenario_path())
+        summaries = []
+        for name in ("a", "b"):
+            assert main(["run", bundled, "--out", str(tmp_path / name), "--quiet"]) == 0
+            summaries.append(json.loads((tmp_path / name / "summary.json").read_text()))
+        assert _build_parser() is _build_parser()
+        for name in ("atoms.csv", "averaging_time.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+        def untimed(summary):  # the summary without its timing fields and paths
+            scans = [{key: value for key, value in scan.items() if key != "path" and not key.endswith("_seconds")}
+                     for scan in summary["scans"]]
+            return {**summary, "scans": scans, "wall_seconds": None}
+
+        assert untimed(summaries[0]) == untimed(summaries[1])
+        # a bad argv after them exits 2 with the usage text, and a good run after it succeeds
+        with pytest.raises(SystemExit) as exited:
+            main(["run", bundled, "--quiet"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: apvsim run ") and "the following arguments are required: --out" in err
+        assert main(["run", bundled, "--out", str(tmp_path / "c"), "--quiet"]) == 0
+        assert untimed(json.loads((tmp_path / "c" / "summary.json").read_text())) == untimed(summaries[0])
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -9,9 +10,13 @@ from apvsim import (
     AllocationError,
     BeamSpec,
     ScanSpec,
+    ScenarioError,
     allocate_atoms,
     atom_scan,
+    bundled_scenario_path,
     crossover_finder,
+    parse_scenario,
+    parse_scenario_dict,
     protocol_table,
     reallocate,
     time_scan,
@@ -162,6 +167,21 @@ class TestTimeScan:
         assert stat[0] == pytest.approx(0.02)
         assert stat[1] == pytest.approx(0.002)
         assert tot[1] == pytest.approx(math.hypot(0.002, 1e-3), rel=1e-13)
+
+    def test_first_time_below_one_repetition_raises_the_parser_error(self):
+        # called directly, not through the parser: an error, not 54 rows of invalid_config
+        bundled = parse_scenario(bundled_scenario_path())
+        cfg = replace(bundled.protocol, rep_rate=0.5)
+        with pytest.raises(ValueError, match=r"^rep_rate \* the first time must be >= 1, got 0\.5$") as direct:
+            time_scan(bundled.chain, bundled.deviation, cfg, bundled.scans[1])
+        # the parser states the same rule with the same text, at the scan's grid
+        data = json.loads(bundled_scenario_path().read_text())
+        data["protocol"]["rep_rate"] = 0.5
+        with pytest.raises(ScenarioError) as parsed:
+            parse_scenario_dict(data)
+        assert parsed.value.errors == [("scans[1].grid", str(direct.value))]
+        # one repetition at the first time is enough
+        assert len(time_scan(bundled.chain, bundled.deviation, replace(cfg, rep_rate=1.0), bundled.scans[1])) == 54
 
     def test_scan_spec_validation(self):
         with pytest.raises(ValueError, match="sigma_sys"):

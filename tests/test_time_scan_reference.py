@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from dataclasses import replace
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -73,7 +74,7 @@ def _time_spec(grid, sigma, beam):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(instance=chains(), cfg=configs(), spec=time_specs())
-# R T0 < 1: every protocol column is invalid_config, the beam still finite
+# R T0 < 1: the scan is refused, as the parser refuses it
 @example(instance=(_yb((1, 1, 1, 1)), _SPLIT), cfg=_PLAIN,
          spec=_time_spec((0.5, 2.0, 9.0), 1e-3, BeamSpec(coefficient=0.02, floor=0.0)))
 # h parallel to q: singular_fit and no_signal columns beside a finite beam
@@ -89,6 +90,10 @@ def _time_spec(grid, sigma, beam):
          spec=_time_spec((1e-300, 1e-296, 1.0, 1.7e308), 1.7976931348623157e308, None))
 def test_time_scan_matches_the_scalar_reference(instance, cfg, spec):
     chain, h = instance
+    if replace(cfg, t_avg=spec.grid[0]).reps < 1:
+        with pytest.raises(ValueError, match=r"^rep_rate \* the first time must be >= 1, got "):
+            time_scan(chain, h, cfg, spec)
+        return
     table = time_scan(chain, h, cfg, spec)
     rows, errors = _reference_time_scan(chain, h, cfg, spec)
     assert_same_cells(scan_cells(table), rows)
