@@ -17,6 +17,7 @@ All types here are immutable after construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from itertools import chain as chain_from
 from typing import Sequence
@@ -261,10 +262,21 @@ def project_deviation(
     k = len(chain.isotopes)
     if len(hv) != k:
         raise ValueError(f"pattern length {len(hv)} does not match chain length {k}")
-    if counts is None:
-        weights = np.array([[float(iso.n_atoms) for iso in chain.isotopes]])
-    else:
-        weights = counts.astype(float)
+    if counts is None:  # one allocation, on Python floats
+        weights = [float(iso.n_atoms) for iso in chain.isotopes]
+        num = math.fsum(w * ha * qa for w, ha, qa in zip(weights, hv, chain.q))
+        den = math.fsum(w * qa * qa for w, qa in zip(weights, chain.q))
+        if not den:
+            raise ValueError("all isotopes have zero atoms; projection weights undefined")
+        beta = num / den
+        h_perp = tuple(ha - beta * qa for ha, qa in zip(hv, chain.q))
+        magnitude = tuple(map(abs, h_perp))
+        # with a NaN magnitude no sign is zeroed
+        cut = _SIGN_RTOL * (math.nan if any(map(math.isnan, magnitude)) else max(magnitude))
+        signs = tuple(0 if m <= cut else 1 if x > 0 else -1 for x, m in zip(h_perp, magnitude))
+        return ProjectedPattern(beta=beta, h_perp=h_perp, signs=signs,
+                                weighted_l1=math.fsum(map(operator.mul, weights, magnitude)))
+    weights = counts.astype(float)
     hq = np.array((hv, chain.q))
     q = hq[1]
     # N_A h_A q_A and N_A q_A q_A: the products, in the order, of a Python sum
@@ -276,11 +288,5 @@ def project_deviation(
         raise ValueError("all isotopes have zero atoms; projection weights undefined")
     beta = num / den
     h_perp = hq[0] - beta[:, None] * q
-    magnitude = np.abs(h_perp)
-    weighted_l1 = _row_fsums(weights * magnitude)
-    if counts is not None:  # no protocol reads the signs: only the oracle does
-        return ProjectedPattern(beta=beta, h_perp=h_perp, signs=None, weighted_l1=weighted_l1)
-    signs = np.where(h_perp > 0, 1, -1)
-    signs[magnitude <= _SIGN_RTOL * magnitude.max(axis=1, keepdims=True)] = 0
-    return ProjectedPattern(beta=beta.item(), h_perp=tuple(h_perp[0].tolist()),
-                            signs=tuple(signs[0].tolist()), weighted_l1=weighted_l1.item())
+    weighted_l1 = _row_fsums(weights * np.abs(h_perp))
+    return ProjectedPattern(beta=beta, h_perp=h_perp, signs=None, weighted_l1=weighted_l1)

@@ -29,8 +29,7 @@ from .oracle import (
     qfi,
     ramsey_evolve,
 )
-from .protocols import ProtocolConfig, SensitivityResult, _row, combine_classical_fit, protocol_grid
-from .protocols import protocol_table  # unused, but the benchmark's tracer wraps it here by name
+from .protocols import ProtocolConfig, SensitivityResult, combine_classical_fit, protocol_table
 from .rules import FieldError, check_fields, read
 
 __all__ = ["CheckResult", "OracleSpec", "KNOWN_CHECKS", "run_oracle_checks"]
@@ -88,12 +87,11 @@ _PROTOCOLS = {False: ("sql", "same_isotope_cat", "cross_cat_ideal"), True: ("cro
 @dataclass
 class _Pattern:
     """One (chain, deviation pattern) with what its plain and paired registers
-    share, built on first use.  ``family``: the patterns that differ in counts alone."""
+    share, built on first use."""
 
     chain: IsotopeChain
     h: tuple[float, ...] | None
     protocols: tuple[str, ...] = ()
-    family: list[_Pattern] = field(default_factory=list, repr=False, compare=False)
 
     @functools.cached_property
     def proj(self) -> ProjectedPattern:
@@ -101,14 +99,9 @@ class _Pattern:
 
     @functools.cached_property
     def rows(self) -> dict[str, SensitivityResult]:
-        """The row at the ideal config of each protocol its registers compare on,
-        from one grid over its family's counts (below 64 rows, the one-row values)."""
-        counts = np.array([p.chain.n_atoms for p in self.family])
-        protocols = tuple(dict.fromkeys(name for p in self.family for name in p.protocols))
-        grids = list(protocol_grid(self.chain, self.h, _IDEAL_CFG, counts, protocols))
-        for i, p in enumerate(self.family):  # cached on each member, as its own first read would be
-            p.__dict__["rows"] = {grid.protocol: _row(grid, i) for grid in grids if grid.protocol in p.protocols}
-        return self.__dict__["rows"]
+        """The :func:`protocol_table` row at the ideal config of each protocol
+        its registers compare on."""
+        return {row.protocol: row for row in protocol_table(self.chain, self.h, _IDEAL_CFG, self.protocols)}
 
 
 @dataclass
@@ -174,10 +167,6 @@ class _Suite:
         for row, paired in fits:
             protocols[row] = tuple(dict.fromkeys(protocols.get(row, ()) + _PROTOCOLS[paired]))
         patterns = {row: _Pattern(_chain(*row[:3]), row[3], protocols[row]) for row in protocols}
-        families = {}
-        for (zdefs, _, ref, h), pattern in patterns.items():
-            pattern.family = families.setdefault((zdefs, ref, h), [])
-            pattern.family.append(pattern)
         return [_Instance(patterns[row], paired) for row, paired in fits]
 
     plain = functools.cached_property(lambda self: [i for i in self._fitting if not i.paired])
@@ -311,10 +300,10 @@ def _check_cfi_saturation(suite):
 
 def _check_cfi_bound(suite):
     largest = suite.plain[-1]
-    f_q = largest.cat_qfi
+    f_q, qubits = largest.cat_qfi, largest.qubits
     period = 2.0 * math.pi / _spread(largest.gen)
     cfi = cfi_parity(largest.cat, largest.gen, (np.arange(100) + 0.5) / 100.0 * period)
-    return _worst((abs(f / f_q - 1.0), largest.qubits) for f in cfi.tolist())
+    return _worst((abs(f / f_q - 1.0), qubits) for f in cfi.tolist())
 
 
 def _check_dfs_common_noise(suite):

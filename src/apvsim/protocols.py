@@ -22,8 +22,9 @@ omega_A = Omega (q_A + theta h_A):
                             noise cancels, with its own contrast model
 
 All functions are pure; delta theta scales exactly as (R * T_avg)^(-1/2).
-:func:`protocol_grid` evaluates a G x k matrix of atom counts at once, and
-:func:`protocol_table` is its one-row case.
+:func:`protocol_grid` evaluates a G x k matrix of atom counts at once with
+numpy; :func:`protocol_table` evaluates one allocation on Python floats and
+gives the grid's row for it, bit for bit.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ class ProtocolConfig:
 @dataclass(frozen=True)
 class SensitivityResult:
     """One protocol's uncertainty on theta with its intermediates, at one
-    allocation as Python values (:func:`protocol_table`), or at G of them as
-    arrays with a leading grid axis (:func:`protocol_grid`).
+    allocation as Python floats and tuples (:func:`protocol_table`), or at G
+    of them as arrays with a leading grid axis (:func:`protocol_grid`).
 
     ``per_isotope`` holds delta omega_A (Hz) in chain order for protocols
     that go through the classical fit (math.inf marks isotopes without
@@ -198,17 +199,15 @@ def cat_contrast(cfg: ProtocolConfig, n_atoms, t2: float, t2_once: float = math.
     """
     if t2 <= 0 or t2_once <= 0:
         raise ValueError(f"coherence times must be positive, got {t2} and {t2_once}")
-    values = np.asarray(n_atoms)
-    gate_counts(values.min() if values.size else 1, cfg.gate_count_model)  # the checks, once per call
+    grid = isinstance(n_atoms, np.ndarray) and n_atoms.ndim
+    gate_counts(n_atoms.min(initial=1) if grid else n_atoms, cfg.gate_count_model)  # the checks, once per call
     c0, f1, f2, p_surv, tau = cfg.c0, cfg.f1, cfg.f2, cfg.p_surv, cfg.tau
     per_atom, once = _N1_PER_ATOM[cfg.gate_count_model], math.exp(-tau / t2_once)
 
     def contrast(n):
         return c0 * f1**(per_atom * n) * f2**(n - 1) * p_surv**n * math.exp(-n * tau / t2) * once
 
-    if values.ndim == 0:
-        return contrast(n_atoms)
-    return _map_distinct(contrast, values)
+    return _map_distinct(contrast, n_atoms) if grid else contrast(n_atoms)
 
 
 def _square(dw: float) -> float:
@@ -221,7 +220,8 @@ def _square(dw: float) -> float:
 
 def _grid_fit(chain: IsotopeChain, h, dws: np.ndarray, cfg: ProtocolConfig):
     """:func:`combine_classical_fit` at every row of the G x k ``dws``, numpy
-    float errors ignored: G delta thetas and the (row mask, exception) stages."""
+    float errors ignored: G delta thetas and the (row mask, exception) stages
+    in the order the scalar fit raises them."""
     square = _map_distinct(_square, dws)
     y = tuple(cfg.omega * ha for ha in _pattern_values(h))
     factors = np.array(((chain.q, chain.q, y), (chain.q, y, y)))
@@ -269,15 +269,29 @@ def combine_classical_fit(
     parallel to q under the given weights, and ArithmeticError when the
     weights are too small for that test to be made in floating point.
     """
-    dws = np.array([per_isotope], dtype=float)
-    if len(_pattern_values(h)) != len(chain.isotopes) or dws.shape != (1, len(chain.isotopes)):
+    hv = _pattern_values(h)
+    if not len(hv) == len(per_isotope) == len(chain.isotopes):
         raise ValueError("h and per_isotope must match the chain length")
-    with np.errstate(all="ignore"):
-        delta, stages = _grid_fit(chain, h, dws, cfg)
-    for failed, exc in stages:  # the first stage that fails the row
-        if failed[0]:
-            raise exc
-    return delta.item()
+    rows = []  # (q_A, Omega h_A, w_A) of each measured isotope
+    for qa, ha, dw in zip(chain.q, hv, (math.nan if dw is None else float(dw) for dw in per_isotope)):
+        if not math.isfinite(dw):
+            continue
+        if dw <= 0:
+            raise ValueError("frequency uncertainties must be positive")
+        if not 0.0 < (square := _square(dw)) < math.inf:  # dw**2 overflows, or underflows to zero
+            raise ArithmeticError("a fit weight 1 / delta omega^2 is out of range")
+        rows.append((qa, cfg.omega * ha, 1.0 / square))
+    if len(rows) < 2:
+        raise ValueError("need >= 2 isotopes with finite uncertainties")
+    f_qq = math.fsum(w * x * x for x, _, w in rows)
+    f_qt = math.fsum(w * x * y for x, y, w in rows)
+    f_tt = math.fsum(w * y * y for _, y, w in rows)
+    if 0.0 < f_tt and f_qq * f_tt < sys.float_info.min:
+        raise ArithmeticError("the fit weights underflow")
+    det = f_qq * f_tt - f_qt * f_qt
+    if det <= 1e-12 * f_qq * f_tt:  # above it det is positive, so the square root is defined
+        raise UnidentifiableThetaError("deviation pattern is parallel to the weak-charge pattern under these weights")
+    return math.sqrt(f_qq / det)
 
 
 @dataclass(frozen=True)
@@ -309,6 +323,20 @@ class _PerIsotope:
         stages += fit
         return delta, {"per_isotope": dws}
 
+    def row(self, chain, h, proj, cfg, reps, xi) -> tuple[float, dict]:
+        """:meth:`evaluate` at the chain's allocation, raising at its first failure."""
+        dws = []
+        for n in chain.n_atoms:
+            if n < 1:
+                dws.append(math.inf)
+                continue
+            den = (2.0 * math.pi * cat_contrast(cfg, n, cfg.t2) * cfg.tau * n * math.sqrt(reps) if self.own_cat
+                   else 2.0 * math.pi * cfg.c_sql * cfg.tau * math.sqrt(n * reps))
+            dws.append(1.0 / den * xi if self.squeezed else 1.0 / den)
+            if dws[-1] == math.inf:
+                raise ArithmeticError("a per-isotope frequency uncertainty is not finite")
+        return combine_classical_fit(chain, h, dws, cfg), {"per_isotope": tuple(dws)}
+
 
 @dataclass(frozen=True)
 class _GlobalCat:
@@ -333,8 +361,17 @@ class _GlobalCat:
             k = 2.0 if cfg.dfs_budget == "per_channel" else 1.0
             t2, t2_once = cfg.t2_local, cfg.t2_diff
         sep = 2.0 * math.pi * cfg.tau * cfg.omega * k * weighted_l1
-        contrast = cat_contrast(cfg, k * totals, t2, t2_once) if self.noisy else np.ones(len(totals))
+        contrast = (cat_contrast(cfg, k * totals, t2, t2_once) if self.noisy
+                    else np.ones(len(totals)) if isinstance(totals, np.ndarray) else 1.0)
         return 1.0 / (sep * contrast * math.sqrt(reps)), {"contrast_used": contrast, "eigsep": sep}
+
+    def row(self, chain, h, proj, cfg, reps, xi) -> tuple[float, dict]:
+        """:meth:`evaluate` at the chain's allocation, after the test for a
+        signal that :func:`protocol_grid` makes once for all global cats."""
+        scale = math.fsum(n * abs(hp + proj.beta * qa) for n, hp, qa in zip(chain.n_atoms, proj.h_perp, chain.q))
+        if proj.weighted_l1 <= 1e-12 * scale:
+            raise ZeroSignalError("deviation pattern has no weighted component orthogonal to q")
+        return self.evaluate(proj.weighted_l1, float(chain.total_atoms), cfg, reps)
 
 
 _REGISTRY = {
@@ -424,19 +461,29 @@ def protocol_table(
     cfg: ProtocolConfig,
     protocols: tuple[str, ...] = PROTOCOLS,
 ) -> list[SensitivityResult]:
-    """Evaluate the requested protocols on one (chain, pattern, config): the
-    one-row case of :func:`protocol_grid`.
+    """Evaluate the requested protocols on one (chain, pattern, config): row 0
+    of :func:`protocol_grid` over the chain's own allocation, computed on
+    Python floats.  Each protocol's stages raise in the grid's order, and the
+    first exception's class gives the row's slug.
 
     A protocol that cannot be evaluated contributes a row with an error
     slug instead of aborting the table.  Output order follows the request.
     """
-    return [_row(grid, 0) for grid in protocol_grid(chain, h, cfg, None, protocols)]
-
-
-def _row(grid: SensitivityResult, i: int) -> SensitivityResult:
-    """Row ``i`` of a :func:`protocol_grid` result as Python values."""
-    if grid.error[i] is not None:
-        return SensitivityResult(grid.protocol, math.nan, error=grid.error[i])
-    return SensitivityResult(grid.protocol, grid.delta_theta[i].item(), *(
-        None if value is None else tuple(value[i].tolist()) if value.ndim > 1 else value[i].item()
-        for value in (grid.per_isotope, grid.contrast_used, grid.eigsep)))
+    unknown = [name for name in protocols if name not in _REGISTRY]
+    if unknown:
+        raise ValueError(f"unknown protocols {unknown}; choose from {PROTOCOLS}")
+    proj = project_deviation(chain, h)
+    xi, reps = squeezing_factor(cfg.squeezing_db), cfg.reps
+    table = []
+    for name in protocols:
+        try:
+            if reps < 1:
+                raise ValueError(f"need rep_rate * t_avg >= 1 for a meaningful estimate, got {reps}")
+            delta, intermediates = _REGISTRY[name].row(chain, h, proj, cfg, reps, xi)
+            if not 0 < delta < math.inf:
+                raise ArithmeticError("delta theta is not a finite positive number")
+            table.append(SensitivityResult(name, delta, **intermediates))
+        except (ValueError, ArithmeticError) as exc:
+            slug = next(slug for cls, slug in _ERROR_SLUGS if isinstance(exc, cls))
+            table.append(SensitivityResult(name, math.nan, error=slug))
+    return table

@@ -201,9 +201,10 @@ def _check_projection_range(chain, deviation, scans, errs):
     (of N_A h_A q_A, N_A q_A^2 and N_A |h_A - beta q_A|) and each of its terms
     is at most N max(R, 1) Q max(Q, 2)."""
     try:
+        # the grid form: its numpy operations raise where they leave the float range
         with np.errstate(over="raise", invalid="raise"):
             if chain.total_atoms:
-                project_deviation(chain, deviation)
+                project_deviation(chain, deviation, np.array([chain.n_atoms], dtype=float))
     except (ArithmeticError, ValueError):  # FloatingPointError, or fsum's inf - inf
         errs.append(("deviation.h", "too large: its projection leaves the float range at the chain's allocation"))
         return

@@ -9,6 +9,7 @@ from apvsim import (
     DeviationPattern,
     Isotope,
     ProtocolConfig,
+    SensitivityResult,
     build_chain,
     canonical_json,
     scenario_sha256,
@@ -92,3 +93,13 @@ def assert_same_cells(got, want):
     """Cell lists equal field by field, each value by its repr: a float bit
     for bit, and NaN equal to NaN."""
     assert [tuple(map(repr, cell)) for cell in got] == [tuple(map(repr, cell)) for cell in want]
+
+
+def grid_row(grid, i):
+    """Row ``i`` of a ``protocol_grid`` result as the ``SensitivityResult`` of
+    Python values that ``protocol_table`` gives for that allocation."""
+    if grid.error[i] is not None:
+        return SensitivityResult(grid.protocol, math.nan, error=grid.error[i])
+    return SensitivityResult(grid.protocol, grid.delta_theta[i].item(), *(
+        None if value is None else tuple(value[i].tolist()) if value.ndim > 1 else value[i].item()
+        for value in (grid.per_isotope, grid.contrast_used, grid.eigsep)))

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import apvsim.checks
@@ -9,8 +10,9 @@ from apvsim.chain import reallocate
 from apvsim.checks import _IDEAL_CFG, _PROTOCOLS, KNOWN_CHECKS, _Suite, run_oracle_checks
 from apvsim.cli import main
 from apvsim.oracle import build_common_generator, build_state, qfi
-from apvsim.protocols import ProtocolConfig, combine_classical_fit, protocol_table
+from apvsim.protocols import ProtocolConfig, combine_classical_fit, protocol_grid, protocol_table
 from apvsim.rules import FieldError
+from conftest import grid_row
 
 # The register size M of each check in KNOWN_CHECKS order at each budget;
 # None: the check does not run at that budget.
@@ -75,6 +77,25 @@ def test_instances_of_one_pattern_share_a_table_with_their_own_rows():
     for inst in suite.plain + suite.paired:
         own = protocol_table(inst.chain, inst.h, _IDEAL_CFG, _PROTOCOLS[inst.paired])
         assert [repr(row) for row in own] == [repr(inst.rows[row.protocol]) for row in own]
+
+
+@pytest.mark.parametrize("budget", sorted(SHAPE))
+def test_pattern_rows_are_the_rows_of_a_grid_over_their_counts(budget):
+    """Each pattern's one-row table is its row of one protocol_grid over the
+    counts of every pattern that differs from it in counts alone."""
+    families = {}
+    for inst in _Suite(budget)._fitting:
+        chain = inst.chain
+        key = (tuple((iso.A, iso.Z) for iso in chain.isotopes), chain.ref_index, inst.h)
+        families.setdefault(key, {})[id(inst.pattern)] = inst.pattern
+    for family in (list(members.values()) for members in families.values()):
+        protocols = tuple(dict.fromkeys(name for p in family for name in p.protocols))
+        counts = np.array([p.chain.n_atoms for p in family])
+        grids = list(protocol_grid(family[0].chain, family[0].h, _IDEAL_CFG, counts, protocols))
+        for i, p in enumerate(family):
+            assert list(p.rows) == list(p.protocols)
+            assert [repr(p.rows[grid.protocol]) for grid in grids if grid.protocol in p.protocols] == [
+                repr(grid_row(grid, i)) for grid in grids if grid.protocol in p.protocols]
 
 
 @pytest.mark.parametrize("budget", [None, "10"])

@@ -12,21 +12,25 @@ import math
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from apvsim import Isotope, ProtocolConfig, build_chain
-from apvsim.chain import _pattern_values
+from apvsim.chain import _pattern_values, project_deviation
 from apvsim.protocols import (
     PROTOCOLS,
     SensitivityResult,
     UnidentifiableThetaError,
     ZeroSignalError,
+    _grid_fit,
+    combine_classical_fit,
+    protocol_grid,
     protocol_table,
 )
 from apvsim.scans import AllocationError, ScanSpec, atom_scan
-from conftest import assert_same_cells, scan_cells
+from conftest import assert_same_cells, grid_row, scan_cells
 
 # --- the scalar reference -----------------------------------------------------
 
@@ -237,6 +241,64 @@ def _same(got, want):
 def test_protocol_table_matches_the_scalar_reference(instance, cfg):
     chain, h = instance
     _same(protocol_table(chain, h, cfg), _reference_table(chain, h, cfg))
+
+
+# --- the one-row kernel against row 0 of the grid -----------------------------
+
+
+def _hex(*values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instance=chains(), cfg=configs())
+@example(instance=(_yb((2**62, 3, 1, 1)), _SPLIT), cfg=_PLAIN)  # the grid's counts are Python ints
+# the first isotope in chain order decides between invalid_config and no_contrast
+@example(instance=(_yb((10**12, 1, 1, 1)), _SPLIT), cfg=replace(_PLAIN, tau=1e301))
+@example(instance=(_yb((1, 1, 1, 10**12)), _SPLIT), cfg=replace(_PLAIN, tau=1e301))
+@example(instance=(_yb((10, 10, 10, 10)), _SPLIT), cfg=_ONE_REP)  # rep_rate * t_avg < 1
+@example(instance=(_yb((10, 10, 10, 10)), _yb((1, 1, 1, 1)).q), cfg=_PLAIN)  # h parallel to q
+def test_protocol_table_is_row_0_of_the_grid(instance, cfg):
+    """The one-row kernel on Python floats and the grid over the chain's own
+    counts give the same row, field by field, and the same projection."""
+    chain, h = instance
+    _same(protocol_table(chain, h, cfg), [grid_row(grid, 0) for grid in protocol_grid(chain, h, cfg)])
+    one = project_deviation(chain, h)
+    counts = np.array([chain.n_atoms], dtype=object if chain.total_atoms >= 2**62 else np.int64)
+    rows = project_deviation(chain, h, counts)
+    assert _hex(one.beta, *one.h_perp, one.weighted_l1) == _hex(
+        rows.beta[0], *rows.h_perp[0].tolist(), rows.weighted_l1[0])
+
+
+# unmeasured, nonpositive, a square that overflows or underflows, weights
+# whose products underflow, or a plain value
+_DW = st.one_of(st.none(), st.sampled_from((math.nan, math.inf, -math.inf)), st.floats(max_value=0.0),
+                st.floats(1e155, 1e300), st.floats(1e-300, 1e-155), st.floats(1e80, 1e150),
+                st.floats(1e-6, 1e6), st.floats(1e-6, 1e6))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instance=chains(), cfg=configs(), dws=st.lists(_DW, min_size=8, max_size=8))
+@example(instance=(_yb((1, 1, 1, 1)), _SPLIT), cfg=_PLAIN, dws=[None, math.nan, 0.5, 0.25] * 2)
+@example(instance=(_yb((1, 1, 1, 1)), _SPLIT), cfg=_PLAIN, dws=[0.5, -1.0, 1e200, 0.5] * 2)
+@example(instance=(_yb((1, 1, 1, 1)), _SPLIT), cfg=_PLAIN, dws=[0.5, 1e200, -1.0, 0.5] * 2)
+@example(instance=(_yb((1, 1, 1, 1)), _SPLIT), cfg=_PLAIN, dws=[1e-170, 0.5, 0.5, math.inf] * 2)
+# the fit weights underflow before h parallel to q is tested
+@example(instance=(_yb((1, 1, 1, 1)), _yb((1, 1, 1, 1)).q), cfg=_PLAIN, dws=[1e100] * 8)
+def test_combine_classical_fit_is_the_one_row_grid_fit(instance, cfg, dws):
+    """The scalar fit returns the grid fit's delta theta, or raises the
+    exception of the grid's first failed stage."""
+    chain, h = instance
+    dws = dws[:len(chain.isotopes)]
+    with np.errstate(all="ignore"):
+        delta, stages = _grid_fit(chain, h, np.array([dws], dtype=float), cfg)
+    first = next((exc for failed, exc in stages if failed[0]), None)
+    try:
+        got = combine_classical_fit(chain, h, dws, cfg)
+    except (ValueError, ArithmeticError) as exc:
+        assert (type(exc), str(exc)) == (type(first), str(first))
+    else:
+        assert first is None and repr(got) == repr(delta[0].item())
 
 
 _GRIDS = st.lists(st.one_of(st.integers(1, 100), st.integers(1, 10**12)),

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apvsim import (
@@ -239,6 +239,8 @@ class TestRemovedInterferenceBlock:
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), h_exp=st.integers(0, 307), chain_exp=st.integers(0, 306),
        grid_exp=st.floats(0.0, 308.0))
+# a product that overflows at the chain's allocation: numpy raises there, Python floats do not
+@example(seed=0, h_exp=2, chain_exp=306, grid_exp=0.0)
 def test_an_accepted_pattern_projects_within_the_float_range(seed, h_exp, chain_exp, grid_exp):
     """The pattern is rejected at deviation.h, or its projection is finite,
     with no float overflow, at the chain's allocation and at both ends of an
