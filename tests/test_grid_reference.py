@@ -5,7 +5,9 @@ one allocation at a time before the atom scan became one grid evaluation:
 a projection, a fit and a contrast written with ``math`` on Python floats,
 one ``protocol_table`` per grid point on a reallocated chain.  The grid
 must give every row the same value, bit for bit (compared by ``repr``),
-and the same error slug.
+and the same error slug.  ``protocol_table``, ``combine_classical_fit`` and
+the one-allocation ``project_deviation`` have their own kernel on Python
+floats, held here to row 0 of the grid field by field.
 """
 
 import math
