@@ -51,6 +51,7 @@ _IDEAL_CFG = ProtocolConfig(omega=0.85, tau=1.25, c0=1.0, f1=1.0, f2=1.0, p_surv
                             squeezing_db=0.0, rep_rate=2.0, t_avg=5.0, c_sql=1.0)
 
 
+@functools.cache  # chains are immutable; the suite asks for the same few over and over
 def _chain(zdefs, counts, ref=0):
     isotopes = tuple(Isotope(A=a, Z=z, n_atoms=n) for (a, z), n in zip(zdefs, counts))
     return build_chain(isotopes, ref_index=ref, sin2_theta_w=0.2325)

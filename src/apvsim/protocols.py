@@ -50,20 +50,14 @@ __all__ = [
     "ProtocolConfig",
     "SensitivityResult",
     "PROTOCOLS",
-    "GATE_COUNT_MODELS",
     "UnidentifiableThetaError",
     "ZeroSignalError",
-    "gate_counts",
     "squeezing_factor",
     "cat_contrast",
     "combine_classical_fit",
     "protocol_grid",
     "protocol_table",
 ]
-
-# Single-qubit gates per atom of a cat; every model needs N - 1 two-qubit gates.
-_N1_PER_ATOM = {"linear": 1, "log_depth": 2}
-GATE_COUNT_MODELS = tuple(_N1_PER_ATOM)
 
 DFS_BUDGET_MODES = ("per_channel", "split")
 
@@ -101,7 +95,6 @@ class ProtocolConfig:
     rep_rate     repetitions per second R; None means 1/tau (zero dead time)
     t_avg        total averaging time (s)
     c_sql        readout contrast of unentangled measurements
-    gate_count_model  cat-preparation circuit, see :func:`gate_counts`
     dfs_budget   atom accounting of ``dfs_cat``: "per_channel" puts N_A atoms
                  in each of an isotope's two channels, "split" divides N_A
                  between them
@@ -120,7 +113,6 @@ class ProtocolConfig:
     rep_rate: float | None = field(default=None, metadata=_POSITIVE)
     t_avg: float = field(default=3600.0, metadata=_POSITIVE)
     c_sql: float = field(default=1.0, metadata=_UNIT)
-    gate_count_model: str = field(default="linear", metadata={"choices": GATE_COUNT_MODELS})
     dfs_budget: str = field(default="per_channel", metadata={"choices": DFS_BUDGET_MODES})
 
     __post_init__ = check_fields
@@ -154,19 +146,6 @@ class SensitivityResult:
     error: str | np.ndarray | None = None
 
 
-def gate_counts(n_atoms: float, model: str = "linear") -> tuple[float, float]:
-    """Gate counts (n1, n2) needed to prepare an n-atom cat.
-
-    "linear" is a linear entangling chain (n1 = N, n2 = N-1); "log_depth"
-    trades depth for extra single-qubit gates (n1 = 2N, n2 = N-1).
-    """
-    if model not in GATE_COUNT_MODELS:
-        raise ValueError(f"unknown gate count model {model!r}; choose from {GATE_COUNT_MODELS}")
-    if n_atoms < 1:
-        raise ValueError(f"need at least one atom, got {n_atoms}")
-    return _N1_PER_ATOM[model] * n_atoms, n_atoms - 1
-
-
 def squeezing_factor(gain_db: float) -> float:
     """Projection-noise reduction xi = 10^(-G_dB / 20)."""
     return 10.0 ** (-gain_db / 20.0)
@@ -186,26 +165,29 @@ def _map_distinct(fn: Callable, values: np.ndarray) -> np.ndarray:
 def cat_contrast(cfg: ProtocolConfig, n_atoms, t2: float, t2_once: float = math.inf):
     """Fringe contrast of an n-atom cat.
 
-    C_N = C0 * F1^n1 * F2^n2 * p_surv^N * exp(-N tau / t2) * exp(-tau / t2_once).
-    ``t2`` dephases every atom, and the exponential collapse with N is what
-    ultimately penalizes large single cats.  ``t2_once`` enters once,
-    independent of N: in a reversal pair common-mode noise cancels between
-    the channels, so only local dephasing (t2 = t2_local) scales with N and
-    the residual differential term (t2_once = t2_diff) does not.
+    C_N = C0 * F1^N * F2^(N-1) * p_surv^N * exp(-N tau / t2) * exp(-tau / t2_once)
+    for a cat prepared by a linear entangling chain of N single-qubit and
+    N - 1 two-qubit gates.  ``t2`` dephases every atom, and the exponential
+    collapse with N is what ultimately penalizes large single cats.
+    ``t2_once`` enters once, independent of N: in a reversal pair common-mode
+    noise cancels between the channels, so only local dephasing
+    (t2 = t2_local) scales with N and the residual differential term
+    (t2_once = t2_diff) does not.
 
     ``n_atoms`` may be an array of atom numbers; the contrasts then come
-    back as a float array of its shape.  An integer N keeps n2 = N - 1 exact
-    at any size.
+    back as a float array of its shape.  An integer N keeps N - 1 exact at
+    any size.  Fewer than one atom, anywhere on a grid, raises ValueError.
     """
     if t2 <= 0 or t2_once <= 0:
         raise ValueError(f"coherence times must be positive, got {t2} and {t2_once}")
     grid = isinstance(n_atoms, np.ndarray) and n_atoms.ndim
-    gate_counts(n_atoms.min(initial=1) if grid else n_atoms, cfg.gate_count_model)  # the checks, once per call
+    if (fewest := n_atoms.min(initial=1) if grid else n_atoms) < 1:
+        raise ValueError(f"need at least one atom, got {fewest}")
     c0, f1, f2, p_surv, tau = cfg.c0, cfg.f1, cfg.f2, cfg.p_surv, cfg.tau
-    per_atom, once = _N1_PER_ATOM[cfg.gate_count_model], math.exp(-tau / t2_once)
+    once = math.exp(-tau / t2_once)
 
     def contrast(n):
-        return c0 * f1**(per_atom * n) * f2**(n - 1) * p_surv**n * math.exp(-n * tau / t2) * once
+        return c0 * f1**n * f2**(n - 1) * p_surv**n * math.exp(-n * tau / t2) * once
 
     return _map_distinct(contrast, n_atoms) if grid else contrast(n_atoms)
 

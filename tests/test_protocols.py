@@ -11,7 +11,6 @@ from apvsim import (
     UnidentifiableThetaError,
     cat_contrast,
     combine_classical_fit,
-    gate_counts,
     project_deviation,
     protocol_table,
     reallocate,
@@ -57,8 +56,7 @@ class TestContrastModels:
 
     def test_single_gate_factor(self):
         cfg = single_shot_cfg(f1=0.9999)
-        # linear counts at N=1: one single-qubit gate, no entangling gate
-        assert gate_counts(1, "linear") == (1, 0)
+        # a linear chain at N=1: one single-qubit gate, no entangling gate
         assert cat_contrast(cfg, 1, cfg.t2) == pytest.approx(0.9999, rel=1e-15)
 
     def test_thousand_atom_cat_against_high_precision_product(self):
@@ -74,9 +72,11 @@ class TestContrastModels:
         cfg = single_shot_cfg(t2=10.0, tau=2.0)
         assert cat_contrast(cfg, 5, cfg.t2) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
-    def test_log_depth_model_uses_more_single_qubit_gates(self):
-        cfg = single_shot_cfg(f1=0.999, gate_count_model="log_depth")
-        assert cat_contrast(cfg, 10, cfg.t2) == pytest.approx(0.999**20, rel=1e-13)
+    def test_fewer_than_one_atom_raises(self):
+        cfg = single_shot_cfg()
+        for n_atoms in (0, np.array([[3, 0], [1, 2]])):
+            with pytest.raises(ValueError, match="need at least one atom, got 0"):
+                cat_contrast(cfg, n_atoms, cfg.t2)
 
     def test_dfs_gate_product_only_when_lossless(self):
         # "split" budget: one reversal-pair cat over the 10 allocated atoms
@@ -334,13 +334,12 @@ class TestProtocolTable:
     f1=st.floats(0.9, 1.0),
     f2=st.floats(0.9, 1.0),
     p_surv=st.floats(0.9, 1.0),
-    gate_count_model=st.sampled_from(("linear", "log_depth")),
 )
-def test_every_row_is_finite_or_a_slug(counts, f1, f2, p_surv, gate_count_model):
+def test_every_row_is_finite_or_a_slug(counts, f1, f2, p_surv):
     # large cats drive the contrast product below the smallest float; very
     # unequal cat contrasts leave the fit with one informative isotope
     cfg = ProtocolConfig(omega=1.0, tau=1.0, f1=f1, f2=f2, p_surv=p_surv, rep_rate=1.0,
-                         t_avg=3600.0, gate_count_model=gate_count_model)
+                         t_avg=3600.0)
     for res in protocol_table(make_yb_chain(counts=tuple(counts)), H_SPLIT, cfg):
         if res.error is None:
             assert math.isfinite(res.delta_theta) and res.delta_theta > 0, res
@@ -355,8 +354,7 @@ mp = mpmath.mp
 
 
 def mp_contrast(cfg, n_atoms, t2=math.inf):
-    n1 = n_atoms if cfg.gate_count_model == "linear" else 2 * n_atoms
-    c = mp.mpf(cfg.c0) * mp.mpf(cfg.f1) ** n1 * mp.mpf(cfg.f2) ** (n_atoms - 1)
+    c = mp.mpf(cfg.c0) * mp.mpf(cfg.f1) ** n_atoms * mp.mpf(cfg.f2) ** (n_atoms - 1)
     c *= mp.mpf(cfg.p_surv) ** n_atoms
     return c if t2 == math.inf else c * mp.exp(-n_atoms * mp.mpf(cfg.tau) / t2)
 

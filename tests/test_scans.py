@@ -29,7 +29,8 @@ H_SPLIT = (-1.0, -1.0, 1.0, 1.0)
 
 def column(table, protocol, values="stat"):
     """One protocol's ``stat`` or ``tot`` column as Python floats."""
-    return getattr(table, values)[:, table.protocols.index(protocol)].tolist()
+    stat, tot, _ = table.cells(slice(None))
+    return (tot if values == "tot" else stat)[:, table.protocols.index(protocol)].tolist()
 
 
 def atom_spec(grid, protocols=("sql", "cross_cat_ideal")):
@@ -76,7 +77,8 @@ class TestAtomScan:
 
     def test_stat_equals_tot_without_floor(self, yb_chain, benchmark_cfg):
         table = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([64, 128]))
-        assert np.array_equal(table.tot, table.stat)
+        stat, tot, _ = table.cells(slice(None))
+        assert np.array_equal(tot, stat)
 
     def test_noisy_global_cat_turns_over_while_subarray_cats_degrade_slower(
         self, yb_chain, benchmark_cfg
@@ -94,8 +96,9 @@ class TestAtomScan:
     def test_too_small_budget_marks_rows(self, yb_chain, benchmark_cfg):
         table = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([2, 8]))
         assert table.values == (2.0, 8.0)
-        assert table.errors[0].tolist() == ["allocation"] * 2 and np.isnan(table.stat[0]).all()
-        assert table.errors[1].tolist() == [None] * 2
+        stat, _, errors = table.cells(slice(None))
+        assert errors[0].tolist() == ["allocation"] * 2 and np.isnan(stat[0]).all()
+        assert errors[1].tolist() == [None] * 2
 
     def test_row_order_is_grid_major_then_protocol(self, yb_chain, benchmark_cfg):
         spec = atom_spec([8, 16], protocols=("cross_cat_ideal", "sql"))
@@ -103,7 +106,7 @@ class TestAtomScan:
         assert table.values == (8.0, 16.0) and table.protocols == ("cross_cat_ideal", "sql")
         for j, name in enumerate(table.protocols):
             alone = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([8, 16], protocols=(name,)))
-            assert table.stat[:, j].tolist() == alone.stat[:, 0].tolist()
+            assert column(table, name) == column(alone, name)
 
 
 def time_spec(grid, sigma=0.0, n_fixed=1000, protocols=("sql", "cross_cat_noisy"), **kw):
@@ -116,7 +119,8 @@ def time_spec(grid, sigma=0.0, n_fixed=1000, protocols=("sql", "cross_cat_noisy"
 class TestTimeScan:
     def test_without_floor_tot_equals_stat(self, yb_chain, benchmark_cfg):
         table = time_scan(yb_chain, H_SPLIT, benchmark_cfg, time_spec([1, 10, 100]))
-        np.testing.assert_allclose(table.tot, table.stat, rtol=1e-15)
+        stat, tot, _ = table.cells(slice(None))
+        np.testing.assert_allclose(tot, stat, rtol=1e-15)
 
     def test_hundredfold_time_gives_tenfold_gain(self, yb_chain, benchmark_cfg):
         table = time_scan(yb_chain, H_SPLIT, benchmark_cfg, time_spec([1, 100]))
@@ -146,8 +150,8 @@ class TestTimeScan:
                                    ("sql", "cross_cat_noisy"))
             fresh_by_name = {r.protocol: r.delta_theta for r in fresh}
             i = table.values.index(t)
-            for j, name in enumerate(table.protocols):
-                assert table.stat[i, j] == pytest.approx(fresh_by_name[name], rel=1e-12)
+            for name in table.protocols:
+                assert column(table, name)[i] == pytest.approx(fresh_by_name[name], rel=1e-12)
 
     def test_quadrature_monotone_and_bounded_below(self, yb_chain, benchmark_cfg):
         sigma = 2e-3
@@ -254,17 +258,23 @@ def _hexes(array):
 def test_cells_of_a_slice_are_those_rows_of_the_full_arrays(yb_chain, benchmark_cfg, make):
     table = make(yb_chain, benchmark_cfg)
     slices = [slice(0, 1), slice(1, 4), slice(2, 2), slice(4, None), slice(None)]
-    parts = [table.cells(rows) for rows in slices]  # read before the full arrays exist
-    whole = (table.stat, table.tot, table.errors)
+    parts = [table.cells(rows) for rows in slices]
+    whole = table.cells(slice(None))
     assert {"no_contrast"} <= set(table.error_rows)
     for rows, cells in zip(slices, parts):
         assert [_hexes(array) for array in cells] == [_hexes(array[rows]) for array in whole]
 
 
 def test_scan_tables_are_read_only(yb_chain, benchmark_cfg):
-    tables = [atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([2, 8])),
-              time_scan(yb_chain, H_SPLIT, benchmark_cfg, time_spec([1, 10]))]
-    for table in tables:
-        for array in (table.stat, table.tot, table.errors):
+    # an atom scan's cells are views of its frozen arrays
+    table = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([2, 8]))
+    for rows in (slice(None), slice(1, 2)):
+        for array in table.cells(rows):
             with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = array[1, 0]
+                array[0, 0] = array[-1, -1]
+    # a time scan's cells are fresh arrays: a write to one leaves the next read as it was
+    table = time_scan(yb_chain, H_SPLIT, benchmark_cfg, time_spec([1, 10]))
+    before = [_hexes(array) for array in table.cells(slice(None))]
+    for array, junk in zip(table.cells(slice(None)), (-1.0, -1.0, "junk")):
+        array[:] = junk
+    assert [_hexes(array) for array in table.cells(slice(None))] == before

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apvsim import (
-    GATE_COUNT_MODELS,
     PROTOCOLS,
     BeamSpec,
     Isotope,
@@ -20,7 +19,6 @@ from apvsim import (
     ScanSpec,
     ScenarioError,
     bundled_scenario_path,
-    canonical_json,
     parse_scenario,
     parse_scenario_dict,
     run,
@@ -30,7 +28,7 @@ from apvsim import (
 from apvsim import scenario as scenario_module
 from apvsim.chain import project_deviation
 from apvsim.scans import SCAN_AXES, allocate_atoms
-from conftest import assert_canonical_form, random_chain
+from conftest import assert_canonical_form, canonical_text, random_chain
 
 MINIMAL = {
     "chain": {
@@ -236,6 +234,14 @@ class TestRemovedInterferenceBlock:
         assert exc.value.errors == [("$.interference", "unknown key")]
 
 
+def test_bundled_with_a_gate_count_model_is_rejected_at_its_key():
+    data = json.loads(bundled_scenario_path().read_text())
+    data["protocol"]["gate_count_model"] = "linear"
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario_dict(data)
+    assert exc.value.errors == [("protocol.gate_count_model", "unknown key")]
+
+
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), h_exp=st.integers(0, 307), chain_exp=st.integers(0, 306),
        grid_exp=st.floats(0.0, 308.0))
@@ -279,7 +285,7 @@ class TestRoundTrip:
         s = parse_scenario(bundled_scenario_path())
         again = parse_scenario_dict(scenario_to_dict(s))
         assert again == s
-        assert canonical_json(again) == canonical_json(s)
+        assert canonical_text(again) == canonical_text(s)
         assert scenario_sha256(again) == scenario_sha256(s)
 
     def test_serialization_is_fully_explicit(self):
@@ -349,7 +355,6 @@ PROTOCOL_VALUES = {
     "p_surv": _UNIT, "t2": _COHERENCE, "t2_local": _COHERENCE, "t2_diff": _COHERENCE,
     "squeezing_db": st.floats(-30.0, 30.0), "rep_rate": _POSITIVE,
     "t_avg": st.floats(1e4, 1e7), "c_sql": _UNIT,
-    "gate_count_model": st.sampled_from(GATE_COUNT_MODELS),
     "dfs_budget": st.sampled_from(("per_channel", "split")),
 }
 
@@ -454,7 +459,8 @@ ERROR_CORPUS = [
     ("protocol-squeezing-above-range", ("protocol", "squeezing_db"), 7000,
      ["protocol.squeezing_db"]),
     ("protocol-rep-rate-zero", ("protocol", "rep_rate"), 0.0, ["protocol.rep_rate"]),
-    ("protocol-gate-model", ("protocol", "gate_count_model"), "cubic",
+    # the cat contrast has one gate count model, a linear entangling chain
+    ("protocol-gate-model", ("protocol", "gate_count_model"), "linear",
      ["protocol.gate_count_model"]),
     ("protocol-dfs-budget", ("protocol", "dfs_budget"), "shared", ["protocol.dfs_budget"]),
     ("protocol-under-one-rep", ("protocol", "t_avg"), 0.5, ["protocol"]),
@@ -558,9 +564,9 @@ def test_error_path_corpus(keys, value, expected):
     if not expected:
         # and its canonical form is strict JSON that reads back to itself: an
         # integral float of an integer key is written as the integer, inf as "inf"
-        text = canonical_json(parse_scenario_dict(data))
+        text = canonical_text(parse_scenario_dict(data))
         json.loads(text, parse_constant=_reject_constant)
-        assert canonical_json(parse_scenario_dict(json.loads(text))) == text
+        assert canonical_text(parse_scenario_dict(json.loads(text))) == text
         return
     with pytest.raises(ScenarioError) as exc:
         parse_scenario_dict(data)
@@ -584,7 +590,9 @@ FIELD_RULE_CASES = [
     (ProtocolConfig, {}, "t2", -1.0, ("protocol", "t2")),
     (ProtocolConfig, {}, "squeezing_db", -7000.0, ("protocol", "squeezing_db")),
     (ProtocolConfig, {}, "rep_rate", 0.0, ("protocol", "rep_rate")),
-    (ProtocolConfig, {}, "gate_count_model", "cubic", ("protocol", "gate_count_model")),
+    # in the slot of the deleted gate_count_model case, so that the ids below
+    # keep their indices: a gate fidelity is positive
+    (ProtocolConfig, {}, "f2", 0.0, ("protocol", "f2")),
     (ProtocolConfig, {}, "dfs_budget", "shared", ("protocol", "dfs_budget")),
     (ScanSpec, _ATOMS, "axis", "energy", ("scans", 0, "axis")),
     (ScanSpec, _ATOMS, "name", "a b", ("scans", 0, "name")),
@@ -734,7 +742,7 @@ def test_generated_scenarios_round_trip_and_run(data):
     s = parse_scenario_dict(data)
     again = parse_scenario_dict(scenario_to_dict(s))
     assert again == s
-    assert canonical_json(again) == canonical_json(s)
+    assert canonical_text(again) == canonical_text(s)
     assert_canonical_form(s)
     with tempfile.TemporaryDirectory() as out:
         summary = run(s, out, quiet=True)
