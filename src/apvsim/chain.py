@@ -177,8 +177,8 @@ def _pattern_values(h: Sequence[float] | DeviationPattern) -> tuple[float, ...]:
 # memory a large grid takes on the way.
 _FSUM_BLOCK = 1024
 
-# Below this many rows (or elements), _row_fsums and protocols._map_distinct
-# visit each one in Python: the proof or np.unique costs more than it saves.
+# Below this many rows, _row_fsums sums each one with math.fsum: the proof
+# costs more than it saves.
 _SCALAR_ROWS = 64
 
 

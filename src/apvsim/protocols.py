@@ -23,8 +23,9 @@ omega_A = Omega (q_A + theta h_A):
 
 All functions are pure; delta theta scales exactly as (R * T_avg)^(-1/2).
 :func:`protocol_grid` evaluates a G x k matrix of atom counts at once with
-numpy; :func:`protocol_table` evaluates one allocation on Python floats and
-gives the grid's row for it, bit for bit.
+numpy, each per-isotope value once per distinct atom count and each ``**``
+and ``math`` call on a Python scalar; :func:`protocol_table` evaluates one
+allocation on Python floats and gives the grid's row for it, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .chain import (
-    _SCALAR_ROWS,
     DeviationPattern,
     IsotopeChain,
     _pattern_values,
@@ -151,17 +151,6 @@ def squeezing_factor(gain_db: float) -> float:
     return 10.0 ** (-gain_db / 20.0)
 
 
-def _map_distinct(fn: Callable, values: np.ndarray) -> np.ndarray:
-    """``fn`` of every element of ``values``, called on Python scalars so that
-    ``**`` and ``math`` give exactly the scalar results, as a float array of
-    the same shape.  A large array calls ``fn`` once per distinct value."""
-    flat = values.ravel()
-    if flat.size < _SCALAR_ROWS:
-        return np.array([fn(v) for v in flat.tolist()], dtype=float).reshape(values.shape)
-    distinct, where = np.unique(flat, return_inverse=True)  # -0.0 joins 0.0
-    return np.array([fn(v) for v in distinct.tolist()], dtype=float)[where].reshape(values.shape)
-
-
 def cat_contrast(cfg: ProtocolConfig, n_atoms, t2: float, t2_once: float = math.inf):
     """Fringe contrast of an n-atom cat.
 
@@ -175,8 +164,11 @@ def cat_contrast(cfg: ProtocolConfig, n_atoms, t2: float, t2_once: float = math.
     (t2_once = t2_diff) does not.
 
     ``n_atoms`` may be an array of atom numbers; the contrasts then come
-    back as a float array of its shape.  An integer N keeps N - 1 exact at
-    any size.  Fewer than one atom, anywhere on a grid, raises ValueError.
+    back as a float array of its shape, each computed on a Python scalar so
+    that ``**`` and ``math`` give exactly the scalar result.  Every element
+    is computed, so the grid callers pass distinct values.  An integer N
+    keeps N - 1 exact at any size.  Fewer than one atom, anywhere on a grid,
+    raises ValueError.
     """
     if t2 <= 0 or t2_once <= 0:
         raise ValueError(f"coherence times must be positive, got {t2} and {t2_once}")
@@ -185,11 +177,9 @@ def cat_contrast(cfg: ProtocolConfig, n_atoms, t2: float, t2_once: float = math.
         raise ValueError(f"need at least one atom, got {fewest}")
     c0, f1, f2, p_surv, tau = cfg.c0, cfg.f1, cfg.f2, cfg.p_surv, cfg.tau
     once = math.exp(-tau / t2_once)
-
-    def contrast(n):
-        return c0 * f1**n * f2**(n - 1) * p_surv**n * math.exp(-n * tau / t2) * once
-
-    return _map_distinct(contrast, n_atoms) if grid else contrast(n_atoms)
+    contrast = [c0 * f1**n * f2**(n - 1) * p_surv**n * math.exp(-n * tau / t2) * once
+                for n in (n_atoms.ravel().tolist() if grid else (n_atoms,))]
+    return np.array(contrast, dtype=float).reshape(n_atoms.shape) if grid else contrast[0]
 
 
 def _square(dw: float) -> float:
@@ -200,11 +190,11 @@ def _square(dw: float) -> float:
         return math.inf
 
 
-def _grid_fit(chain: IsotopeChain, h, dws: np.ndarray, cfg: ProtocolConfig):
-    """:func:`combine_classical_fit` at every row of the G x k ``dws``, numpy
-    float errors ignored: G delta thetas and the (row mask, exception) stages
-    in the order the scalar fit raises them."""
-    square = _map_distinct(_square, dws)
+def _grid_fit(chain: IsotopeChain, h, dws: np.ndarray, square: np.ndarray, cfg: ProtocolConfig):
+    """:func:`combine_classical_fit` at every row of the G x k ``dws``, given
+    their :func:`_square` values ``square``, numpy float errors ignored: G
+    delta thetas and the (row mask, exception) stages in the order the
+    scalar fit raises them."""
     y = tuple(cfg.omega * ha for ha in _pattern_values(h))
     factors = np.array(((chain.q, chain.q, y), (chain.q, y, y)))
     # w_A q_A q_A, w_A q_A y_A and w_A y_A y_A of every row, summed per row
@@ -286,10 +276,13 @@ class _PerIsotope:
     squeezed: bool = False
     own_cat: bool = False
 
-    def evaluate(self, chain, h, counts, weights, cfg, reps, xi, stages) -> tuple[np.ndarray, dict]:
+    def evaluate(self, chain, h, levels, where, cfg, reps, xi, stages) -> tuple[np.ndarray, dict]:
+        """The G x k grid whose counts are ``levels[where]``: each value of an
+        isotope depends on its count alone, so it is computed once per level."""
+        weights = levels.astype(float)
         present = weights >= 1
         if self.own_cat:  # the contrast of one atom stands in on an isotope without
-            contrast = cat_contrast(cfg, np.maximum(counts, 1), cfg.t2)
+            contrast = cat_contrast(cfg, np.maximum(levels, 1), cfg.t2)
             den = 2.0 * math.pi * contrast * cfg.tau * weights * math.sqrt(reps)
         else:
             den = 2.0 * math.pi * cfg.c_sql * cfg.tau * np.sqrt(weights * reps)
@@ -299,9 +292,12 @@ class _PerIsotope:
         dws[~present] = math.inf
         # on an isotope with atoms, math.inf is an overflow, or a division
         # by zero that a scalar loop raises
-        stages.append(((present & ((den == 0) | (dws == math.inf))).any(axis=1),
+        infinite = present & ((den == 0) | (dws == math.inf))
+        stages.append((infinite[where].any(axis=1),
                        ArithmeticError("a per-isotope frequency uncertainty is not finite")))
-        delta, fit = _grid_fit(chain, h, dws, cfg)
+        square = np.array([_square(dw) for dw in dws.tolist()])
+        dws = dws[where]
+        delta, fit = _grid_fit(chain, h, dws, square[where], cfg)
         stages += fit
         return delta, {"per_isotope": dws}
 
@@ -414,6 +410,9 @@ def protocol_grid(
     reps = cfg.reps
     invalid = ValueError(f"need rep_rate * t_avg >= 1 for a meaningful estimate, got {reps}")
     signal: list = []
+    if any(isinstance(_REGISTRY[name], _PerIsotope) for name in protocols):
+        levels, where = np.unique(counts, return_inverse=True)
+        where = where.reshape(counts.shape)  # numpy versions differ on its shape
     if any(isinstance(_REGISTRY[name], _GlobalCat) for name in protocols):
         # A global cat fails first where the reconstructed sum_A N_A |h_A|
         # shows h_perp to be rounding dust left over from an h parallel to q.
@@ -427,7 +426,7 @@ def protocol_grid(
         with np.errstate(all="ignore"):  # the rows that overflow or divide by zero fail
             stages = [(np.ones(len(counts), dtype=bool), invalid)] if reps < 1 else []
             if isinstance(model, _PerIsotope):
-                delta, intermediates = model.evaluate(chain, h, counts, weights, cfg, reps, xi, stages)
+                delta, intermediates = model.evaluate(chain, h, levels, where, cfg, reps, xi, stages)
             else:
                 stages += signal
                 delta, intermediates = model.evaluate(proj.weighted_l1, totals, cfg, reps)

@@ -123,19 +123,23 @@ class ScanTable:
 def allocate_atoms(chain: IsotopeChain, total: int | Sequence[int]) -> tuple[int, ...] | np.ndarray:
     """Equal split of ``total`` probes over the chain, remainder to lowest A.
 
-    Every isotope must receive at least one atom.  A sequence of G totals
-    gives the G x k count matrix: int64, or Python ints (dtype object) once
-    a total reaches 2^62, so that row sums stay exact.
+    Every isotope must receive at least one atom.  A sequence or array of G
+    totals gives the G x k count matrix: int64, or Python ints (dtype object)
+    split by Python ``divmod`` once a total reaches 2^62, so that row sums
+    stay exact and no total is cast to int64 where it would wrap.
     """
     k = len(chain.isotopes)
-    totals = [int(t) for t in np.atleast_1d(total).tolist()]
-    if min(totals) < k:
-        raise AllocationError(f"cannot give each of {k} isotopes an atom out of {min(totals)}")
+    # object keeps Python ints whole: numpy gives [4, 2**63] as floats
+    totals = np.atleast_1d(total if isinstance(total, np.ndarray) else np.array(total, dtype=object))
+    if (fewest := totals.min()) < k:
+        raise AllocationError(f"cannot give each of {k} isotopes an atom out of {int(fewest)}")
     by_mass = sorted(range(k), key=lambda i: (chain.isotopes[i].A, i))
     rank = np.argsort(by_mass)  # position of each isotope in mass order
-    base_rem = np.array([divmod(t, k) for t in totals],
-                        dtype=np.int64 if max(totals) < 2**62 else object)
-    counts = base_rem[:, :1] + (rank < base_rem[:, 1:])
+    if totals.max() < 2**62:
+        base, rem = np.divmod(totals.astype(np.int64), k)
+    else:
+        base, rem = np.array([divmod(int(t), k) for t in totals.tolist()], dtype=object).T
+    counts = base[:, None] + (rank < rem[:, None])
     return tuple(counts[0].tolist()) if np.ndim(total) == 0 else counts
 
 
@@ -158,10 +162,10 @@ def atom_scan(
     slugs = np.full(deltas.shape, None, dtype=object)
     slugs[:] = "allocation"  # one shared str; np.full would make one per cell
     for start in range(0, len(spec.grid), GRID_BLOCK):
-        totals = [int(round(value)) for value in spec.grid[start:start + GRID_BLOCK]]
-        placed = np.flatnonzero([total >= len(chain.isotopes) for total in totals])
+        totals = np.array(spec.grid[start:start + GRID_BLOCK])  # integral values, so no rounding
+        placed = np.flatnonzero(totals >= len(chain.isotopes))
         if len(placed):
-            counts = allocate_atoms(chain, [totals[i] for i in placed.tolist()])
+            counts = allocate_atoms(chain, totals[placed])
             for j, result in enumerate(protocol_grid(chain, h, cfg, counts, protocols)):
                 deltas[start + placed, j] = result.delta_theta
                 slugs[start + placed, j] = result.error

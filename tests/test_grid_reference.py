@@ -20,18 +20,19 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from apvsim import Isotope, ProtocolConfig, build_chain
-from apvsim.chain import _pattern_values, project_deviation
+from apvsim.chain import _pattern_values, project_deviation, reallocate
 from apvsim.protocols import (
     PROTOCOLS,
     SensitivityResult,
     UnidentifiableThetaError,
     ZeroSignalError,
     _grid_fit,
+    _square,
     combine_classical_fit,
     protocol_grid,
     protocol_table,
 )
-from apvsim.scans import AllocationError, ScanSpec, atom_scan
+from apvsim.scans import AllocationError, ScanSpec, allocate_atoms, atom_scan
 from conftest import assert_same_cells, grid_row, scan_cells
 
 # --- the scalar reference -----------------------------------------------------
@@ -291,8 +292,9 @@ def test_combine_classical_fit_is_the_one_row_grid_fit(instance, cfg, dws):
     exception of the grid's first failed stage."""
     chain, h = instance
     dws = dws[:len(chain.isotopes)]
+    row = np.array([dws], dtype=float)
     with np.errstate(all="ignore"):
-        delta, stages = _grid_fit(chain, h, np.array([dws], dtype=float), cfg)
+        delta, stages = _grid_fit(chain, h, row, np.array([[_square(dw) for dw in row[0].tolist()]]), cfg)
     first = next((exc for failed, exc in stages if failed[0]), None)
     try:
         got = combine_classical_fit(chain, h, dws, cfg)
@@ -318,6 +320,9 @@ _PROTOCOL_LISTS = st.lists(st.sampled_from(PROTOCOLS), min_size=1, max_size=6, u
 # near 10^11 they overflow, and the lossy cats have no contrast
 @example(instance=(_yb((1, 1, 1, 1)), _SPLIT), cfg=replace(_LOSSY, omega=1e146),
          grid=[round(4 * 1.47**i) for i in range(70)], protocols=list(PROTOCOLS))
+# totals from 2^62 on are split as Python ints; from 2^63 on an int64 cast wraps
+@example(instance=(_yb((1, 1, 1, 1)), _SPLIT), cfg=_PLAIN, grid=[4, 2**62, 2**63, 10**19],
+         protocols=list(PROTOCOLS))
 def test_atom_scan_matches_the_scalar_reference(instance, cfg, grid, protocols):
     chain, h = instance
     spec = ScanSpec(axis="atom_number", grid=tuple(float(v) for v in sorted(grid)),
@@ -330,6 +335,85 @@ def test_atom_scan_matches_the_scalar_reference(instance, cfg, grid, protocols):
         if error is not None:
             counted[error] = counted.get(error, 0) + 1
     assert table.error_rows == counted
+
+
+@st.composite
+def count_grids(draw):
+    """A chain, a pattern and a G x k count matrix drawn from a few levels,
+    so that counts repeat, with zeros but at least one atom per row: int64,
+    or Python ints once a row sum reaches 2^62."""
+    chain, h = draw(chains())
+    k = len(chain.isotopes)
+    levels = [0] + draw(st.lists(st.one_of(st.integers(1, 20), st.integers(1, 10**12), st.integers(1, 2**61)),
+                                 min_size=1, max_size=4))
+    rows = draw(st.lists(st.lists(st.sampled_from(levels), min_size=k, max_size=k), min_size=1, max_size=80))
+    for row in rows:
+        row[0] = row[0] or levels[-1]
+    return chain, h, np.array(rows, dtype=object if max(map(sum, rows)) >= 2**62 else np.int64)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid=count_grids(), cfg=configs())
+@example(grid=(_yb((0, 0, 0, 0)), _SPLIT, np.array([[5, 0, 5, 5], [5, 5, 0, 5], [1, 0, 0, 0]] * 30)), cfg=_PLAIN)
+@example(grid=(_yb((0, 0, 0, 0)), _SPLIT, np.array([[3000, 1, 3000, 1], [1, 3000, 0, 3000]] * 40)), cfg=_LOSSY)
+@example(grid=(_yb((0, 0, 0, 0)), _SPLIT, np.array([[2**61, 2**61, 0, 1], [2**61, 0, 2**61, 2**61]], dtype=object)),
+         cfg=_PLAIN)
+def test_every_grid_row_is_the_table_of_its_allocation(grid, cfg):
+    """Each row of a grid whose counts repeat, with zeros among them, is
+    protocol_table on the chain reallocated to that row, by repr with
+    per_isotope, contrast_used and eigsep."""
+    chain, h, counts = grid
+    grids = list(protocol_grid(chain, h, cfg, counts))
+    for i, row in enumerate(counts.tolist()):
+        _same([grid_row(result, i) for result in grids], protocol_table(reallocate(chain, row), h, cfg))
+
+
+@st.composite
+def atom_totals(draw):
+    """A chain and a total, or a list or a float64 or int64 array of them,
+    from k - 1 atoms up to 2^64 (2^63 - 1 in int64), and integral floats up
+    to 1e300."""
+    chain, _ = draw(chains())
+    k = len(chain.isotopes)
+    form = draw(st.sampled_from(("int", "list", "float64", "int64")))
+    top = 2**63 - 1 if form == "int64" else 2**64
+    edges = [t for t in (k - 1, k, k + 1, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1, 2**63, 2**64) if t <= top]
+    totals = st.one_of(st.integers(k - 1, 3 * k), st.integers(k - 1, top), st.sampled_from(edges))
+    if form == "int":
+        return chain, draw(totals)
+    if form == "float64":
+        integral = st.floats(k - 1, 1e300).map(math.floor).map(float)
+        return chain, np.array(draw(st.lists(st.one_of(totals.map(float), integral), min_size=1, max_size=8)))
+    values = draw(st.lists(totals, min_size=1, max_size=8))
+    return chain, values if form == "list" else np.array(values, dtype=np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(instance=atom_totals())
+@example(instance=(_yb((0, 0, 0, 0)), np.array([4.0, 2.0**62, 2.0**63, 1e19, 1e300])))
+@example(instance=(_yb((0, 0, 0, 0)), np.array([4, 2**62 - 1, 2**62, 2**63 - 1], dtype=np.int64)))
+@example(instance=(_yb((0, 0, 0, 0)), [4, 2**63 + 1]))  # numpy would make these two floats
+@example(instance=(_yb((0, 0, 0, 0)), 2**64 + 3))
+@example(instance=(_yb((0, 0, 0, 0)), np.array([7.0, 3.0])))
+def test_allocate_atoms_matches_the_scalar_reference(instance):
+    """Each row is the reference allocation of its total; the matrix is int64
+    below 2^62 and Python ints from there on; a scalar total gives a tuple."""
+    chain, total = instance
+    k = len(chain.isotopes)
+    totals = [int(t) for t in (total.tolist() if isinstance(total, np.ndarray) else
+                               total if isinstance(total, list) else [total])]
+    if min(totals) < k:
+        with pytest.raises(AllocationError) as raised:
+            allocate_atoms(chain, total)
+        assert str(raised.value) == f"cannot give each of {k} isotopes an atom out of {min(totals)}"
+        return
+    got = allocate_atoms(chain, total)
+    want = [_reference_allocation(chain, t) for t in totals]
+    if isinstance(total, int):
+        assert type(got) is tuple and list(got) == want[0] and all(type(n) is int for n in got)
+        return
+    assert got.dtype == (np.int64 if max(totals) < 2**62 else object)
+    assert got.tolist() == want and all(type(n) is int for n in got.ravel().tolist())
 
 
 def test_examples_reach_every_slug():
