@@ -30,11 +30,13 @@ from .scenario import Scenario, ScenarioError, parse_scenario, scenario_sha256
 
 __all__ = ["RunSummary", "format_sig", "run", "validate", "main"]
 
+SIG_DIGITS = 12  # significant digits of every value written
 
-def format_sig(value: float, sig: int = 12) -> str:
-    """Plain decimal notation with ``sig`` significant digits."""
+
+def format_sig(value: float) -> str:
+    """Plain decimal notation with :data:`SIG_DIGITS` significant digits."""
     try:
-        decimals = sig - 1 - math.floor(math.log10(abs(value)))
+        decimals = SIG_DIGITS - 1 - math.floor(math.log10(abs(value)))
     except (ValueError, OverflowError):  # zero, nan or +-inf
         return "0" if value == 0.0 else str(value)
     if decimals <= 0:
@@ -65,9 +67,9 @@ class RunSummary:
 
 def _decimals(values: list) -> list[int] | None:
     """``format_sig``'s decimals per value, or None unless each takes its ``"%.*f"`` branch."""
-    log10, floor = math.log10, math.floor
+    log10, floor, last = math.log10, math.floor, SIG_DIGITS - 1
     try:  # ValueError or OverflowError at zero, a negative value, nan or +-inf
-        decimals = [11 - floor(log10(v)) for v in values]
+        decimals = [last - floor(log10(v)) for v in values]
     except (ValueError, OverflowError):
         return None
     return decimals if min(decimals) > 0 else None

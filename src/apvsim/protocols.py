@@ -46,18 +46,9 @@ from .chain import (
 )
 from .rules import check_fields
 
-__all__ = [
-    "ProtocolConfig",
-    "SensitivityResult",
-    "PROTOCOLS",
-    "UnidentifiableThetaError",
-    "ZeroSignalError",
-    "squeezing_factor",
-    "cat_contrast",
-    "combine_classical_fit",
-    "protocol_grid",
-    "protocol_table",
-]
+__all__ = ["ProtocolConfig", "SensitivityResult", "PROTOCOLS", "UnidentifiableThetaError", "ZeroSignalError",
+           "AllocationError", "ERROR_SLUGS", "squeezing_factor", "cat_contrast", "combine_classical_fit",
+           "protocol_grid", "protocol_table"]
 
 DFS_BUDGET_MODES = ("per_channel", "split")
 
@@ -68,6 +59,27 @@ class UnidentifiableThetaError(ValueError):
 
 class ZeroSignalError(ValueError):
     """The weighted orthogonal component of the deviation pattern vanishes."""
+
+
+class AllocationError(ValueError):
+    """The atom budget cannot give every isotope at least one probe."""
+
+
+# A failed row's slug is that of the first class it is an instance of, so a subclass
+# comes before its base.  ArithmeticError is a contrast that underflows: the division by
+# it fails, or delta omega / delta theta (or a time scan's rescaled value) is not finite.
+ERROR_SLUGS = (
+    (UnidentifiableThetaError, "singular_fit"),
+    (ZeroSignalError, "no_signal"),
+    (AllocationError, "allocation"),
+    (ArithmeticError, "no_contrast"),
+    (ValueError, "invalid_config"),
+)
+
+
+def _slug(kind: type) -> str:
+    """The slug :data:`ERROR_SLUGS` gives a failure of class ``kind``."""
+    return next(slug for cls, slug in ERROR_SLUGS if issubclass(kind, cls))
 
 
 # Allowed ranges: field rules, see apvsim.rules.
@@ -363,14 +375,11 @@ _REGISTRY = {
 
 PROTOCOLS = tuple(_REGISTRY)
 
-# First match wins.  ArithmeticError is a contrast that underflows: the
-# division by it fails, or delta omega / delta theta is not finite.
-_ERROR_SLUGS = (
-    (UnidentifiableThetaError, "singular_fit"),
-    (ZeroSignalError, "no_signal"),
-    (ArithmeticError, "no_contrast"),
-    (ValueError, "invalid_config"),
-)
+
+def _check_known(protocols: tuple[str, ...]):
+    """Raise ValueError naming each requested protocol that is not in :data:`PROTOCOLS`."""
+    if unknown := [name for name in protocols if name not in _REGISTRY]:
+        raise ValueError(f"unknown protocols {unknown}; choose from {PROTOCOLS}")
 
 
 def _slugs(stages: list, delta: np.ndarray) -> np.ndarray:
@@ -379,7 +388,7 @@ def _slugs(stages: list, delta: np.ndarray) -> np.ndarray:
     held = np.array([failed for failed, _ in stages]).any(axis=1).tolist()
     for (failed, exc), hit in zip(stages[::-1], held[::-1]):  # an earlier stage overwrites a later one
         if hit:
-            out[failed] = next(slug for cls, slug in _ERROR_SLUGS if isinstance(exc, cls))
+            out[failed] = _slug(type(exc))
             delta[failed] = math.nan
     return out
 
@@ -388,26 +397,20 @@ def protocol_grid(
     chain: IsotopeChain,
     h: DeviationPattern | tuple[float, ...] | list[float],
     cfg: ProtocolConfig,
-    counts: np.ndarray | None = None,
+    counts: np.ndarray,
     protocols: tuple[str, ...] = PROTOCOLS,
 ) -> Iterator[SensitivityResult]:
     """Evaluate the requested protocols at every row of the G x k atom
-    ``counts`` made by :func:`apvsim.scans.allocate_atoms` (None: the chain's
-    own), one :class:`SensitivityResult` of G rows at a time in request
-    order, so that a grid holds one protocol's intermediates at once.  Each
-    protocol lists its failures as (row mask, exception) stages in the order
-    a one-row evaluation meets them; a failed row gets the slug of its first
-    stage, not an abort."""
-    unknown = [name for name in protocols if name not in _REGISTRY]
-    if unknown:
-        raise ValueError(f"unknown protocols {unknown}; choose from {PROTOCOLS}")
-    if counts is None:
-        # int64 keeps row sums exact up to 2^62 atoms; Python ints beyond
-        counts = np.array([chain.n_atoms], dtype=object if chain.total_atoms >= 2**62 else np.int64)
+    ``counts`` made by :func:`apvsim.scans.allocate_atoms`, one
+    :class:`SensitivityResult` of G rows at a time in request order, so that
+    a grid holds one protocol's intermediates at once.  Each protocol lists
+    its failures as (row mask, exception) stages in the order a one-row
+    evaluation meets them; a failed row gets the slug of its first stage,
+    not an abort."""
+    _check_known(protocols)
     weights = counts.astype(float)
     proj = project_deviation(chain, h, weights)
-    xi = squeezing_factor(cfg.squeezing_db)
-    reps = cfg.reps
+    xi, reps = squeezing_factor(cfg.squeezing_db), cfg.reps
     invalid = ValueError(f"need rep_rate * t_avg >= 1 for a meaningful estimate, got {reps}")
     signal: list = []
     if any(isinstance(_REGISTRY[name], _PerIsotope) for name in protocols):
@@ -444,15 +447,13 @@ def protocol_table(
 ) -> list[SensitivityResult]:
     """Evaluate the requested protocols on one (chain, pattern, config): row 0
     of :func:`protocol_grid` over the chain's own allocation, computed on
-    Python floats.  Each protocol's stages raise in the grid's order, and the
-    first exception's class gives the row's slug.
+    Python floats.  Each protocol's stages raise in the grid's order, and
+    :data:`ERROR_SLUGS` gives the row the slug of the first exception.
 
     A protocol that cannot be evaluated contributes a row with an error
     slug instead of aborting the table.  Output order follows the request.
     """
-    unknown = [name for name in protocols if name not in _REGISTRY]
-    if unknown:
-        raise ValueError(f"unknown protocols {unknown}; choose from {PROTOCOLS}")
+    _check_known(protocols)
     proj = project_deviation(chain, h)
     xi, reps = squeezing_factor(cfg.squeezing_db), cfg.reps
     table = []
@@ -465,6 +466,5 @@ def protocol_table(
                 raise ArithmeticError("delta theta is not a finite positive number")
             table.append(SensitivityResult(name, delta, **intermediates))
         except (ValueError, ArithmeticError) as exc:
-            slug = next(slug for cls, slug in _ERROR_SLUGS if isinstance(exc, cls))
-            table.append(SensitivityResult(name, math.nan, error=slug))
+            table.append(SensitivityResult(name, math.nan, error=_slug(type(exc))))
     return table

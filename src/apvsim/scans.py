@@ -25,14 +25,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import DeviationPattern, IsotopeChain, reallocate
-from .protocols import PROTOCOLS, ProtocolConfig, protocol_grid, protocol_table
+from .protocols import PROTOCOLS, AllocationError, ProtocolConfig, _slug, protocol_grid, protocol_table
 from .rules import check_fields
 
 __all__ = [
     "BeamSpec",
     "ScanSpec",
     "ScanTable",
-    "AllocationError",
     "allocate_atoms",
     "atom_scan",
     "time_scan",
@@ -40,10 +39,6 @@ __all__ = [
 ]
 
 SCAN_AXES = ("atom_number", "time")
-
-
-class AllocationError(ValueError):
-    """The atom budget cannot give every isotope at least one probe."""
 
 
 @dataclass(frozen=True)
@@ -160,7 +155,7 @@ def atom_scan(
     protocols = spec.protocols
     deltas = np.full((len(spec.grid), len(protocols)), math.nan)
     slugs = np.full(deltas.shape, None, dtype=object)
-    slugs[:] = "allocation"  # one shared str; np.full would make one per cell
+    slugs[:] = _slug(AllocationError)  # one shared str; np.full would make one per cell
     for start in range(0, len(spec.grid), GRID_BLOCK):
         totals = np.array(spec.grid[start:start + GRID_BLOCK])  # integral values, so no rounding
         placed = np.flatnonzero(totals >= len(chain.isotopes))
@@ -199,7 +194,7 @@ def time_scan(
     delta_theta_stat(T) = delta_theta_stat(T0) * sqrt(T0 / T) with T0 the
     first grid time; delta_theta_tot adds sigma_sys in quadrature.  The table
     keeps the row at T0 and rescales it in ``cells``, where a stat or tot that
-    is not a finite positive number gets the slug no_contrast.  R T0 < 1 raises ValueError.
+    is not a finite positive number gets ArithmeticError's slug, no_contrast.  R T0 < 1 raises ValueError.
     """
     if spec.axis != "time":
         raise ValueError(f"time_scan needs axis 'time', got {spec.axis!r}")
@@ -209,10 +204,11 @@ def time_scan(
     chain_n = reallocate(chain, allocate_atoms(chain, spec.n_fixed))
     base = protocol_table(chain_n, h, cfg_t0, spec.protocols)
     # per column: its stat at given times (NaN at a slug), its floor and the slug of a row that fails
+    not_finite = _slug(ArithmeticError)
     columns = [(lambda grid, delta=res.delta_theta: delta * np.sqrt(t0 / grid), spec.sigma_sys,
-                res.error or "no_contrast") for res in base]
+                res.error or not_finite) for res in base]
     if spec.beam is not None:
-        columns.append((spec.beam.curve, spec.beam.floor, "no_contrast"))
+        columns.append((spec.beam.curve, spec.beam.floor, not_finite))
     curves, floors, slugs = zip(*columns)
 
     def cells(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

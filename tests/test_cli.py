@@ -22,7 +22,7 @@ import apvsim
 from apvsim import KNOWN_CHECKS, PROTOCOLS, bundled_scenario_path, parse_scenario, run, validate
 from apvsim.checks import CheckResult
 from apvsim.cli import _build_parser, _write_scan_csv, format_sig, main
-from apvsim.protocols import _ERROR_SLUGS
+from apvsim.protocols import ERROR_SLUGS
 from apvsim.scans import GRID_BLOCK, BeamSpec, ScanSpec, ScanTable, atom_scan, time_scan
 from conftest import make_yb_chain, scan_cells
 
@@ -202,9 +202,9 @@ class TestWriteScanCsv:
         scenario = parse_scenario(path)
         calls = []
 
-        def counting(value, *args):
+        def counting(value):
             calls.append(value)
-            return format_sig(value, *args)
+            return format_sig(value)
 
         monkeypatch.setattr("apvsim.cli.format_sig", counting)
         run(scenario, tmp_path / "out", quiet=True)
@@ -307,10 +307,9 @@ def readme_slugs():
 
 
 def test_readme_slug_table_lists_every_slug_once():
-    # "allocation" comes from the atom scan, every other slug from _ERROR_SLUGS
     slugs = readme_slugs()
     assert len(slugs) == len(set(slugs))
-    assert set(slugs) == {slug for _, slug in _ERROR_SLUGS} | {"allocation"}
+    assert set(slugs) == {slug for _, slug in ERROR_SLUGS}
 
 
 class TestRun:

@@ -264,9 +264,9 @@ def test_protocol_table_is_row_0_of_the_grid(instance, cfg):
     """The one-row kernel on Python floats and the grid over the chain's own
     counts give the same row, field by field, and the same projection."""
     chain, h = instance
-    _same(protocol_table(chain, h, cfg), [grid_row(grid, 0) for grid in protocol_grid(chain, h, cfg)])
-    one = project_deviation(chain, h)
     counts = np.array([chain.n_atoms], dtype=object if chain.total_atoms >= 2**62 else np.int64)
+    _same(protocol_table(chain, h, cfg), [grid_row(grid, 0) for grid in protocol_grid(chain, h, cfg, counts)])
+    one = project_deviation(chain, h)
     rows = project_deviation(chain, h, counts)
     assert _hex(one.beta, *one.h_perp, one.weighted_l1) == _hex(
         rows.beta[0], *rows.h_perp[0].tolist(), rows.weighted_l1[0])

@@ -6,12 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apvsim
 from apvsim import (
+    ERROR_SLUGS,
+    AllocationError,
     ProtocolConfig,
     UnidentifiableThetaError,
+    ZeroSignalError,
+    allocate_atoms,
     cat_contrast,
     combine_classical_fit,
     project_deviation,
+    protocol_grid,
     protocol_table,
     reallocate,
     squeezing_factor,
@@ -288,6 +294,8 @@ class TestProtocolTable:
     def test_unknown_protocol_is_a_caller_error(self, yb_chain, benchmark_cfg):
         with pytest.raises(ValueError, match="unknown protocols"):
             protocol_table(yb_chain, (1, -1, 1, -1), benchmark_cfg, ("sql", "bogus"))
+        with pytest.raises(ValueError, match=r"unknown protocols \['bogus'\]; choose from"):
+            next(protocol_grid(yb_chain, (1, -1, 1, -1), benchmark_cfg, np.array([yb_chain.n_atoms]), ("sql", "bogus")))
 
     def test_scaling_exponents(self, benchmark_cfg):
         # log-log slope over five octaves of total atom number
@@ -430,3 +438,36 @@ class TestContrastNearUnderflow:
             assert rows["dfs_cat"].error == "no_contrast"
         else:
             assert rows["dfs_cat"].delta_theta == got.delta_theta
+
+
+def table_slug(exc):
+    """The slug of the first entry of ERROR_SLUGS whose class ``exc`` is an instance of."""
+    return next(slug for cls, slug in ERROR_SLUGS if isinstance(exc, cls))
+
+
+class TestErrorSlugs:
+    def test_each_class_and_slug_once(self):
+        classes, slugs = zip(*ERROR_SLUGS)
+        assert len(set(classes)) == len(classes) and len(set(slugs)) == len(slugs)
+
+    def test_no_entry_is_shadowed_by_an_earlier_base(self):
+        for i, (cls, _) in enumerate(ERROR_SLUGS):
+            assert not any(issubclass(cls, earlier) for earlier, _ in ERROR_SLUGS[:i]), cls
+
+    def test_allocation_error_is_one_class(self):
+        assert apvsim.scans.AllocationError is apvsim.protocols.AllocationError is AllocationError
+
+    def test_a_failed_allocation_is_the_allocation_slug(self, yb_chain):
+        with pytest.raises(AllocationError) as raised:
+            allocate_atoms(yb_chain, len(yb_chain.isotopes) - 1)
+        assert table_slug(raised.value) == "allocation"
+
+    @pytest.mark.parametrize("exc,slug", [
+        (UnidentifiableThetaError("parallel"), "singular_fit"),
+        (ZeroSignalError("no component"), "no_signal"),
+        (ValueError("plain"), "invalid_config"),
+        (ZeroDivisionError("contrast 0"), "no_contrast"),
+        (OverflowError("dw**2"), "no_contrast"),
+    ])
+    def test_subclasses_keep_their_own_slugs(self, exc, slug):
+        assert table_slug(exc) == slug

@@ -27,7 +27,7 @@ from apvsim import (
 )
 from apvsim import scenario as scenario_module
 from apvsim.chain import project_deviation
-from apvsim.protocols import _ERROR_SLUGS
+from apvsim.protocols import ERROR_SLUGS
 from apvsim.scans import SCAN_AXES, allocate_atoms
 from conftest import assert_canonical_form, canonical_text, random_chain
 
@@ -734,9 +734,8 @@ def test_generator_covers_every_field():
     assert set(SCENARIO_PROTOCOL_VALUES) == names(ProtocolConfig)
 
 
-# the slugs of tests/test_cli.py::test_readme_slug_table_lists_every_slug_once: "allocation" comes
-# from the atom scan, every other slug from _ERROR_SLUGS
-DOCUMENTED_SLUGS = {slug for _, slug in _ERROR_SLUGS} | {"allocation"}
+# the slugs of tests/test_cli.py::test_readme_slug_table_lists_every_slug_once
+DOCUMENTED_SLUGS = {slug for _, slug in ERROR_SLUGS}
 
 
 @settings(max_examples=120, deadline=None)
