@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from itertools import chain as chain_from
 from typing import Sequence
@@ -182,7 +183,7 @@ _FSUM_BLOCK = 1024
 _SCALAR_ROWS = 64
 
 
-def _fsum_loop(terms: np.ndarray, stages: list | None) -> np.ndarray:
+def _fsum_loop(terms: np.ndarray, raising: bool) -> np.ndarray:
     """:func:`_row_fsums` with math.fsum on every row."""
     rows = terms.reshape(-1, terms.shape[-1])
     blocks = (map(math.fsum, rows[start:start + _FSUM_BLOCK].tolist())
@@ -190,16 +191,12 @@ def _fsum_loop(terms: np.ndarray, stages: list | None) -> np.ndarray:
     try:
         return np.fromiter(chain_from.from_iterable(blocks), float, len(rows)).reshape(terms.shape[:-1])
     except (ValueError, ArithmeticError):
-        if stages is None:
+        if raising:
             raise
     sums = np.full(terms.shape[:-1], math.nan)
-    raised: dict[type, tuple[np.ndarray, Exception]] = {}
     for row, parts in enumerate(terms.reshape(len(terms), -1, terms.shape[-1]).tolist()):
-        try:
+        with suppress(ValueError, ArithmeticError):
             sums.reshape(len(terms), -1)[row] = [math.fsum(part) for part in parts]
-        except (ValueError, ArithmeticError) as exc:
-            raised.setdefault(type(exc), (np.zeros(len(terms), dtype=bool), exc))[0][row] = True
-    stages.extend(raised.values())
     return sums
 
 
@@ -210,14 +207,12 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _row_fsums(terms: np.ndarray, stages: list | None = None) -> np.ndarray:
+def _row_fsums(terms: np.ndarray, raising: bool = True) -> np.ndarray:
     """The correctly rounded sum over the last axis of ``terms`` (what
     math.fsum gives), raising where a Python loop of math.fsum raises; or,
-    given a ``stages`` list, NaN sums on each grid row (first axis) with a
-    sum that raises, and one (row mask, exception) pair in ``stages`` per
-    class of the row's first exception.  From _SCALAR_ROWS rows up, numpy
-    sums the rows, and math.fsum sums them all again unless each numpy sum
-    is proven correctly rounded.
+    not ``raising``, NaN sums on each grid row (first axis) with a sum that
+    raises.  From _SCALAR_ROWS rows up, numpy sums the rows, and math.fsum
+    sums them all again unless each numpy sum is proven correctly rounded.
 
     The proof (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955, 2005):
     two TwoSum cascades split the exact sum into s + t + sum(f), and
@@ -228,7 +223,7 @@ def _row_fsums(terms: np.ndarray, stages: list | None = None) -> np.ndarray:
     math.fsum may raise) gives no proof."""
     rows = terms.reshape(-1, terms.shape[-1])
     if len(rows) < _SCALAR_ROWS:
-        return _fsum_loop(terms, stages)
+        return _fsum_loop(terms, raising)
     cols = np.ascontiguousarray(rows.T)
     with np.errstate(all="ignore"):
         s, t, c = cols[0], 0.0, 0.0
@@ -241,7 +236,7 @@ def _row_fsums(terms: np.ndarray, stages: list | None = None) -> np.ndarray:
         proven = ((np.abs(cols).sum(axis=0) < 2.0**1000) & (np.abs(r) >= 2.0**-1022)
                   & ((c == 0) | (np.abs(d) + 2 * c < 0.5 * gap)))
     if not proven.all():
-        return _fsum_loop(terms, stages)
+        return _fsum_loop(terms, raising)
     return r.reshape(terms.shape[:-1])
 
 

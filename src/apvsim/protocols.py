@@ -25,11 +25,13 @@ All functions are pure; delta theta scales exactly as (R * T_avg)^(-1/2).
 :func:`protocol_grid` evaluates a G x k matrix of atom counts at once with
 numpy, each per-isotope value once per distinct atom count and each ``**``
 and ``math`` call on a Python scalar; :func:`protocol_table` evaluates one
-allocation on Python floats and gives the grid's row for it, bit for bit.
+allocation on Python floats, gives the grid's row for it bit for bit, and
+alone names a failure: the grid takes each row it flags from it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -43,6 +45,7 @@ from .chain import (
     _pattern_values,
     _row_fsums,
     project_deviation,
+    reallocate,
 )
 from .rules import check_fields
 
@@ -205,34 +208,25 @@ def _square(dw: float) -> float:
 def _grid_fit(chain: IsotopeChain, h, dws: np.ndarray, square: np.ndarray, cfg: ProtocolConfig):
     """:func:`combine_classical_fit` at every row of the G x k ``dws``, given
     their :func:`_square` values ``square``, numpy float errors ignored: G
-    delta thetas and the (row mask, exception) stages in the order the
-    scalar fit raises them."""
+    delta thetas and a mask that holds every row at which the scalar fit
+    raises, and may hold more."""
     y = tuple(cfg.omega * ha for ha in _pattern_values(h))
     factors = np.array(((chain.q, chain.q, y), (chain.q, y, y)))
     # w_A q_A q_A, w_A q_A y_A and w_A y_A y_A of every row, summed per row
     terms = (1.0 / square)[:, None, :] * factors[0] * factors[1]
-    stages = []
+    failed = np.zeros(len(dws), dtype=bool)
     if not (dws.min() > 0 and 0.0 < square.min() and square.max() < math.inf):  # bad or unmeasured isotope
         measured = np.isfinite(dws)
         np.copyto(terms, 0.0, where=~measured[:, None, :])  # even where Omega h_A is inf
-        # a row fails at its first measured isotope with dw <= 0, or with
-        # a 1 / dw**2 that raises: dw**2 overflows, or underflows to zero
-        nonpositive = measured & (dws <= 0)
-        bad = nonpositive | (measured & ((square == 0) | (square == math.inf)))
-        stages = [
-            (nonpositive[np.arange(len(dws)), bad.argmax(axis=1)],
-             ValueError("frequency uncertainties must be positive")),
-            (bad.any(axis=1), ArithmeticError("a fit weight 1 / delta omega^2 is out of range")),
-            (measured.sum(axis=1) < 2, ValueError("need >= 2 isotopes with finite uncertainties")),
-        ]
-    f_qq, f_qt, f_tt = _row_fsums(terms, stages).T
+        # a measured dw <= 0, or a 1 / dw**2 that raises: dw**2 overflows, or underflows to zero
+        failed = ((measured & ((dws <= 0) | (square == 0) | (square == math.inf))).any(axis=1)
+                  | (measured.sum(axis=1) < 2))
+    f_qq, f_qt, f_tt = _row_fsums(terms, raising=False).T
     det = f_qq * f_tt - f_qt * f_qt
-    stages.append(((0.0 < f_tt) & (f_qq * f_tt < sys.float_info.min),
-                   ArithmeticError("the fit weights underflow")))
-    # det above the threshold is positive, so the square root is defined
-    stages.append((det <= 1e-12 * f_qq * f_tt, UnidentifiableThetaError(
-        "deviation pattern is parallel to the weak-charge pattern under these weights")))
-    return np.sqrt(f_qq / det), stages
+    # a NaN det, from a sum that raises, fails the test for h parallel to q;
+    # det above its threshold is positive, so the square root is defined
+    failed |= ((0.0 < f_tt) & (f_qq * f_tt < sys.float_info.min)) | ~(det > 1e-12 * f_qq * f_tt)
+    return np.sqrt(f_qq / det), failed
 
 
 def combine_classical_fit(
@@ -288,9 +282,9 @@ class _PerIsotope:
     squeezed: bool = False
     own_cat: bool = False
 
-    def evaluate(self, chain, h, levels, where, cfg, reps, xi, stages) -> tuple[np.ndarray, dict]:
-        """The G x k grid whose counts are ``levels[where]``: each value of an
-        isotope depends on its count alone, so it is computed once per level."""
+    def evaluate(self, chain, h, levels, where, cfg, reps, xi) -> tuple[np.ndarray, np.ndarray, dict]:
+        """The G x k grid whose counts are ``levels[where]`` and a mask of its rows that may fail: each
+        value of an isotope depends on its count alone, so it is computed once per level."""
         weights = levels.astype(float)
         present = weights >= 1
         if self.own_cat:  # the contrast of one atom stands in on an isotope without
@@ -302,16 +296,12 @@ class _PerIsotope:
         if self.squeezed:
             dws *= xi
         dws[~present] = math.inf
-        # on an isotope with atoms, math.inf is an overflow, or a division
-        # by zero that a scalar loop raises
+        # math.inf on an isotope with atoms: an overflow, or a division by zero that a scalar loop raises
         infinite = present & ((den == 0) | (dws == math.inf))
-        stages.append((infinite[where].any(axis=1),
-                       ArithmeticError("a per-isotope frequency uncertainty is not finite")))
         square = np.array([_square(dw) for dw in dws.tolist()])
         dws = dws[where]
-        delta, fit = _grid_fit(chain, h, dws, square[where], cfg)
-        stages += fit
-        return delta, {"per_isotope": dws}
+        delta, failed = _grid_fit(chain, h, dws, square[where], cfg)
+        return delta, failed | infinite[where].any(axis=1), {"per_isotope": dws}
 
     def row(self, chain, h, proj, cfg, reps, xi) -> tuple[float, dict]:
         """:meth:`evaluate` at the chain's allocation, raising at its first failure."""
@@ -382,17 +372,6 @@ def _check_known(protocols: tuple[str, ...]):
         raise ValueError(f"unknown protocols {unknown}; choose from {PROTOCOLS}")
 
 
-def _slugs(stages: list, delta: np.ndarray) -> np.ndarray:
-    """Per row, the slug of the first stage whose mask holds it (or None); NaN in ``delta`` there."""
-    out = np.empty(len(delta), dtype=object)  # every row None
-    held = np.array([failed for failed, _ in stages]).any(axis=1).tolist()
-    for (failed, exc), hit in zip(stages[::-1], held[::-1]):  # an earlier stage overwrites a later one
-        if hit:
-            out[failed] = _slug(type(exc))
-            delta[failed] = math.nan
-    return out
-
-
 def protocol_grid(
     chain: IsotopeChain,
     h: DeviationPattern | tuple[float, ...] | list[float],
@@ -403,40 +382,41 @@ def protocol_grid(
     """Evaluate the requested protocols at every row of the G x k atom
     ``counts`` made by :func:`apvsim.scans.allocate_atoms`, one
     :class:`SensitivityResult` of G rows at a time in request order, so that
-    a grid holds one protocol's intermediates at once.  Each protocol lists
-    its failures as (row mask, exception) stages in the order a one-row
-    evaluation meets them; a failed row gets the slug of its first stage,
-    not an abort."""
+    a grid holds one protocol's intermediates at once.  Each protocol flags
+    the rows that may fail, and each flagged row takes its delta_theta and
+    error from :func:`protocol_table` on the chain reallocated to it, so
+    that one kernel names failures.  Caller errors raise at the call."""
     _check_known(protocols)
     weights = counts.astype(float)
     proj = project_deviation(chain, h, weights)
     xi, reps = squeezing_factor(cfg.squeezing_db), cfg.reps
-    invalid = ValueError(f"need rep_rate * t_avg >= 1 for a meaningful estimate, got {reps}")
-    signal: list = []
     if any(isinstance(_REGISTRY[name], _PerIsotope) for name in protocols):
         levels, where = np.unique(counts, return_inverse=True)
         where = where.reshape(counts.shape)  # numpy versions differ on its shape
     if any(isinstance(_REGISTRY[name], _GlobalCat) for name in protocols):
-        # A global cat fails first where the reconstructed sum_A N_A |h_A|
-        # shows h_perp to be rounding dust left over from an h parallel to q.
+        # A global cat fails where the reconstructed sum_A N_A |h_A| (NaN if it raises) shows
+        # h_perp to be rounding dust left over from an h parallel to q.
         totals = counts.sum(axis=1).astype(float)
         with np.errstate(all="ignore"):
-            scale = _row_fsums(weights * np.abs(proj.h_perp + proj.beta[:, None] * np.array(chain.q)), signal)
-        signal.append((proj.weighted_l1 <= 1e-12 * scale,
-                       ZeroSignalError("deviation pattern has no weighted component orthogonal to q")))
-    for name in protocols:
+            scale = _row_fsums(weights * np.abs(proj.h_perp + proj.beta[:, None] * np.array(chain.q)), raising=False)
+        no_signal = ~(proj.weighted_l1 > 1e-12 * scale)
+    at_row = functools.cache(lambda row: reallocate(chain, counts[row].tolist()))  # shared by the protocols
+
+    def result(name: str) -> SensitivityResult:
         model = _REGISTRY[name]
-        with np.errstate(all="ignore"):  # the rows that overflow or divide by zero fail
-            stages = [(np.ones(len(counts), dtype=bool), invalid)] if reps < 1 else []
+        with np.errstate(all="ignore"):  # the rows that overflow or divide by zero are flagged
             if isinstance(model, _PerIsotope):
-                delta, intermediates = model.evaluate(chain, h, levels, where, cfg, reps, xi, stages)
+                delta, failed, intermediates = model.evaluate(chain, h, levels, where, cfg, reps, xi)
             else:
-                stages += signal
-                delta, intermediates = model.evaluate(proj.weighted_l1, totals, cfg, reps)
-            stages.append((~((0 < delta) & (delta < math.inf)),
-                           ArithmeticError("delta theta is not a finite positive number")))
-            error = _slugs(stages, delta)
-        yield SensitivityResult(name, delta, error=error, **intermediates)
+                (delta, intermediates), failed = model.evaluate(proj.weighted_l1, totals, cfg, reps), no_signal
+            failed = failed | ~((0 < delta) & (delta < math.inf)) | (reps < 1)
+        error = np.empty(len(delta), dtype=object)  # every row None
+        for row in np.flatnonzero(failed).tolist():
+            (one,) = protocol_table(at_row(row), h, cfg, (name,))
+            delta[row], error[row] = one.delta_theta, one.error
+        return SensitivityResult(name, delta, error=error, **intermediates)
+
+    return map(result, protocols)
 
 
 def protocol_table(
@@ -447,7 +427,7 @@ def protocol_table(
 ) -> list[SensitivityResult]:
     """Evaluate the requested protocols on one (chain, pattern, config): row 0
     of :func:`protocol_grid` over the chain's own allocation, computed on
-    Python floats.  Each protocol's stages raise in the grid's order, and
+    Python floats.  Each protocol's tests raise in a fixed order, and
     :data:`ERROR_SLUGS` gives the row the slug of the first exception.
 
     A protocol that cannot be evaluated contributes a row with an error

@@ -289,16 +289,8 @@ def _check_row_fsums(block):
     failed = [isinstance(sums, Exception) for sums in want]
     nan = [math.nan] * block.shape[1]
     want_hex = [[x.hex() for x in (nan if bad else sums)] for sums, bad in zip(want, failed)]
-    stages = []
-    got = _row_fsums(block, stages)
+    got = _row_fsums(block, raising=False)
     assert [[x.hex() for x in sums] for sums in got.tolist()] == want_hex
-    # one stage per exception class, in the order the grid rows first raise it
-    first = {}
-    for row, exc in enumerate(want):
-        if isinstance(exc, Exception):
-            first.setdefault(type(exc), (np.zeros(len(block), dtype=bool), exc))[0][row] = True
-    assert [(mask.tolist(), type(exc), str(exc)) for mask, exc in stages] == [
-        (mask.tolist(), type(exc), str(exc)) for mask, exc in first.values()]
     if not any(failed):
         assert [[x.hex() for x in sums] for sums in _row_fsums(block).tolist()] == want_hex
         return

@@ -295,7 +295,9 @@ class TestProtocolTable:
         with pytest.raises(ValueError, match="unknown protocols"):
             protocol_table(yb_chain, (1, -1, 1, -1), benchmark_cfg, ("sql", "bogus"))
         with pytest.raises(ValueError, match=r"unknown protocols \['bogus'\]; choose from"):
-            next(protocol_grid(yb_chain, (1, -1, 1, -1), benchmark_cfg, np.array([yb_chain.n_atoms]), ("sql", "bogus")))
+            protocol_grid(yb_chain, (1, -1, 1, -1), benchmark_cfg, np.array([yb_chain.n_atoms]), ("sql", "bogus"))
+        with pytest.raises(ValueError, match="all isotopes have zero atoms"):  # the projection, also at the call
+            protocol_grid(yb_chain, (1, -1, 1, -1), benchmark_cfg, np.array([yb_chain.n_atoms, (0, 0, 0, 0)]))
 
     def test_scaling_exponents(self, benchmark_cfg):
         # log-log slope over five octaves of total atom number
