@@ -21,6 +21,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -65,29 +66,38 @@ class RunSummary:
         return {**vars(self), "checks": checks}
 
 
-def _decimals(values: list) -> list[int] | None:
-    """``format_sig``'s decimals per value, or None unless each takes its ``"%.*f"`` branch."""
+def _fixed(values: list) -> tuple[str, list] | None:
+    """The template piece ``,%.<d>f`` and ``[values]`` where every value takes ``format_sig``'s
+    ``"%.*f"`` branch at one precision d, ``,%.*f`` and ``[decimals, values]`` where at
+    several; None unless each value takes that branch."""
     log10, floor, last = math.log10, math.floor, SIG_DIGITS - 1
     try:  # ValueError or OverflowError at zero, a negative value, nan or +-inf
         decimals = [last - floor(log10(v)) for v in values]
     except (ValueError, OverflowError):
         return None
-    return decimals if min(decimals) > 0 else None
+    if min(decimals) <= 0:
+        return None
+    if decimals.count(decimals[0]) == len(decimals):  # "%.5f" % v is "%.*f" % (5, v)
+        return f",%.{decimals[0]}f", [values]
+    return ",%.*f", [decimals, values]
 
 
-def _column(protocol: str, stats: list, tots: list, slugs: list) -> tuple[str, list]:
+def _column(protocol: str, stats: list, tots: list, slugs: list | None) -> tuple[str, list]:
     """A block's column as its line piece ``%s,<protocol>,stat,tot`` and the piece's
     fields, one list each.  Values that all take ``format_sig``'s ``"%.*f"`` branch are
-    formatted by the piece, or once where every tot equals its stat.  Else ``format_sig``
-    runs per field; a slug fills both fields, a tot equal to its stat reuses its text."""
+    formatted by the piece, once where the tots are the stats list itself, with the
+    precision written into the piece where the block's values share one.  Else ``format_sig`` runs
+    per field; a slug fills both fields, a tot equal to its stat reuses its text."""
     piece = "%s," + protocol.replace("%", "%%")
-    decimals = None if any(slugs) else _decimals(stats)
-    if decimals is not None and tots == stats:
-        texts = list(map("%.*f".__mod__, zip(decimals, stats)))
+    fixed_stats = None if slugs else _fixed(stats)
+    if fixed_stats is not None and tots is stats:
+        fmt, fields = fixed_stats
+        texts = list(map(fmt[1:].__mod__, fields[0] if len(fields) == 1 else zip(*fields)))
         return piece + ",%s,%s\n", [texts, texts]
-    tot_decimals = None if decimals is None else _decimals(tots)
-    if tot_decimals is not None:
-        return piece + ",%.*f,%.*f\n", [decimals, stats, tot_decimals, tots]
+    fixed_tots = None if fixed_stats is None else _fixed(tots)
+    if fixed_tots is not None:
+        return piece + fixed_stats[0] + fixed_tots[0] + "\n", fixed_stats[1] + fixed_tots[1]
+    slugs = slugs or repeat(None)
     texts = [format_sig(stat) if slug is None else f"error:{slug}" for stat, slug in zip(stats, slugs)]
     return piece + ",%s,%s\n", [texts, [text if slug is not None or tot == stat else format_sig(tot)
                                          for text, stat, tot, slug in zip(texts, stats, tots, slugs)]]
@@ -102,7 +112,7 @@ def _write_scan_csv(path: Path, table: ScanTable):
         for start in range(0, len(table.values), GRID_BLOCK):
             block = slice(start, start + GRID_BLOCK)
             axis, template, fields = list(map(format_sig, table.values[block])), "", []
-            for piece, column in map(_column, table.protocols, *(array.T.tolist() for array in table.cells(block))):
+            for piece, column in map(_column, table.protocols, *zip(*table.cells(block))):
                 template += piece
                 fields += [axis, *column]
             fh.writelines(map(template.__mod__, zip(*fields)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +73,13 @@ class StateVector:
 
     def __post_init__(self):
         self.amplitudes.setflags(write=False)
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Indices of the nonzero amplitudes in basis order, computed once: a cat
+        populates 2 of the 2^M entries, and the primitives that read only
+        populations sum over these alone."""
+        return np.flatnonzero(self.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -205,12 +213,18 @@ def _check_pair(state: StateVector, gen: DiagonalGenerator):
         raise ValueError("state and generator were built over different registers")
 
 
+def _on_support(state: StateVector, values: np.ndarray) -> np.ndarray:
+    """``values``, one per basis state, at the state's support; as they are where every amplitude is nonzero."""
+    return values if len(state.support) == len(values) else values[state.support]
+
+
 def qfi(state: StateVector, gen: DiagonalGenerator) -> float:
     """Quantum Fisher information of a pure state: 4 Var(G)."""
     _check_pair(state, gen)
-    p = np.abs(state.amplitudes) ** 2
-    mean = float(np.dot(p, gen.diag))
-    mean_sq = float(np.dot(p, gen.diag * gen.diag))
+    p = np.abs(_on_support(state, state.amplitudes)) ** 2
+    diag = _on_support(state, gen.diag)
+    mean = float(np.dot(p, diag))
+    mean_sq = float(np.dot(p, diag * diag))
     return 4.0 * (mean_sq - mean * mean)
 
 
@@ -223,8 +237,8 @@ def ramsey_evolve(state: StateVector, gen: DiagonalGenerator, theta: float) -> S
 
 def _cat_branches(state: StateVector, gen: DiagonalGenerator) -> tuple[int, int]:
     """Indices of the two populated branches, higher generator eigenvalue first."""
-    mags = np.abs(state.amplitudes)
-    nz = np.flatnonzero(mags > 1e-9 * mags.max())
+    mags = np.abs(_on_support(state, state.amplitudes))
+    nz = state.support[mags > 1e-9 * mags.max(initial=0.0)]
     if len(nz) != 2:
         raise NonCatStateError(
             f"branch-parity readout needs exactly 2 populated branches, found {len(nz)}"
@@ -291,7 +305,7 @@ def common_noise_check(state: StateVector, gen: DiagonalGenerator, phase: float 
     """
     _check_pair(state, gen)
     phases = np.asarray(phase, dtype=float)
-    p = np.abs(state.amplitudes) ** 2
-    overlap = (np.exp(-1j * phases[..., None] * gen.diag) * p).sum(axis=-1)
+    p = np.abs(_on_support(state, state.amplitudes)) ** 2
+    overlap = (np.exp(-1j * phases[..., None] * _on_support(state, gen.diag)) * p).sum(axis=-1)
     out = np.hypot(overlap.real, overlap.imag)
     return out if phases.ndim else float(out)

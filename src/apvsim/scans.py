@@ -101,14 +101,15 @@ class ScanTable:
     """A scan as columns: G grid ``values`` by P ``protocols`` ("beam" last
     on a time scan), and the row count of each slug in ``error_rows``.
     ``cells(rows)`` gives a slice of grid rows, ``cells(slice(None))`` all of
-    them, as ``stat`` and ``tot`` float arrays (NaN at a slug) and ``errors``,
-    one slug or None per cell: read-only views on an atom scan, fresh arrays
-    on each call on a time scan."""
+    them, as one ``(stats, tots, slugs)`` of fresh Python lists per protocol:
+    ``stats`` and ``tots`` floats (NaN at a slug), ``tots`` the ``stats`` list
+    itself where every tot equals its stat by construction, and ``slugs`` one
+    slug or None per row, or None where no row of the slice has a slug."""
 
     axis: str
     values: tuple[float, ...]
     protocols: tuple[str, ...]
-    cells: Callable[[slice], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    cells: Callable[[slice], list[tuple[list, list, list | None]]]
     error_rows: dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -165,8 +166,13 @@ def atom_scan(
                 deltas[start + placed, j] = result.delta_theta
                 slugs[start + placed, j] = result.error
     deltas.flags.writeable = slugs.flags.writeable = False  # frozen, like the rest of the table
-    return ScanTable("atom_number", spec.grid, protocols, lambda rows: (deltas[rows], deltas[rows], slugs[rows]),
-                     dict(Counter(filter(None, slugs.ravel().tolist()))))
+    failed = np.not_equal(slugs, None)
+
+    def cells(rows: slice) -> list[tuple[list, list, list | None]]:  # each tot is its stat: there is no floor
+        return [(stats, stats, slugs[rows, j].tolist() if failed[rows, j].any() else None)
+                for j, stats in enumerate(deltas[rows].T.tolist())]
+
+    return ScanTable("atom_number", spec.grid, protocols, cells, dict(Counter(slugs[failed].tolist())))
 
 
 def _failed_rows(curve, floor: float, grid: tuple[float, ...]) -> int:
@@ -193,8 +199,12 @@ def time_scan(
 
     delta_theta_stat(T) = delta_theta_stat(T0) * sqrt(T0 / T) with T0 the
     first grid time; delta_theta_tot adds sigma_sys in quadrature.  The table
-    keeps the row at T0 and rescales it in ``cells``, where a stat or tot that
-    is not a finite positive number gets ArithmeticError's slug, no_contrast.  R T0 < 1 raises ValueError.
+    keeps the row at T0 and rescales it in ``cells``: sqrt(T0 / T) once per
+    block of rows, times each column's delta, and ``math.hypot`` per value
+    with the floor, whose tots are the stats list itself at floor 0.  A stat or
+    tot that is not a finite positive number gets ArithmeticError's slug,
+    no_contrast; only a column block holding such a row gets NaN and a slug
+    list.  R T0 < 1 raises ValueError.
     """
     if spec.axis != "time":
         raise ValueError(f"time_scan needs axis 'time', got {spec.axis!r}")
@@ -203,26 +213,34 @@ def time_scan(
         raise ValueError(reason)
     chain_n = reallocate(chain, allocate_atoms(chain, spec.n_fixed))
     base = protocol_table(chain_n, h, cfg_t0, spec.protocols)
-    # per column: its stat at given times (NaN at a slug), its floor and the slug of a row that fails
+    # per column: its delta at T0 (NaN at a slug, None for the beam), its floor and the slug of a row that fails
     not_finite = _slug(ArithmeticError)
-    columns = [(lambda grid, delta=res.delta_theta: delta * np.sqrt(t0 / grid), spec.sigma_sys,
-                res.error or not_finite) for res in base]
+    columns = [(res.delta_theta, spec.sigma_sys, res.error or not_finite) for res in base]
     if spec.beam is not None:
-        columns.append((spec.beam.curve, spec.beam.floor, not_finite))
-    curves, floors, slugs = zip(*columns)
+        columns.append((None, spec.beam.floor, not_finite))
 
-    def cells(rows: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def cells(rows: slice) -> list[tuple[list, list, list | None]]:
         grid = np.array(spec.grid[rows])
-        stat = np.column_stack([curve(grid) for curve in curves])
-        # math.hypot per value: np.hypot rounds some pairs differently
-        tot = np.column_stack([np.fromiter(map(math.hypot, column.tolist(), repeat(floor)), float, len(grid))
-                               for column, floor in zip(stat.T, floors)])
-        bad = ~((stat > 0) & (tot < math.inf))
-        stat[bad] = tot[bad] = math.nan
-        return stat, tot, np.where(bad, np.array(slugs, dtype=object), None)
+        scale = np.sqrt(t0 / grid)
+        out = []
+        for delta, floor, slug in columns:
+            stat = spec.beam.curve(grid) if delta is None else delta * scale
+            stats = stat.tolist()
+            # math.hypot per value: np.hypot rounds some pairs differently; at floor 0 the tot is the stat
+            tots = list(map(math.hypot, stats, repeat(floor))) if floor else stats
+            # NaN fails stat > 0, so the tests run on the arrays, not through min or max
+            if (stat > 0).all() and (math.inf not in tots if floor else (stat < math.inf).all()):
+                out.append((stats, tots, None))
+                continue
+            bad = ~((stat > 0) & (np.array(tots) < math.inf))
+            for i in np.flatnonzero(bad).tolist():
+                stats[i] = tots[i] = math.nan
+            out.append((stats, tots, np.where(bad, slug, None).tolist()))
+        return out
 
     error_rows = Counter()
-    for curve, floor, slug in columns:
+    for delta, floor, slug in columns:
+        curve = spec.beam.curve if delta is None else lambda grid, delta=delta: delta * np.sqrt(t0 / grid)
         error_rows[slug] += _failed_rows(curve, floor, spec.grid)
     return ScanTable("time", spec.grid, spec.protocols + ("beam",) * (spec.beam is not None), cells,
                      dict(+error_rows))
@@ -236,8 +254,8 @@ def crossover_finder(table: ScanTable) -> list[tuple[tuple[str, str], float]]:
     the bracketing interval.  Exact ties do not count as crossovers unless
     the sign actually changes across them.
     """
-    stat, _, errors = table.cells(slice(None))
-    measured = np.equal(errors, None)
+    stat = np.array([stats for stats, _, _ in table.cells(slice(None))]).T
+    measured = ~np.isnan(stat)  # a stat is NaN at a slug, and only there
     # the columns in the order the rows first show a value of theirs
     first = {j: int(np.argmax(column)) for j, column in enumerate(measured.T) if column.any()}
     events: list[tuple[tuple[str, str], float]] = []

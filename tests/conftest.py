@@ -86,11 +86,29 @@ def random_chain(rng: np.random.Generator, max_isotopes=4, min_atoms=1, max_tota
 def scan_cells(table):
     """Each cell of a scan table as (grid value, protocol, stat, tot, slug)
     of Python values, grid point major."""
-    stat, tot, errors = table.cells(slice(None))
-    errors = np.broadcast_to(errors, stat.shape).tolist()
-    return [(value, protocol, stat, tot, error)
-            for value, stats, tots, slugs in zip(table.values, stat.tolist(), tot.tolist(), errors)
-            for protocol, stat, tot, error in zip(table.protocols, stats, tots, slugs)]
+    columns = [(stats, tots, slugs or [None] * len(stats)) for stats, tots, slugs in table.cells(slice(None))]
+    return [(value, protocol, stats[i], tots[i], slugs[i])
+            for i, value in enumerate(table.values)
+            for protocol, (stats, tots, slugs) in zip(table.protocols, columns)]
+
+
+def list_cells(columns):
+    """A ``ScanTable.cells`` over per-protocol ``(stats, tots, slugs)`` lists: a
+    slice keeps ``tots`` the ``stats`` list where it is, and gives no slug list
+    where it holds no slug."""
+    def cells(rows):
+        out = []
+        for stats, tots, slugs in columns:
+            part, slugs = stats[rows], slugs[rows]
+            out.append((part, part if tots is stats else tots[rows],
+                        slugs if any(slug is not None for slug in slugs) else None))
+        return out
+    return cells
+
+
+def column_cells(stat, tot, errors):
+    """``list_cells`` over the columns of G x P ``stat``, ``tot`` and ``errors`` arrays."""
+    return list_cells([(s.tolist(), t.tolist(), e.tolist()) for s, t, e in zip(stat.T, tot.T, errors.T)])
 
 
 def assert_same_cells(got, want):

@@ -54,7 +54,7 @@ def test_01_scaling_reproduction():
     logs = np.log(grid)
     slopes = {}
     for name in ("sql", "cross_cat_ideal"):
-        deltas = table.cells(slice(None))[0][:, table.protocols.index(name)]
+        deltas = table.cells(slice(None))[table.protocols.index(name)][0]
         slopes[name] = float(np.polyfit(logs, np.log(deltas), 1)[0])
     elapsed = time.perf_counter() - t0
     ok = (
@@ -185,11 +185,11 @@ def test_07_time_scan_floor():
         protocols=protocols, sigma_sys=sigma, n_fixed=1000,
     )
     table = time_scan(make_yb_chain(), H_SPLIT, BENCH, spec)
-    stat, tot, _ = table.cells(slice(None))
+    columns = table.cells(slice(None))
     ok = True
     for name in protocols:
-        j = table.protocols.index(name)
-        deep = tot[stat[:, j] < sigma / 10, j]
+        stat, tot, _ = map(np.array, columns[table.protocols.index(name)])
+        deep = tot[stat < sigma / 10]
         if not deep.size or any(abs(deep - sigma) > 0.01 * sigma):
             ok = False
     report("time_scan_floor", ok, f"floor {sigma} reached by all {len(protocols)} protocols")

@@ -24,7 +24,7 @@ from apvsim.checks import CheckResult
 from apvsim.cli import _build_parser, _write_scan_csv, format_sig, main
 from apvsim.protocols import ERROR_SLUGS
 from apvsim.scans import GRID_BLOCK, BeamSpec, ScanSpec, ScanTable, atom_scan, time_scan
-from conftest import make_yb_chain, scan_cells
+from conftest import column_cells, list_cells, make_yb_chain, scan_cells
 
 
 def read_csv(path):
@@ -130,7 +130,7 @@ class TestWriteScanCsv:
         axis="time",
         values=(1.0, 2.0, 1.0),
         protocols=("sql", "cross_cat_ideal", "squeezed", "dfs_cat", "beam"),
-        cells=lambda rows, arrays=(STAT, TOT, ERRORS): tuple(array[rows] for array in arrays),
+        cells=column_cells(STAT, TOT, ERRORS),
     )
 
     def test_bytes_match_csv_writer_reference(self, tmp_path):
@@ -214,14 +214,13 @@ class TestWriteScanCsv:
             table = scan(scenario.chain, scenario.deviation, scenario.protocol, spec)
             expected += len(table.values)  # one call per axis value
             for start in range(0, len(table.values), GRID_BLOCK):
-                block = slice(start, start + GRID_BLOCK)
-                stat, tot, errors = (a.T.tolist() for a in table.cells(block))
-                for stats, tots, slugs in zip(stat, tot, errors):
+                for stats, tots, slugs in table.cells(slice(start, start + GRID_BLOCK)):
                     # a column of the block that holds a slug, or a field that does not
                     # take format_sig's "%.*f" branch, is formatted per field
-                    if any(slugs) or not all(map(_fixed_point, stats + tots)):
+                    if slugs is not None or not all(map(_fixed_point, stats + tots)):
                         per_field += 1
-                        expected += sum(1 + (t != s) for s, t, slug in zip(stats, tots, slugs) if slug is None)
+                        expected += sum(1 + (t != s) for s, t, slug in zip(stats, tots, slugs or itertools.repeat(None))
+                                        if slug is None)
         assert per_field == per_field_columns
         assert len(calls) == expected
 
@@ -258,37 +257,59 @@ _CELL_VALUES = [
 ]
 
 
+def _column_values(points):
+    """A column of ``points`` values: each drawn from one of ``_CELL_VALUES``, all
+    within one power of ten (one precision per block), or in order across a power
+    of ten, so that a block may change precision midway."""
+    def column(cells):
+        return st.lists(cells, min_size=points, max_size=points)
+    return st.one_of(
+        *map(column, _CELL_VALUES),
+        st.integers(-300, 10).flatmap(lambda k: column(st.floats(10.0 ** k, 10.0 ** (k + 1), exclude_max=True))),
+        st.integers(-299, 10).flatmap(lambda k: column(st.floats(10.0 ** k / 4, 10.0 ** k * 4)).map(sorted)),
+    )
+
+
 @st.composite
 def _scan_tables(draw):
     points = draw(st.integers(1, 7))
     protocols = draw(st.lists(st.sampled_from(["sql", "cross_cat_ideal", "beam", "50%_cat", "%s%%d"]),
                               min_size=1, max_size=4, unique=True))
-    stat, tot, errors = (np.empty((points, len(protocols)), dtype=dtype) for dtype in (float, float, object))
-    for j in range(len(protocols)):
-        values = st.lists(draw(st.sampled_from(_CELL_VALUES)), min_size=points, max_size=points)
-        stat[:, j] = draw(values)
-        tots = draw(st.sampled_from(["equal", "different", "mixed"]))
-        tot[:, j] = stat[:, j] if tots == "equal" else draw(values)
-        if tots == "mixed":
-            same = draw(st.lists(st.booleans(), min_size=points, max_size=points))
-            tot[:, j] = np.where(same, stat[:, j], tot[:, j])
+    columns = []
+    for _ in protocols:
+        values = _column_values(points)
+        stats = draw(values)
+        # the tots are the stats list itself, an equal but distinct list, other values, or some of each
+        tots = draw(st.sampled_from(["same", "equal", "different", "mixed"]))
+        if tots == "same":
+            tots = stats
+        elif tots == "equal":
+            tots = list(stats)
+        else:
+            other = draw(values)
+            same = draw(st.lists(st.booleans(), min_size=points, max_size=points)) if tots == "mixed" else []
+            tots = [stat if keep else tot for stat, tot, keep in itertools.zip_longest(stats, other, same)]
         slugs = st.none() if draw(st.booleans()) else st.sampled_from([None, "no_contrast", "allocation"])
-        errors[:, j] = draw(st.lists(slugs, min_size=points, max_size=points))
+        columns.append((stats, tots, draw(st.lists(slugs, min_size=points, max_size=points))))
     values = tuple(draw(st.lists(st.one_of(_POSITIVE, _POWERS_OF_TEN, _SPECIAL), min_size=points, max_size=points)))
-    return ScanTable("time", values, tuple(protocols),
-                     cells=lambda rows, arrays=(stat, tot, errors): tuple(array[rows] for array in arrays))
+    return ScanTable("time", values, tuple(protocols), cells=list_cells(columns))
 
 
-# one block of each path: shared text, numbers in the template, and per field
-_THREE_PATHS = ScanTable("time", (1.0, 2.0), ("sql", "beam", "50%_cat"), cells=lambda rows, arrays=(
+# one block of each path: shared text, numbers in the template at one precision
+# (the beam tots) and at one per value, and per field
+_EVERY_PATH = ScanTable("time", (1.0, 2.0), ("sql", "beam", "50%_cat"), cells=column_cells(
     np.array([[2.5e-3, 7.0e-2, 1.9e-3], [1.25e-3, 4.9e-2, math.nan]]),
     np.array([[2.5e-3, 7.1e-2, 2.6e-3], [1.25e-3, 5.0e-2, math.nan]]),
-    np.array([[None, None, None], [None, None, "no_contrast"]], dtype=object)): tuple(a[rows] for a in arrays))
+    np.array([[None, None, None], [None, None, "no_contrast"]], dtype=object)))
+# stats at one precision (14 decimals) and tots at 13 then 14
+_ONE_PRECISION_STATS = ScanTable("time", (1.0, 2.0, 3.0), ("sql",), cells=list_cells(
+    [([2.5e-3, 2.0e-3, 1.5e-3], [1.2e-2, 9.5e-3, 8.0e-3], [None] * 3)]))
 
 
 @settings(max_examples=400, deadline=None)
 @given(table=_scan_tables(), block=st.integers(1, 3))
-@example(table=_THREE_PATHS, block=2)
+@example(table=_EVERY_PATH, block=2)
+@example(table=_ONE_PRECISION_STATS, block=3)
 def test_writer_matches_the_reference_block_by_block(table, block):
     # blocks of 1-3 grid points: one block mixes columns of every formatting path
     with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch:

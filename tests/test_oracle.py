@@ -351,3 +351,29 @@ class TestCommonNoise:
         sep_plain = float(np.max(plain.diag) - np.min(plain.diag))
         sep_paired = float(np.max(paired.diag) - np.min(paired.diag))
         assert sep_paired == pytest.approx(2 * sep_plain, rel=1e-13)
+
+
+class TestSupport:
+    @pytest.mark.parametrize("kind,size", [("product_x", 1 << 7), ("ghz_per_isotope", 1 << 4),
+                                           ("cross_cat", 2), ("dfs_cat", 2)])
+    def test_support_is_the_nonzero_amplitudes_computed_once(self, kind, size):
+        chain, _, proj = small_yb((2, 2, 2, 1))
+        state = build_state(kind, chain, proj)
+        assert state.support.tolist() == np.flatnonzero(state.amplitudes).tolist()
+        assert len(state.support) == size and state.support is state.support
+
+    @pytest.mark.parametrize("kind", ["cross_cat", "dfs_cat"])
+    def test_a_cat_reads_as_on_its_full_vector(self, kind):
+        # with two populated entries every zero term is exact, so the sums over
+        # the support are those over the full vector, bit for bit
+        chain, _, proj = small_yb((2, 2, 2, 1))
+        dfs = kind == "dfs_cat"
+        state = build_state(kind, chain, proj, phase=0.4)
+        gen = build_generator(chain, proj, 1.0, 1.0, dfs=dfs)
+        common = build_common_generator(chain, 1.0, 1.0, dfs=dfs)
+        p = np.abs(state.amplitudes) ** 2
+        mean, mean_sq = float(np.dot(p, gen.diag)), float(np.dot(p, gen.diag * gen.diag))
+        assert qfi(state, gen).hex() == (4.0 * (mean_sq - mean * mean)).hex()
+        phases = np.array([0.0, 0.37, 1.234, math.pi / 2, 2.9, 17.0])
+        overlap = (np.exp(-1j * phases[:, None] * common.diag) * p).sum(axis=-1)
+        assert common_noise_check(state, common, phases).tolist() == np.hypot(overlap.real, overlap.imag).tolist()

@@ -10,6 +10,7 @@ from apvsim import (
     AllocationError,
     BeamSpec,
     ScanSpec,
+    ScanTable,
     ScenarioError,
     allocate_atoms,
     atom_scan,
@@ -22,15 +23,23 @@ from apvsim import (
     time_scan,
 )
 from apvsim.rules import FieldError
-from conftest import make_yb_chain
+from conftest import column_cells, make_yb_chain
 
 H_SPLIT = (-1.0, -1.0, 1.0, 1.0)
 
 
 def column(table, protocol, values="stat"):
     """One protocol's ``stat`` or ``tot`` column as Python floats."""
-    stat, tot, _ = table.cells(slice(None))
-    return (tot if values == "tot" else stat)[:, table.protocols.index(protocol)].tolist()
+    stats, tots, _ = table.cells(slice(None))[table.protocols.index(protocol)]
+    return tots if values == "tot" else stats
+
+
+def arrays(table, rows=slice(None)):
+    """The cells of ``rows`` as G x P ``stat`` and ``tot`` arrays and ``errors``, one slug or None per cell."""
+    columns = table.cells(rows)
+    stat, tot = (np.array([column[i] for column in columns]).T for i in (0, 1))
+    errors = np.array([slugs or [None] * len(stats) for stats, _, slugs in columns], dtype=object).T
+    return stat, tot, errors
 
 
 def atom_spec(grid, protocols=("sql", "cross_cat_ideal")):
@@ -77,7 +86,7 @@ class TestAtomScan:
 
     def test_stat_equals_tot_without_floor(self, yb_chain, benchmark_cfg):
         table = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([64, 128]))
-        stat, tot, _ = table.cells(slice(None))
+        stat, tot, _ = arrays(table)
         assert np.array_equal(tot, stat)
 
     def test_noisy_global_cat_turns_over_while_subarray_cats_degrade_slower(
@@ -96,7 +105,7 @@ class TestAtomScan:
     def test_too_small_budget_marks_rows(self, yb_chain, benchmark_cfg):
         table = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([2, 8]))
         assert table.values == (2.0, 8.0)
-        stat, _, errors = table.cells(slice(None))
+        stat, _, errors = arrays(table)
         assert errors[0].tolist() == ["allocation"] * 2 and np.isnan(stat[0]).all()
         assert errors[1].tolist() == [None] * 2
 
@@ -119,7 +128,7 @@ def time_spec(grid, sigma=0.0, n_fixed=1000, protocols=("sql", "cross_cat_noisy"
 class TestTimeScan:
     def test_without_floor_tot_equals_stat(self, yb_chain, benchmark_cfg):
         table = time_scan(yb_chain, H_SPLIT, benchmark_cfg, time_spec([1, 10, 100]))
-        stat, tot, _ = table.cells(slice(None))
+        stat, tot, _ = arrays(table)
         np.testing.assert_allclose(tot, stat, rtol=1e-15)
 
     def test_hundredfold_time_gives_tenfold_gain(self, yb_chain, benchmark_cfg):
@@ -237,14 +246,24 @@ class TestCrossoverFinder:
         table = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([2, 8, 16]))
         assert crossover_finder(table) == []
 
+    def test_a_pair_is_named_first_by_the_column_measured_first(self):
+        # "b" has a value from the first row and "a" from the second; they cross between 3 and 4
+        stat = np.array([[math.nan, 1.0], [1.0, 2.0], [2.0, 3.0], [4.0, 3.5]])
+        errors = np.array([["allocation", None], [None, None], [None, None], [None, None]], dtype=object)
+        table = ScanTable("atom_number", (1.0, 2.0, 3.0, 4.0), ("a", "b"), column_cells(stat, stat, errors))
+        (pair, value), = crossover_finder(table)
+        assert pair == ("b", "a") and value == pytest.approx(math.sqrt(12.0), rel=1e-15)
+
     def test_protocol_requested_twice_is_rejected(self):
         # so no table holds two columns of one protocol for the finder to count twice
         with pytest.raises(ValueError, match="may not repeat"):
             atom_spec([2, 8], protocols=("same_isotope_cat", "same_isotope_cat", "cross_cat_noisy"))
 
 
-def _hexes(array):
-    return [[float.hex(v) if isinstance(v, float) else v for v in row] for row in array.tolist()]
+def _hexes(columns, rows=slice(None)):
+    """``rows`` of each column of ``columns`` as float hexes and slugs, a slug list of None where there is none."""
+    return [([float.hex(v) for v in stats[rows]], [float.hex(v) for v in tots[rows]],
+             (slugs or [None] * len(stats))[rows]) for stats, tots, slugs in columns]
 
 
 @pytest.mark.parametrize("make", [
@@ -262,19 +281,19 @@ def test_cells_of_a_slice_are_those_rows_of_the_full_arrays(yb_chain, benchmark_
     whole = table.cells(slice(None))
     assert {"no_contrast"} <= set(table.error_rows)
     for rows, cells in zip(slices, parts):
-        assert [_hexes(array) for array in cells] == [_hexes(array[rows]) for array in whole]
+        assert _hexes(cells) == _hexes(whole, rows)
+        # a slug list only where the slice has a slug
+        assert [slugs is None for _, _, slugs in cells] == [not any(slugs) for _, _, slugs in _hexes(whole, rows)]
 
 
 def test_scan_tables_are_read_only(yb_chain, benchmark_cfg):
-    # an atom scan's cells are views of its frozen arrays
-    table = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([2, 8]))
-    for rows in (slice(None), slice(1, 2)):
-        for array in table.cells(rows):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = array[-1, -1]
-    # a time scan's cells are fresh arrays: a write to one leaves the next read as it was
-    table = time_scan(yb_chain, H_SPLIT, benchmark_cfg, time_spec([1, 10]))
-    before = [_hexes(array) for array in table.cells(slice(None))]
-    for array, junk in zip(table.cells(slice(None)), (-1.0, -1.0, "junk")):
-        array[:] = junk
-    assert [_hexes(array) for array in table.cells(slice(None))] == before
+    # each read gives fresh lists: a write to one leaves the next read as it was
+    for table in (atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([2, 8])),
+                  time_scan(yb_chain, H_SPLIT, benchmark_cfg, time_spec([1, 10], sigma=1e-3))):
+        for rows in (slice(None), slice(1, 2)):
+            before = _hexes(table.cells(rows))
+            for column in table.cells(rows):
+                for values, junk in zip(column, (-1.0, -1.0, "junk")):
+                    if values is not None:
+                        values[:] = [junk] * len(values)
+            assert _hexes(table.cells(rows)) == before

@@ -88,6 +88,9 @@ def _time_spec(grid, sigma, beam):
 # the cats' tot overflows at T0 and their stat underflows at the last time
 @example(instance=(_yb((1, 1, 1, 1)), _SPLIT), cfg=replace(_PLAIN, tau=3e-305, rep_rate=1e300),
          spec=_time_spec((1e-300, 1e-296, 1.0, 1.7e308), 1.7976931348623157e308, None))
+# the cats' tot overflows at T0 while every stat is a positive number
+@example(instance=(_yb((1, 1, 1, 1)), _SPLIT), cfg=replace(_PLAIN, tau=3e-305, rep_rate=1e300),
+         spec=_time_spec((1e-300, 1e-296, 1.0), 1.7976931348623157e308, None))
 def test_time_scan_matches_the_scalar_reference(instance, cfg, spec):
     chain, h = instance
     if replace(cfg, t_avg=spec.grid[0]).reps < 1:
