@@ -67,8 +67,8 @@ class RunSummary:
 
 
 def _fixed(values: list) -> tuple[str, list] | None:
-    """The template piece ``,%.<d>f`` and ``[values]`` where every value takes ``format_sig``'s
-    ``"%.*f"`` branch at one precision d, ``,%.*f`` and ``[decimals, values]`` where at
+    """The conversion ``%.<d>f`` and ``[values]`` where every value takes ``format_sig``'s
+    ``"%.*f"`` branch at one precision d, ``%.*f`` and ``[decimals, values]`` where at
     several; None unless each value takes that branch."""
     log10, floor, last = math.log10, math.floor, SIG_DIGITS - 1
     try:  # ValueError or OverflowError at zero, a negative value, nan or +-inf
@@ -78,25 +78,26 @@ def _fixed(values: list) -> tuple[str, list] | None:
     if min(decimals) <= 0:
         return None
     if decimals.count(decimals[0]) == len(decimals):  # "%.5f" % v is "%.*f" % (5, v)
-        return f",%.{decimals[0]}f", [values]
-    return ",%.*f", [decimals, values]
+        return f"%.{decimals[0]}f", [values]
+    return "%.*f", [decimals, values]
 
 
 def _column(protocol: str, stats: list, tots: list, slugs: list | None) -> tuple[str, list]:
     """A block's column as its line piece ``%s,<protocol>,stat,tot`` and the piece's
     fields, one list each.  Values that all take ``format_sig``'s ``"%.*f"`` branch are
     formatted by the piece, once where the tots are the stats list itself, with the
-    precision written into the piece where the block's values share one.  Else ``format_sig`` runs
-    per field; a slug fills both fields, a tot equal to its stat reuses its text."""
+    precision written into the piece where the block's values share one.  Else
+    ``format_sig`` runs per field; a slug fills both fields, a tot equal to its stat
+    reuses its text."""
     piece = "%s," + protocol.replace("%", "%%")
     fixed_stats = None if slugs else _fixed(stats)
     if fixed_stats is not None and tots is stats:
         fmt, fields = fixed_stats
-        texts = list(map(fmt[1:].__mod__, fields[0] if len(fields) == 1 else zip(*fields)))
+        texts = list(map(fmt.__mod__, fields[0] if len(fields) == 1 else zip(*fields)))
         return piece + ",%s,%s\n", [texts, texts]
     fixed_tots = None if fixed_stats is None else _fixed(tots)
     if fixed_tots is not None:
-        return piece + fixed_stats[0] + fixed_tots[0] + "\n", fixed_stats[1] + fixed_tots[1]
+        return f"{piece},{fixed_stats[0]},{fixed_tots[0]}\n", fixed_stats[1] + fixed_tots[1]
     slugs = slugs or repeat(None)
     texts = [format_sig(stat) if slug is None else f"error:{slug}" for stat, slug in zip(stats, slugs)]
     return piece + ",%s,%s\n", [texts, [text if slug is not None or tot == stat else format_sig(tot)
