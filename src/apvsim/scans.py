@@ -228,8 +228,8 @@ def time_scan(
             stats = stat.tolist()
             # math.hypot per value: np.hypot rounds some pairs differently; at floor 0 the tot is the stat
             tots = list(map(math.hypot, stats, repeat(floor))) if floor else stats
-            # NaN fails stat > 0, so the tests run on the arrays, not through min or max
-            if (stat > 0).all() and (math.inf not in tots if floor else (stat < math.inf).all()):
+            # NaN fails stat > 0, so that test runs on the array, not through min or max
+            if (stat > 0).all() and math.inf not in tots:
                 out.append((stats, tots, None))
                 continue
             bad = ~((stat > 0) & (np.array(tots) < math.inf))
