@@ -200,11 +200,13 @@ def _fsum_loop(terms: np.ndarray, raising: bool) -> np.ndarray:
     return sums
 
 
-def _two_sum(a, b):
-    """fl(a + b) and its rounding error, exactly (Knuth's TwoSum)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+def _two_sum(a, b, s, e, w):
+    """fl(a + b) into ``s`` and its rounding error, exactly, into ``e`` (Knuth's
+    TwoSum), on arrays, with ``w`` as scratch; ``a`` and ``b`` are only read."""
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=e)  # bb
+    np.subtract(a, np.subtract(s, e, out=w), out=w)  # a - (s - bb)
+    np.add(w, np.subtract(b, e, out=e), out=e)  # + (b - bb)
 
 
 def _row_fsums(terms: np.ndarray, raising: bool = True) -> np.ndarray:
@@ -212,32 +214,38 @@ def _row_fsums(terms: np.ndarray, raising: bool = True) -> np.ndarray:
     math.fsum gives), raising where a Python loop of math.fsum raises; or,
     not ``raising``, NaN sums on each grid row (first axis) with a sum that
     raises.  From _SCALAR_ROWS rows up, numpy sums the rows, and math.fsum
-    sums them all again unless each numpy sum is proven correctly rounded.
+    sums again each grid row with a numpy sum not proven correctly rounded.
 
     The proof (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 1955, 2005):
-    two TwoSum cascades split the exact sum into s + t + sum(f), and
-    r = fl(s + t) leaves the error d.  With c = fl(sum |f|) >= sum |f| / 2,
-    r is the float nearest the exact sum if c is 0, or if |d| + 2c is below
-    half the gap from r towards zero (the smaller gap at a power of two).
-    A non-finite term, a zero or subnormal r, or sum |x| >= 2^1000 (where
-    math.fsum may raise) gives no proof."""
+    two TwoSum cascades, on buffers allocated once (``terms`` is only read),
+    split the exact sum into s + t + sum(f), and r = fl(s + t) leaves the
+    error d.  With c = fl(sum |f|) >= sum |f| / 2, r is the float nearest the
+    exact sum if c is 0, or if |d| + 2c is below half the gap from r towards
+    zero (the smaller gap at a power of two).  A non-finite term, a zero or
+    subnormal r, or sum |x| >= 2^1000 (where math.fsum may raise) gives no
+    proof."""
     rows = terms.reshape(-1, terms.shape[-1])
     if len(rows) < _SCALAR_ROWS:
         return _fsum_loop(terms, raising)
-    cols = np.ascontiguousarray(rows.T)
+    cols = np.ascontiguousarray(rows.T)  # a view where terms are in column order
+    s, s_next, t, t_next, e, f, w, c = np.zeros((8, len(rows)))
+    r = np.empty(len(rows))
     with np.errstate(all="ignore"):
-        s, t, c = cols[0], 0.0, 0.0
+        s[:] = cols[0]
         for x in cols[1:]:
-            s, e = _two_sum(s, x)
-            t, f = _two_sum(t, e)
-            c = c + np.abs(f)
-        r, d = _two_sum(s, t)
+            _two_sum(s, x, s_next, e, w)
+            _two_sum(t, e, t_next, f, w)
+            s, s_next, t, t_next = s_next, s, t_next, t
+            c += np.abs(f, out=f)
+        _two_sum(s, t, r, e, w)
         gap = np.abs(r - np.nextafter(r, 0.0))
         proven = ((np.abs(cols).sum(axis=0) < 2.0**1000) & (np.abs(r) >= 2.0**-1022)
-                  & ((c == 0) | (np.abs(d) + 2 * c < 0.5 * gap)))
+                  & ((c == 0) | (np.abs(e) + 2 * c < 0.5 * gap)))
+    sums = r.reshape(terms.shape[:-1])
     if not proven.all():
-        return _fsum_loop(terms, raising)
-    return r.reshape(terms.shape[:-1])
+        unproven = ~proven.reshape(len(terms), -1).all(axis=1)
+        sums[unproven] = _fsum_loop(terms[unproven], raising)
+    return sums
 
 
 def project_deviation(

@@ -69,13 +69,13 @@ class RunSummary:
 def _fixed(values: list) -> tuple[str, list] | None:
     """The conversion ``%.<d>f`` and ``[values]`` where every value takes ``format_sig``'s
     ``"%.*f"`` branch at one precision d, ``%.*f`` and ``[decimals, values]`` where at
-    several; None unless each value takes that branch."""
+    several; None unless each value takes that branch, and for no values."""
     log10, floor, last = math.log10, math.floor, SIG_DIGITS - 1
     try:  # ValueError or OverflowError at zero, a negative value, nan or +-inf
         decimals = [last - floor(log10(v)) for v in values]
     except (ValueError, OverflowError):
         return None
-    if min(decimals) <= 0:
+    if min(decimals, default=0) <= 0:
         return None
     if decimals.count(decimals[0]) == len(decimals):  # "%.5f" % v is "%.*f" % (5, v)
         return f"%.{decimals[0]}f", [values]
@@ -84,18 +84,27 @@ def _fixed(values: list) -> tuple[str, list] | None:
 
 def _column(protocol: str, stats: list, tots: list, slugs: list | None) -> tuple[str, list]:
     """A block's column as its line piece ``%s,<protocol>,stat,tot`` and the piece's
-    fields, one list each.  Values that all take ``format_sig``'s ``"%.*f"`` branch are
-    formatted by the piece, once where the tots are the stats list itself, with the
-    precision written into the piece where the block's values share one.  Else
+    fields, one list each.  Where the tots are the stats list itself and the values
+    without a slug all take ``format_sig``'s ``"%.*f"`` branch, their texts are made
+    once, by one ``%`` over the joined conversions, and a slug row gets ``error:<slug>``.
+    Else values that all take that branch, with no slug, are formatted by the piece,
+    the precision written into it where the block's values share one.  Else
     ``format_sig`` runs per field; a slug fills both fields, a tot equal to its stat
     reuses its text."""
     piece = "%s," + protocol.replace("%", "%%")
-    fixed_stats = None if slugs else _fixed(stats)
+    fixed_stats = _fixed(stats if slugs is None else [stat for stat, slug in zip(stats, slugs) if slug is None])
     if fixed_stats is not None and tots is stats:
         fmt, fields = fixed_stats
-        texts = list(map(fmt.__mod__, fields[0] if len(fields) == 1 else zip(*fields)))
+        args = fields[-1]
+        if len(fields) == 2:  # each precision before its value
+            args = [None] * 2 * len(args)
+            args[::2], args[1::2] = fields
+        texts = (",".join(repeat(fmt, len(fields[-1]))) % tuple(args)).split(",")
+        if slugs is not None:
+            texts = iter(texts)
+            texts = [next(texts) if slug is None else f"error:{slug}" for slug in slugs]
         return piece + ",%s,%s\n", [texts, texts]
-    fixed_tots = None if fixed_stats is None else _fixed(tots)
+    fixed_tots = None if fixed_stats is None or slugs else _fixed(tots)
     if fixed_tots is not None:
         return f"{piece},{fixed_stats[0]},{fixed_tots[0]}\n", fixed_stats[1] + fixed_tots[1]
     slugs = slugs or repeat(None)

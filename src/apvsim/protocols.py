@@ -179,9 +179,12 @@ def cat_contrast(cfg: ProtocolConfig, n_atoms, t2: float, t2_once: float = math.
     (t2_once = t2_diff) does not.
 
     ``n_atoms`` may be an array of atom numbers; the contrasts then come
-    back as a float array of its shape, each computed on a Python scalar so
-    that ``**`` and ``math`` give exactly the scalar result.  Every element
-    is computed, so the grid callers pass distinct values.  An integer N
+    back as a float array of its shape, each ``**`` and ``math.exp`` on a
+    Python scalar so that they give exactly the scalar result.  Every element
+    is computed, so the grid callers pass distinct values.  A grid leaves out
+    each factor that is 1.0 at every element (C0, p_surv^N, exp(-tau / t2_once),
+    and exp(-N tau / t2) at an infinite t2 where max(N) tau is finite) and
+    multiplies the others in order: x * 1.0 is x, so no bit moves.  An integer N
     keeps N - 1 exact at any size.  Fewer than one atom, anywhere on a grid,
     raises ValueError.
     """
@@ -192,9 +195,17 @@ def cat_contrast(cfg: ProtocolConfig, n_atoms, t2: float, t2_once: float = math.
         raise ValueError(f"need at least one atom, got {fewest}")
     c0, f1, f2, p_surv, tau = cfg.c0, cfg.f1, cfg.f2, cfg.p_surv, cfg.tau
     once = math.exp(-tau / t2_once)
-    contrast = [c0 * f1**n * f2**(n - 1) * p_surv**n * math.exp(-n * tau / t2) * once
-                for n in (n_atoms.ravel().tolist() if grid else (n_atoms,))]
-    return np.array(contrast, dtype=float).reshape(n_atoms.shape) if grid else contrast[0]
+    if not grid:
+        return c0 * f1**n_atoms * f2**(n_atoms - 1) * p_surv**n_atoms * math.exp(-n_atoms * tau / t2) * once
+    ns = n_atoms.ravel().tolist()
+    contrast = np.array([f1**n * f2**(n - 1) for n in ns] if c0 == 1 else [c0 * f1**n * f2**(n - 1) for n in ns])
+    if p_surv != 1:
+        contrast *= [p_surv**n for n in ns]
+    if t2 < math.inf or not max(ns, default=1) * tau < math.inf:  # else every exponent is -0.0
+        contrast *= [math.exp(-n * tau / t2) for n in ns]
+    if once != 1:
+        contrast *= once
+    return contrast.reshape(n_atoms.shape)
 
 
 def _square(dw: float) -> float:
@@ -394,12 +405,13 @@ def protocol_grid(
         levels, where = np.unique(counts, return_inverse=True)
         where = where.reshape(counts.shape)  # numpy versions differ on its shape
     if any(isinstance(_REGISTRY[name], _GlobalCat) for name in protocols):
-        # A global cat fails where the reconstructed sum_A N_A |h_A| (NaN if it raises) shows
-        # h_perp to be rounding dust left over from an h parallel to q.
+        # A global cat fails where the reconstructed sum_A N_A |h_A| shows h_perp to be rounding dust
+        # left over from an h parallel to q.  The numpy sum of its k terms (>= 0) times 1 + 4k 2^-53 is
+        # at least protocol_table's math.fsum, so the mask holds each row failing there (NaN, inf too).
         totals = counts.sum(axis=1).astype(float)
         with np.errstate(all="ignore"):
-            scale = _row_fsums(weights * np.abs(proj.h_perp + proj.beta[:, None] * np.array(chain.q)), raising=False)
-        no_signal = ~(proj.weighted_l1 > 1e-12 * scale)
+            scale = (weights * np.abs(proj.h_perp + proj.beta[:, None] * np.array(chain.q))).sum(axis=1)
+            no_signal = ~(proj.weighted_l1 > 1e-12 * (scale * (1 + 4 * len(chain.q) * 2.0**-53)))
     at_row = functools.cache(lambda row: reallocate(chain, counts[row].tolist()))  # shared by the protocols
 
     def result(name: str) -> SensitivityResult:

@@ -75,7 +75,7 @@ def _numbers(value, rule) -> tuple[tuple | None, list[tuple[str, str]]]:
     # Whole-sequence tests first, as a scan grid can hold 5e4 values: checking
     # entry by entry would double its read time.  Only a list that fails is walked.
     numbers = None
-    if all(type(x) in (int, float) for x in value):
+    if {int, float}.issuperset(map(type, value)):  # one C-level pass; bool and numpy floats are walked
         with suppress(OverflowError):  # an integer beyond a float, named by the walk below
             numbers = tuple(map(float, value))
     if numbers is None or not all(map(math.isfinite, numbers)):

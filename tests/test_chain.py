@@ -14,7 +14,7 @@ from apvsim import (
     project_deviation,
     weak_charge,
 )
-from apvsim.chain import _row_fsums
+from apvsim.chain import _SCALAR_ROWS, _row_fsums
 from conftest import make_yb_chain, random_chain
 
 
@@ -314,3 +314,25 @@ def test_row_fsums_equal_math_fsum_row_by_row(block):
 def test_row_fsums_on_one_hand_picked_row(row, k, n, parts):
     # the only row of its block that may lack a proof
     _check_row_fsums(_explicit_block((row,), k, n, parts))
+
+
+@pytest.mark.parametrize("k, order", [(1, "C"), (4, "F")])
+def test_row_fsums_only_read_their_terms(k, order):
+    # at k = 1, and with the terms already in column order, the columns the
+    # cascades read are a view of the terms
+    block = np.asarray(np.random.default_rng(k).standard_normal((_SCALAR_ROWS + 1, k)), order=order)
+    block[0, 0] = math.inf  # a row without a proof, summed again
+    assert np.shares_memory(np.ascontiguousarray(block.T), block)
+    before = block.copy()
+    for raising in (False, True):
+        _row_fsums(block, raising)
+        assert block.view(np.int64).tolist() == before.view(np.int64).tolist()
+
+
+def test_row_fsums_give_math_fsum_the_unproven_row_alone(monkeypatch):
+    # a subnormal sum has no proof; the rows of positive integers have one
+    block = _explicit_block(((1e-300, -1e-300, 5e-324),), 3, 65, 1).reshape(65, 3)
+    rows, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda row: rows.append(list(row)) or fsum(row))
+    assert _row_fsums(block).tolist() == [fsum(row) for row in block.tolist()]
+    assert rows == [[1e-300, -1e-300, 5e-324]]

@@ -215,12 +215,16 @@ class TestWriteScanCsv:
             expected += len(table.values)  # one call per axis value
             for start in range(0, len(table.values), GRID_BLOCK):
                 for stats, tots, slugs in table.cells(slice(start, start + GRID_BLOCK)):
-                    # a column of the block that holds a slug, or a field that does not
-                    # take format_sig's "%.*f" branch, is formatted per field
-                    if slugs is not None or not all(map(_fixed_point, stats + tots)):
+                    # a column of the block is formatted per field unless its values all take
+                    # format_sig's "%.*f" branch: those without a slug where the tots are the
+                    # stats list (shared texts), every stat and tot where no row has a slug
+                    slugs = slugs or [None] * len(stats)
+                    values = [s for s, slug in zip(stats, slugs) if slug is None]
+                    shared = tots is stats and values and all(map(_fixed_point, values))
+                    template = len(values) == len(stats) and all(map(_fixed_point, stats + tots))
+                    if not (shared or template):
                         per_field += 1
-                        expected += sum(1 + (t != s) for s, t, slug in zip(stats, tots, slugs or itertools.repeat(None))
-                                        if slug is None)
+                        expected += sum(1 + (t != s) for s, t, slug in zip(stats, tots, slugs) if slug is None)
         assert per_field == per_field_columns
         assert len(calls) == expected
 
@@ -228,11 +232,20 @@ class TestWriteScanCsv:
         # every column takes a "%.*f" path: format_sig formats the axis values alone
         self.assert_format_sig_calls(tmp_path, monkeypatch, json.loads(bundled_scenario_path().read_text()), 0)
 
-    def test_columns_with_slugs_format_per_field_through_the_module_global(self, tmp_path, monkeypatch):
-        # allocation slugs at 1 and 3 atoms, no_contrast at the largest totals
+    def test_atom_columns_with_slugs_share_their_texts(self, tmp_path, monkeypatch):
+        # allocation slugs at 1 and 3 atoms, no_contrast at the largest totals: the other
+        # values of each column take the shared texts, so format_sig formats the axis alone
         data = json.loads(bundled_scenario_path().read_text())
         data["scans"][0].update(grid=[1, 3, 4, 1000000, 10000000], protocols=list(PROTOCOLS))
-        self.assert_format_sig_calls(tmp_path, monkeypatch, data, len(PROTOCOLS))
+        self.assert_format_sig_calls(tmp_path, monkeypatch, data, 0)
+
+    def test_columns_of_slugs_alone_and_time_columns_with_slugs_format_per_field(self, tmp_path, monkeypatch):
+        # an atom grid below the isotope count (every field a slug), and a time scan with a
+        # floor whose cats have no contrast at their first time
+        data = json.loads(bundled_scenario_path().read_text())
+        data["scans"][0].update(grid=[1, 2, 3])
+        data["protocol"].update(f1=0.5, f2=0.5)
+        self.assert_format_sig_calls(tmp_path, monkeypatch, data, 5 + 3)
 
 
 def _fixed_point(value: float) -> bool:
@@ -304,12 +317,19 @@ _EVERY_PATH = ScanTable("time", (1.0, 2.0), ("sql", "beam", "50%_cat"), cells=co
 # stats at one precision (14 decimals) and tots at 13 then 14
 _ONE_PRECISION_STATS = ScanTable("time", (1.0, 2.0, 3.0), ("sql",), cells=list_cells(
     [([2.5e-3, 2.0e-3, 1.5e-3], [1.2e-2, 9.5e-3, 8.0e-3], [None] * 3)]))
+# an atom scan's block: NaN at the slug rows, tots that are the stats list, and the
+# other values at two precisions (14 and 15 decimals), or at one
+_SQL_STATS, _CAT_STATS = [math.nan, math.nan, 2.5e-3, 7.5e-4], [math.nan, 1.2e-3, math.nan, 1.5e-3]
+_ATOM_SLUGS = ScanTable("atom_number", (1.0, 3.0, 4.0, 8.0), ("sql", "cross_cat_noisy"), cells=list_cells([
+    (_SQL_STATS, _SQL_STATS, ["allocation", "allocation", None, None]),
+    (_CAT_STATS, _CAT_STATS, ["allocation", None, "no_contrast", None])]))
 
 
 @settings(max_examples=400, deadline=None)
 @given(table=_scan_tables(), block=st.integers(1, 3))
 @example(table=_EVERY_PATH, block=2)
 @example(table=_ONE_PRECISION_STATS, block=3)
+@example(table=_ATOM_SLUGS, block=4)
 def test_writer_matches_the_reference_block_by_block(table, block):
     # blocks of 1-3 grid points: one block mixes columns of every formatting path
     with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch:

@@ -28,6 +28,7 @@ from apvsim.protocols import (
     ZeroSignalError,
     _grid_fit,
     _square,
+    cat_contrast,
     combine_classical_fit,
     protocol_grid,
     protocol_table,
@@ -364,12 +365,52 @@ def count_grids(draw):
     return chain, h, np.array(rows, dtype=object if max(map(sum, rows)) >= 2**62 else np.int64)
 
 
+def _or_one(drawn):
+    return st.one_of(st.just(1.0), drawn)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c0=_or_one(_FIDELITY), f1=_FIDELITY, f2=_FIDELITY, p_surv=_or_one(_FIDELITY),
+       tau=st.one_of(_TIME, st.floats(1e290, 1e308)), t2=_COHERENCE, t2_once=_COHERENCE,
+       counts=st.lists(st.one_of(st.integers(1, 10**6), st.integers(2**62, 2**80)), min_size=1, max_size=8),
+       form=st.sampled_from(("int", "float")))
+@example(c0=1.0, f1=0.9999, f2=0.999, p_surv=1.0, tau=1e300, t2=math.inf, t2_once=math.inf,
+         counts=[4, 10**8, 2**62], form="int")  # n tau overflows at the largest counts: exp(-inf / inf) is NaN
+def test_grid_contrast_is_the_full_product_bit_for_bit(c0, f1, f2, p_surv, tau, t2, t2_once, counts, form):
+    """A grid leaves out the factors that are 1.0 at every count, and each
+    contrast is still the scalar product of all six factors."""
+    cfg = ProtocolConfig(tau=tau, c0=c0, f1=f1, f2=f2, p_surv=p_surv)
+    if form == "float":  # a global cat's k N
+        counts = [float(n) for n in counts]
+    grid = np.array(counts, dtype=float if form == "float" else object if max(counts) >= 2**62 else np.int64)
+    got = cat_contrast(cfg, grid, t2, t2_once).tolist()
+    assert list(map(repr, got)) == [repr(_reference_contrast(cfg, n, t2, t2_once)) for n in counts]
+
+
+# At 6e12 atoms of Yb-170 and one of each other isotope, h_perp is rounding dust on
+# Yb-170 and O(1) on the others, so weighted_l1 is about 1e-12 sum_A N_A |h_A|; the
+# last entry of h puts it at that threshold (no_signal) and one ulp above it.
+_EDGE_COUNTS = (6 * 10**12, 1, 1, 1)
+_AT_THE_EDGE, _ABOVE_THE_EDGE = (1.0, 1.0, -1.0, 0.19705985140906973), (1.0, 1.0, -1.0, 0.1970598514090697)
+
+
+def test_the_signal_edge_examples_sit_at_the_threshold():
+    chain = _yb(_EDGE_COUNTS)
+    for h, ulps in ((_AT_THE_EDGE, 0), (_ABOVE_THE_EDGE, 1)):
+        proj = project_deviation(chain, h)
+        scale = math.fsum(n * abs(hp + proj.beta * qa) for n, hp, qa in zip(chain.n_atoms, proj.h_perp, chain.q))
+        assert proj.weighted_l1 == 1e-12 * scale + ulps * math.ulp(1e-12 * scale)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(grid=count_grids(), cfg=configs())
 @example(grid=(_yb((0, 0, 0, 0)), _SPLIT, np.array([[5, 0, 5, 5], [5, 5, 0, 5], [1, 0, 0, 0]] * 30)), cfg=_PLAIN)
 @example(grid=(_yb((0, 0, 0, 0)), _SPLIT, np.array([[3000, 1, 3000, 1], [1, 3000, 0, 3000]] * 40)), cfg=_LOSSY)
 @example(grid=(_yb((0, 0, 0, 0)), _SPLIT, np.array([[2**61, 2**61, 0, 1], [2**61, 0, 2**61, 2**61]], dtype=object)),
          cfg=_PLAIN)
+# the global cats' test for a signal a few ulps either side of its threshold
+@example(grid=(_yb((0, 0, 0, 0)), _AT_THE_EDGE, np.array([_EDGE_COUNTS, (6 * 10**12 + 1, 1, 1, 1)])), cfg=_PLAIN)
+@example(grid=(_yb((0, 0, 0, 0)), _ABOVE_THE_EDGE, np.array([_EDGE_COUNTS, (6 * 10**12 - 1, 1, 1, 1)])), cfg=_PLAIN)
 def test_every_grid_row_is_the_table_of_its_allocation(grid, cfg):
     """Each row of a grid whose counts repeat, with zeros among them, is
     protocol_table on the chain reallocated to that row, by repr with
