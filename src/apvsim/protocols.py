@@ -201,7 +201,7 @@ def cat_contrast(cfg: ProtocolConfig, n_atoms, t2: float, t2_once: float = math.
     contrast = np.array([f1**n * f2**(n - 1) for n in ns] if c0 == 1 else [c0 * f1**n * f2**(n - 1) for n in ns])
     if p_surv != 1:
         contrast *= [p_surv**n for n in ns]
-    if t2 < math.inf or not max(ns, default=1) * tau < math.inf:  # else every exponent is -0.0
+    if t2 != math.inf or not max(ns, default=1) * tau < math.inf:  # else every exponent is -0.0
         contrast *= [math.exp(-n * tau / t2) for n in ns]
     if once != 1:
         contrast *= once

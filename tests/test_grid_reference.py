@@ -376,6 +376,8 @@ def _or_one(drawn):
        form=st.sampled_from(("int", "float")))
 @example(c0=1.0, f1=0.9999, f2=0.999, p_surv=1.0, tau=1e300, t2=math.inf, t2_once=math.inf,
          counts=[4, 10**8, 2**62], form="int")  # n tau overflows at the largest counts: exp(-inf / inf) is NaN
+@example(c0=1.0, f1=0.9999, f2=0.999, p_surv=1.0, tau=1.0, t2=math.nan, t2_once=math.inf,
+         counts=[4, 10**8], form="int")  # a NaN t2 passes the positivity test and makes every contrast NaN
 def test_grid_contrast_is_the_full_product_bit_for_bit(c0, f1, f2, p_surv, tau, t2, t2_once, counts, form):
     """A grid leaves out the factors that are 1.0 at every count, and each
     contrast is still the scalar product of all six factors."""
