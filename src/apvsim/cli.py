@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .checks import CheckResult, run_oracle_checks
 from .scans import GRID_BLOCK, ScanTable, atom_scan, time_scan
@@ -92,7 +94,8 @@ def _column(protocol: str, stats: list, tots: list, slugs: list | None) -> tuple
     ``format_sig`` runs per field; a slug fills both fields, a tot equal to its stat
     reuses its text."""
     piece = "%s," + protocol.replace("%", "%%")
-    fixed_stats = _fixed(stats if slugs is None else [stat for stat, slug in zip(stats, slugs) if slug is None])
+    fixed_stats = None if slugs and tots is not stats else _fixed(  # else neither branch below reads it
+        stats if slugs is None else [stat for stat, slug in zip(stats, slugs) if slug is None])
     if fixed_stats is not None and tots is stats:
         fmt, fields = fixed_stats
         args = fields[-1]
@@ -113,19 +116,109 @@ def _column(protocol: str, stats: list, tots: list, slugs: list | None) -> tuple
                                          for text, stat, tot, slug in zip(texts, stats, tots, slugs)]]
 
 
+# A block of at least _MIN_ROWS grid points goes through the decimal kernel below, _LINES
+# grid points at a time; a smaller one through line templates, which are faster there.
+_MIN_ROWS, _LINES = 256, 128
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact: 10^22 is 2^22 5^22, and 5^22 < 2^53
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)  # Veltkamp's split into 26-bit halves
+_POW10_LO = _POW10 - _POW10_HI
+# "0000" ... "9999", each as one uint32 of 4 ASCII bytes; built from uint8 grids, which keep import small
+_DIGITS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
+_COLUMNS = np.arange(12)
+
+
+def _decimals(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ok``, d and digits per value v: ``ok`` where ``format_sig`` writes v as
+    ``"%.{d}f" % v`` at d in 1...22 and N, v 10^d rounded half to even, has 12 digits;
+    the digits are those of N // 10^d and of N % 10^d, 12 ASCII bytes each.  d comes
+    from ``np.log10``, and from ``math.log10`` within 1e-9 of a decade edge."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero, a negative value, nan or inf: not ok
+        logs = np.log10(values)
+        exponents, near = np.floor(logs), np.flatnonzero(np.abs(logs - np.rint(logs)) < 1e-9)
+    for i in near.tolist():
+        exponents.flat[i] = math.floor(math.log10(values.flat[i]))
+    ok = (exponents >= -11) & (exponents <= 10)
+    decimals = np.where(ok, 11 - exponents, 11).astype(np.intp)
+    v, scale = np.where(ok, values, 1.0), _POW10[decimals]
+    v_hi = (split := v * 134217729.0) - (split - v)  # Dekker's TwoProduct: v 10^d = p + e exactly
+    v_lo, s_hi, s_lo, p = v - v_hi, _POW10_HI[decimals], _POW10_LO[decimals], v * scale
+    e = ((v_hi * s_hi - p) + v_hi * s_lo + v_lo * s_hi) + v_lo * s_lo
+    n = np.rint(p)
+    frac = p - n  # exact; p + e is a tie only where p is one
+    n += (frac == 0.5) & (e > 0)
+    n -= (frac == -0.5) & (e < 0)
+    ok &= (n >= 1e11) & (n < 1e12)  # else a carry to 13 digits
+    n[~ok] = 0
+    parts = np.stack([whole := np.floor(n / scale), n - whole * scale], axis=-1)  # exact float splits
+    groups = np.empty(parts.shape + (3,), np.intp)  # of 4 digits each
+    groups[..., 0] = high = np.floor(parts / 1e8)
+    parts -= high * 1e8
+    groups[..., 1] = high = np.floor(parts / 1e4)
+    groups[..., 2] = parts - high * 1e4
+    return ok, decimals, _DIGITS[groups.reshape(n.shape + (6,))].view(np.uint8)
+
+
+def _text_block(texts: list[str]) -> np.ndarray:
+    return np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
+
+
+def _field(ok: np.ndarray, decimals: np.ndarray, digits: np.ndarray, rows: list[int], texts: list[str]):
+    """A column's (grid points, width) uint8 block: ``_decimals``' digits laid out as
+    ``"%.{d}f"`` lays them out where ``ok``, NUL padded where d varies, and ``texts``
+    at the other ``rows``."""
+    known = decimals[ok]
+    low, high = (int(known.min()), int(known.max())) if known.size else (11, 11)
+    first, skip = min(low, 11), 12 - min(high, 12)  # the widest whole part and fraction
+    whole, fraction = digits[:, first:12], digits[:, 12 + skip:]
+    if low != high:  # NUL in place of the digits that a row's text does not have
+        whole = whole * (_COLUMNS[first:] >= np.minimum(decimals, 11)[:, None])
+        fraction = fraction * (_COLUMNS[skip:] >= 12 - decimals[:, None])
+    zeros = (_COLUMNS[:max(high - 12, 0)] < decimals[:, None] - 12) * np.uint8(48)  # after "0."
+    field = np.concatenate([whole, np.full((len(ok), 1), 46, np.uint8), zeros, fraction], axis=1)
+    if rows:  # left-aligned, NUL padded
+        texts = _text_block(texts)
+        field = np.pad(field, ((0, 0), (0, max(texts.shape[1] - field.shape[1], 0))))
+        field[rows] = np.pad(texts, ((0, 0), (0, field.shape[1] - texts.shape[1])))
+    return field
+
+
+def _write_block(fh, axis: list[str], protocols: tuple[str, ...], cells: list):
+    """Write a block's lines, _LINES grid points at a time, from one uint8 row of lines
+    per grid point.  A value outside the kernel's domain gets ``format_sig``."""
+    pieces = [_text_block(axis)]
+    for protocol, (stats, tots, slugs) in zip(protocols, cells):
+        columns = [stats] if tots is stats else [stats, tots]
+        ok, decimals, digits = _decimals(np.array(columns, dtype=float))
+        ok &= np.equal(slugs, None)  # True where slugs is None
+        fields = []
+        for values, *kernel in zip(columns, ok, decimals, digits):
+            rows = np.flatnonzero(~kernel[0]).tolist()
+            fields.append(_field(*kernel, rows, [f"error:{slugs[i]}" if slugs and slugs[i] else format_sig(values[i])
+                                                 for i in rows]))
+        pieces += [pieces[0], f",{protocol},", fields[0], ",", fields[-1], "\n"]
+    pieces = [np.broadcast_to(_text_block([piece]), (len(axis), len(piece))) if isinstance(piece, str) else piece
+              for piece in pieces[1:]]
+    for start in range(0, len(axis), _LINES):
+        lines = np.concatenate([piece[start:start + _LINES] for piece in pieces], axis=1).ravel()
+        fh.write(lines if lines.all() else lines[lines != 0])
+
+
 def _write_scan_csv(path: Path, table: ScanTable):
-    # No field can need CSV quoting.  A block of grid points is written through one
-    # line template per grid point, joined from its columns' pieces, so the text held
-    # at once stays one grid point's lines; each axis value is formatted once.
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("axis,protocol,delta_theta_stat,delta_theta_tot\n")
+    # No field can need CSV quoting.  A small block of grid points is written through
+    # one line template per grid point, joined from its columns' pieces; each axis
+    # value is formatted once.
+    with open(path, "wb") as fh:
+        fh.write(b"axis,protocol,delta_theta_stat,delta_theta_tot\n")
         for start in range(0, len(table.values), GRID_BLOCK):
             block = slice(start, start + GRID_BLOCK)
             axis, template, fields = list(map(format_sig, table.values[block])), "", []
+            if len(axis) >= _MIN_ROWS:
+                _write_block(fh, axis, table.protocols, table.cells(block))
+                continue
             for piece, column in map(_column, table.protocols, *zip(*table.cells(block))):
                 template += piece
                 fields += [axis, *column]
-            fh.writelines(map(template.__mod__, zip(*fields)))
+            fh.write("".join(map(template.__mod__, zip(*fields))).encode())
 
 
 def _run_checks(scenario: Scenario, budget_override: int | None, quiet: bool):

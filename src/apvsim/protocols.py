@@ -188,7 +188,7 @@ def cat_contrast(cfg: ProtocolConfig, n_atoms, t2: float, t2_once: float = math.
     keeps N - 1 exact at any size.  Fewer than one atom, anywhere on a grid,
     raises ValueError.
     """
-    if t2 <= 0 or t2_once <= 0:
+    if not (t2 > 0 and t2_once > 0):  # NaN too
         raise ValueError(f"coherence times must be positive, got {t2} and {t2_once}")
     grid = isinstance(n_atoms, np.ndarray) and n_atoms.ndim
     if (fewest := n_atoms.min(initial=1) if grid else n_atoms) < 1:

@@ -11,6 +11,7 @@ import tracemalloc
 import types
 import warnings
 from dataclasses import asdict, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import apvsim
 from apvsim import KNOWN_CHECKS, PROTOCOLS, bundled_scenario_path, parse_scenario, run, validate
 from apvsim.checks import CheckResult
-from apvsim.cli import _build_parser, _write_scan_csv, format_sig, main
+from apvsim.cli import _MIN_ROWS, _build_parser, _decimals, _field, _write_scan_csv, format_sig, main
 from apvsim.protocols import ERROR_SLUGS
 from apvsim.scans import GRID_BLOCK, BeamSpec, ScanSpec, ScanTable, atom_scan, time_scan
 from conftest import column_cells, list_cells, make_yb_chain, scan_cells
@@ -110,6 +111,75 @@ class TestFormat:
         for value in _powers_of_ten_and_neighbours():
             for signed in (value, -value):
                 assert format_sig(signed) == _reference_format_sig(signed), signed
+
+
+def _ulps_around(value, count):
+    """``value`` and the ``count`` floats on each side of it."""
+    below, above = [value], [value]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def _decimal_ties():
+    """Floats v whose v 10^d is an exact half-integer at format_sig's precision d:
+    v = k / 2^(d+1) with k odd, the first two such k of the decade where it has two
+    (v 10^d then rounds once down and once up to the even N)."""
+    ties = []
+    for d in range(1, 18):  # no float of precision d > 17 is such a tie
+        low, high = Fraction(2 ** (d + 1) * 10**11, 10**d), Fraction(2 ** (d + 1) * 10**12, 10**d)
+        first = math.ceil(low) | 1
+        ties += [k / 2 ** (d + 1) for k in (first, first + 2) if k < high]
+    return ties
+
+
+def _near_ties():
+    """The floats nearest (N + 1/2) / 10^d for a few 12-digit N at each d in 1...22:
+    most of their rounded products p are the half-integer, and only e decides N."""
+    return [float(Fraction(2 * n + 1, 2 * 10**d)) for d in range(1, 23)
+            for n in (123456789012, 987654321098, 500000000000, 100000000001, 314159265358, 271828182845)]
+
+
+def _precision(value):
+    """The decimals d of format_sig's "%.{d}f" for a positive value."""
+    return 11 - math.floor(math.log10(value))
+
+
+_LOG_UNIFORM = st.floats(-12.0, 12.0).map(lambda exponent: 10.0 ** exponent)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_LOG_UNIFORM, min_size=1, max_size=8))
+@example(_decimal_ties())
+@example(_near_ties())
+@example([float(f"9.9999999999951e{k}") for k in range(-12, 11)] + [9.99999999999951, 0.999999999999951])  # carries
+@example([1e11, 5e11, math.nextafter(1e12, 0.0), 1e-12, 5e-12, math.nextafter(1e-11, 0.0)])  # d = 0 and d = 23
+@example(_ulps_around(1e-11, 64))  # the 64 floats below 1e-11 have d = 23
+@example(_ulps_around(1e11, 64))  # those from 1e11 on have d = 0
+def test_decimal_kernel_writes_the_text_of_format_sig(values):
+    # a list is one column of a block, so its precisions mix; ok where d is in 1...22
+    # and v 10^d, rounded half to even, has 12 digits, and only there
+    ok, decimals, digits = _decimals(np.array(values))
+    for value, good, text in zip(values, ok.tolist(), _field(ok, decimals, digits, [], [])):
+        d = _precision(value)
+        assert good == (1 <= d <= 22 and 10**11 <= round(Fraction(value) * 10**d) < 10**12), value
+        if good:
+            assert text.tobytes().replace(b"\0", b"").decode() == format_sig(value), value
+
+
+for _k in range(-11, 12):  # every power of ten from 1e-11 to 1e11, and 64 floats on each side
+    test_decimal_kernel_writes_the_text_of_format_sig = example(_ulps_around(float(f"1e{_k}"), 64))(
+        test_decimal_kernel_writes_the_text_of_format_sig)
+
+
+def test_the_tie_examples_sit_on_halves():
+    # exact ties: v 10^d is a half-integer; near ties: only the rounded product p is
+    for value in _decimal_ties():
+        assert (Fraction(value) * 10 ** _precision(value)).denominator == 2, value
+    near = [value for value in _near_ties() if (value * float(10 ** _precision(value))) % 1 == 0.5
+            != (Fraction(value) * 10 ** _precision(value)) % 1]
+    assert len(near) >= 100
 
 
 class TestWriteScanCsv:
@@ -325,15 +395,32 @@ _ATOM_SLUGS = ScanTable("atom_number", (1.0, 3.0, 4.0, 8.0), ("sql", "cross_cat_
     (_CAT_STATS, _CAT_STATS, ["allocation", None, "no_contrast", None])]))
 
 
+# blocks for the decimal kernel: a column whose precision changes mid-block (14, 15 and
+# 16 decimals), a tot column with a carry and a value of d = 23 beside it, slug rows,
+# and a column of per-field values (zero, -0.0, inf, nan, negative, d = 0) beside kernel values
+_KERNEL_BLOCK = ScanTable("time", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0), ("sql", "50%_cat", "%s%%d"), cells=list_cells([
+    ([2.5e-3, 1.5e-3, 9.99e-4, 5e-4, 1.2e-4, 9.7e-5],
+     [2.6e-3, 9.99999999999951, 1.0e-3, 5e-12, 1.3e-4, 9.8e-5], [None] * 6),
+    ([0.25, 0.0, math.nan, 0.75, 0.5, 0.125], [0.25, 0.0, math.nan, 0.75, 0.5, 0.125],
+     [None, "allocation", "no_contrast", None, None, "allocation"]),
+    ([0.0, -0.0, math.inf, math.nan, -2.5e-3, 5e11], [0.0, -0.0, math.inf, math.nan, -2.5e-3, 5e11], [None] * 6)]))
+
+
 @settings(max_examples=400, deadline=None)
-@given(table=_scan_tables(), block=st.integers(1, 3))
-@example(table=_EVERY_PATH, block=2)
-@example(table=_ONE_PRECISION_STATS, block=3)
-@example(table=_ATOM_SLUGS, block=4)
-def test_writer_matches_the_reference_block_by_block(table, block):
-    # blocks of 1-3 grid points: one block mixes columns of every formatting path
+@given(table=_scan_tables(), block=st.integers(1, 3), min_rows=st.sampled_from([_MIN_ROWS, 1, 2]))
+@example(table=_EVERY_PATH, block=2, min_rows=_MIN_ROWS)
+@example(table=_ONE_PRECISION_STATS, block=3, min_rows=_MIN_ROWS)
+@example(table=_ATOM_SLUGS, block=4, min_rows=_MIN_ROWS)
+@example(table=_EVERY_PATH, block=2, min_rows=1)
+@example(table=_ATOM_SLUGS, block=4, min_rows=1)
+@example(table=_KERNEL_BLOCK, block=6, min_rows=6)
+@example(table=_KERNEL_BLOCK, block=4, min_rows=3)  # a kernel block, then a template block
+def test_writer_matches_the_reference_block_by_block(table, block, min_rows):
+    # blocks of 1-3 grid points: one block mixes columns of every formatting path; with
+    # min_rows at most the block, blocks of that many grid points go through the kernel
     with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch:
         patch.setattr("apvsim.cli.GRID_BLOCK", block)
+        patch.setattr("apvsim.cli._MIN_ROWS", min_rows)
         _write_scan_csv(Path(out) / "new.csv", table)
         _reference_write_scan_csv(Path(out) / "ref.csv", table)
         assert (Path(out) / "new.csv").read_bytes() == (Path(out) / "ref.csv").read_bytes()

@@ -53,7 +53,7 @@ def _reference_project(chain, h):
 
 
 def _reference_contrast(cfg, n_atoms, t2, t2_once=math.inf):
-    if t2 <= 0 or t2_once <= 0:
+    if not (t2 > 0 and t2_once > 0):
         raise ValueError("coherence times must be positive")
     if n_atoms < 1:
         raise ValueError("need at least one atom")
@@ -377,7 +377,7 @@ def _or_one(drawn):
 @example(c0=1.0, f1=0.9999, f2=0.999, p_surv=1.0, tau=1e300, t2=math.inf, t2_once=math.inf,
          counts=[4, 10**8, 2**62], form="int")  # n tau overflows at the largest counts: exp(-inf / inf) is NaN
 @example(c0=1.0, f1=0.9999, f2=0.999, p_surv=1.0, tau=1.0, t2=math.nan, t2_once=math.inf,
-         counts=[4, 10**8], form="int")  # a NaN t2 passes the positivity test and makes every contrast NaN
+         counts=[4, 10**8], form="int")  # a NaN t2 is not positive: both forms raise, as the reference does
 def test_grid_contrast_is_the_full_product_bit_for_bit(c0, f1, f2, p_surv, tau, t2, t2_once, counts, form):
     """A grid leaves out the factors that are 1.0 at every count, and each
     contrast is still the scalar product of all six factors."""
@@ -385,8 +385,14 @@ def test_grid_contrast_is_the_full_product_bit_for_bit(c0, f1, f2, p_surv, tau, 
     if form == "float":  # a global cat's k N
         counts = [float(n) for n in counts]
     grid = np.array(counts, dtype=float if form == "float" else object if max(counts) >= 2**62 else np.int64)
-    got = cat_contrast(cfg, grid, t2, t2_once).tolist()
-    assert list(map(repr, got)) == [repr(_reference_contrast(cfg, n, t2, t2_once)) for n in counts]
+    try:
+        want = [repr(_reference_contrast(cfg, n, t2, t2_once)) for n in counts]
+    except ValueError:
+        for n_atoms in (grid, counts[0]):
+            with pytest.raises(ValueError, match="coherence times must be positive"):
+                cat_contrast(cfg, n_atoms, t2, t2_once)
+        return
+    assert list(map(repr, cat_contrast(cfg, grid, t2, t2_once).tolist())) == want
 
 
 # At 6e12 atoms of Yb-170 and one of each other isotope, h_perp is rounding dust on

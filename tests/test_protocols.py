@@ -84,6 +84,13 @@ class TestContrastModels:
             with pytest.raises(ValueError, match="need at least one atom, got 0"):
                 cat_contrast(cfg, n_atoms, cfg.t2)
 
+    @pytest.mark.parametrize("t2,t2_once", [(math.nan, math.inf), (math.inf, math.nan), (0.0, math.inf), (1.0, -1.0)])
+    def test_coherence_times_that_are_not_positive_raise(self, t2, t2_once):
+        cfg = single_shot_cfg()
+        for n_atoms in (4, np.array([4, 10**8])):  # the scalar form and the grid form
+            with pytest.raises(ValueError, match="coherence times must be positive"):
+                cat_contrast(cfg, n_atoms, t2, t2_once)
+
     def test_dfs_gate_product_only_when_lossless(self):
         # "split" budget: one reversal-pair cat over the 10 allocated atoms
         cfg = single_shot_cfg(f1=0.9999, f2=0.999, dfs_budget="split")
