@@ -124,8 +124,8 @@ def _ulps_around(value, count):
 
 def _decimal_ties():
     """Floats v whose v 10^d is an exact half-integer at format_sig's precision d:
-    v = k / 2^(d+1) with k odd, the first two such k of the decade where it has two
-    (v 10^d then rounds once down and once up to the even N)."""
+    v = k / 2^(d+1) for the first odd k of v's decade and, where the decade holds
+    it, the next one, so that v 10^d rounds once down and once up to the even N."""
     ties = []
     for d in range(1, 18):  # no float of precision d > 17 is such a tie
         low, high = Fraction(2 ** (d + 1) * 10**11, 10**d), Fraction(2 ** (d + 1) * 10**12, 10**d)
@@ -155,8 +155,8 @@ _LOG_UNIFORM = st.floats(-12.0, 12.0).map(lambda exponent: 10.0 ** exponent)
 @example(_near_ties())
 @example([float(f"9.9999999999951e{k}") for k in range(-12, 11)] + [9.99999999999951, 0.999999999999951])  # carries
 @example([1e11, 5e11, math.nextafter(1e12, 0.0), 1e-12, 5e-12, math.nextafter(1e-11, 0.0)])  # d = 0 and d = 23
-@example(_ulps_around(1e-11, 64))  # the 64 floats below 1e-11 have d = 23
-@example(_ulps_around(1e11, 64))  # those from 1e11 on have d = 0
+# each decade edge from 1e-11 to 1e11: below 1e-11, d = 23; from 1e11 on, d = 0
+@example([value for k in range(-11, 12) for value in _ulps_around(float(f"1e{k}"), 64)])
 def test_decimal_kernel_writes_the_text_of_format_sig(values):
     # a list is one column of a block, so its precisions mix; ok where d is in 1...22
     # and v 10^d, rounded half to even, has 12 digits, and only there
@@ -168,18 +168,14 @@ def test_decimal_kernel_writes_the_text_of_format_sig(values):
             assert text.tobytes().replace(b"\0", b"").decode() == format_sig(value), value
 
 
-for _k in range(-11, 12):  # every power of ten from 1e-11 to 1e11, and 64 floats on each side
-    test_decimal_kernel_writes_the_text_of_format_sig = example(_ulps_around(float(f"1e{_k}"), 64))(
-        test_decimal_kernel_writes_the_text_of_format_sig)
-
-
 def test_the_tie_examples_sit_on_halves():
-    # exact ties: v 10^d is a half-integer; near ties: only the rounded product p is
-    for value in _decimal_ties():
-        assert (Fraction(value) * 10 ** _precision(value)).denominator == 2, value
-    near = [value for value in _near_ties() if (value * float(10 ** _precision(value))) % 1 == 0.5
-            != (Fraction(value) * 10 ** _precision(value)) % 1]
-    assert len(near) >= 100
+    def halves(value):  # v 10^d exactly, and rounded to a float, modulo 1
+        scale = 10 ** _precision(value)
+        return Fraction(value) * scale % 1, value * float(scale) % 1
+
+    assert all(exact == 0.5 for exact, _ in map(halves, _decimal_ties()))
+    # near ties: only the rounded product p is a half-integer
+    assert sum(exact != 0.5 and rounded == 0.5 for exact, rounded in map(halves, _near_ties())) >= 100
 
 
 class TestWriteScanCsv:
