@@ -68,56 +68,17 @@ class RunSummary:
         return {**vars(self), "checks": checks}
 
 
-def _fixed(values: list) -> tuple[str, list] | None:
-    """The conversion ``%.<d>f`` and ``[values]`` where every value takes ``format_sig``'s
-    ``"%.*f"`` branch at one precision d, ``%.*f`` and ``[decimals, values]`` where at
-    several; None unless each value takes that branch, and for no values."""
-    log10, floor, last = math.log10, math.floor, SIG_DIGITS - 1
-    try:  # ValueError or OverflowError at zero, a negative value, nan or +-inf
-        decimals = [last - floor(log10(v)) for v in values]
-    except (ValueError, OverflowError):
-        return None
-    if min(decimals, default=0) <= 0:
-        return None
-    if decimals.count(decimals[0]) == len(decimals):  # "%.5f" % v is "%.*f" % (5, v)
-        return f"%.{decimals[0]}f", [values]
-    return "%.*f", [decimals, values]
-
-
-def _column(protocol: str, stats: list, tots: list, slugs: list | None) -> tuple[str, list]:
-    """A block's column as its line piece ``%s,<protocol>,stat,tot`` and the piece's
-    fields, one list each.  Where the tots are the stats list itself and the values
-    without a slug all take ``format_sig``'s ``"%.*f"`` branch, their texts are made
-    once, by one ``%`` over the joined conversions, and a slug row gets ``error:<slug>``.
-    Else values that all take that branch, with no slug, are formatted by the piece,
-    the precision written into it where the block's values share one.  Else
-    ``format_sig`` runs per field; a slug fills both fields, a tot equal to its stat
-    reuses its text."""
-    piece = "%s," + protocol.replace("%", "%%")
-    fixed_stats = None if slugs and tots is not stats else _fixed(  # else neither branch below reads it
-        stats if slugs is None else [stat for stat, slug in zip(stats, slugs) if slug is None])
-    if fixed_stats is not None and tots is stats:
-        fmt, fields = fixed_stats
-        args = fields[-1]
-        if len(fields) == 2:  # each precision before its value
-            args = [None] * 2 * len(args)
-            args[::2], args[1::2] = fields
-        texts = (",".join(repeat(fmt, len(fields[-1]))) % tuple(args)).split(",")
-        if slugs is not None:
-            texts = iter(texts)
-            texts = [next(texts) if slug is None else f"error:{slug}" for slug in slugs]
-        return piece + ",%s,%s\n", [texts, texts]
-    fixed_tots = None if fixed_stats is None or slugs else _fixed(tots)
-    if fixed_tots is not None:
-        return f"{piece},{fixed_stats[0]},{fixed_tots[0]}\n", fixed_stats[1] + fixed_tots[1]
-    slugs = slugs or repeat(None)
+def _texts(stats: np.ndarray, tots: np.ndarray, slugs: list | None) -> tuple[list[str], list[str]]:
+    """A small block's column as its stat and tot texts, ``format_sig`` per field on
+    Python floats: a slug fills both fields, a tot equal to its stat reuses its text."""
+    stats, tots, slugs = stats.tolist(), tots.tolist(), slugs or repeat(None)
     texts = [format_sig(stat) if slug is None else f"error:{slug}" for stat, slug in zip(stats, slugs)]
-    return piece + ",%s,%s\n", [texts, [text if slug is not None or tot == stat else format_sig(tot)
-                                         for text, stat, tot, slug in zip(texts, stats, tots, slugs)]]
+    return texts, [text if slug is not None or tot == stat else format_sig(tot)
+                   for text, stat, tot, slug in zip(texts, stats, tots, slugs)]
 
 
 # A block of at least _MIN_ROWS grid points goes through the decimal kernel below, _LINES
-# grid points at a time; a smaller one through line templates, which are faster there.
+# grid points at a time; a smaller one through format_sig per field (_texts), which is faster there.
 _MIN_ROWS, _LINES = 256, 128
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact: 10^22 is 2^22 5^22, and 5^22 < 2^53
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)  # Veltkamp's split into 26-bit halves
@@ -188,13 +149,13 @@ def _write_block(fh, axis: list[str], protocols: tuple[str, ...], cells: list):
     pieces = [_text_block(axis)]
     for protocol, (stats, tots, slugs) in zip(protocols, cells):
         columns = [stats] if tots is stats else [stats, tots]
-        ok, decimals, digits = _decimals(np.array(columns, dtype=float))
+        ok, decimals, digits = _decimals(np.stack(columns))
         ok &= np.equal(slugs, None)  # True where slugs is None
         fields = []
         for values, *kernel in zip(columns, ok, decimals, digits):
             rows = np.flatnonzero(~kernel[0]).tolist()
-            fields.append(_field(*kernel, rows, [f"error:{slugs[i]}" if slugs and slugs[i] else format_sig(values[i])
-                                                 for i in rows]))
+            fields.append(_field(*kernel, rows, [f"error:{slugs[i]}" if slugs and slugs[i]
+                                                 else format_sig(values.item(i)) for i in rows]))
         pieces += [pieces[0], f",{protocol},", fields[0], ",", fields[-1], "\n"]
     pieces = [np.broadcast_to(_text_block([piece]), (len(axis), len(piece))) if isinstance(piece, str) else piece
               for piece in pieces[1:]]
@@ -204,21 +165,19 @@ def _write_block(fh, axis: list[str], protocols: tuple[str, ...], cells: list):
 
 
 def _write_scan_csv(path: Path, table: ScanTable):
-    # No field can need CSV quoting.  A small block of grid points is written through
-    # one line template per grid point, joined from its columns' pieces; each axis
-    # value is formatted once.
+    # No field can need CSV quoting.  Each axis value is formatted once; a small block's
+    # lines are joined from its columns' texts, grid point major.
     with open(path, "wb") as fh:
         fh.write(b"axis,protocol,delta_theta_stat,delta_theta_tot\n")
         for start in range(0, len(table.values), GRID_BLOCK):
             block = slice(start, start + GRID_BLOCK)
-            axis, template, fields = list(map(format_sig, table.values[block])), "", []
+            axis, cells = list(map(format_sig, table.values[block])), table.cells(block)
             if len(axis) >= _MIN_ROWS:
-                _write_block(fh, axis, table.protocols, table.cells(block))
+                _write_block(fh, axis, table.protocols, cells)
                 continue
-            for piece, column in map(_column, table.protocols, *zip(*table.cells(block))):
-                template += piece
-                fields += [axis, *column]
-            fh.write("".join(map(template.__mod__, zip(*fields))).encode())
+            columns = [(protocol, *_texts(*cell)) for protocol, cell in zip(table.protocols, cells)]
+            fh.write("".join(f"{value},{protocol},{stats[i]},{tots[i]}\n" for i, value in enumerate(axis)
+                             for protocol, stats, tots in columns).encode())
 
 
 def _run_checks(scenario: Scenario, budget_override: int | None, quiet: bool):

@@ -101,15 +101,16 @@ class ScanTable:
     """A scan as columns: G grid ``values`` by P ``protocols`` ("beam" last
     on a time scan), and the row count of each slug in ``error_rows``.
     ``cells(rows)`` gives a slice of grid rows, ``cells(slice(None))`` all of
-    them, as one ``(stats, tots, slugs)`` of fresh Python lists per protocol:
-    ``stats`` and ``tots`` floats (NaN at a slug), ``tots`` the ``stats`` list
-    itself where every tot equals its stat by construction, and ``slugs`` one
-    slug or None per row, or None where no row of the slice has a slug."""
+    them, as one ``(stats, tots, slugs)`` per protocol: ``stats`` and ``tots``
+    read-only float arrays (NaN at a slug), ``tots`` the ``stats`` array
+    itself where every tot equals its stat by construction, and ``slugs`` a
+    fresh list of one slug or None per row, or None where no row of the
+    slice has a slug."""
 
     axis: str
     values: tuple[float, ...]
     protocols: tuple[str, ...]
-    cells: Callable[[slice], list[tuple[list, list, list | None]]]
+    cells: Callable[[slice], list[tuple[np.ndarray, np.ndarray, list | None]]]
     error_rows: dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
@@ -168,9 +169,9 @@ def atom_scan(
     deltas.flags.writeable = slugs.flags.writeable = False  # frozen, like the rest of the table
     failed = np.not_equal(slugs, None)
 
-    def cells(rows: slice) -> list[tuple[list, list, list | None]]:  # each tot is its stat: there is no floor
+    def cells(rows: slice) -> list[tuple[np.ndarray, np.ndarray, list | None]]:  # each tot is its stat: no floor
         return [(stats, stats, slugs[rows, j].tolist() if failed[rows, j].any() else None)
-                for j, stats in enumerate(deltas[rows].T.tolist())]
+                for j, stats in enumerate(deltas[rows].T)]
 
     return ScanTable("atom_number", spec.grid, protocols, cells, dict(Counter(slugs[failed].tolist())))
 
@@ -201,10 +202,11 @@ def time_scan(
     first grid time; delta_theta_tot adds sigma_sys in quadrature.  The table
     keeps the row at T0 and rescales it in ``cells``: sqrt(T0 / T) once per
     block of rows, times each column's delta, and ``math.hypot`` per value
-    with the floor, whose tots are the stats list itself at floor 0.  A stat or
-    tot that is not a finite positive number gets ArithmeticError's slug,
-    no_contrast; only a column block holding such a row gets NaN and a slug
-    list.  R T0 < 1 raises ValueError.
+    with the floor, whose tots are the stats array itself at floor 0.  A stat
+    or tot that is not a finite positive number gets ArithmeticError's slug,
+    no_contrast; only a column block holding such a row gets NaN, set through
+    a mask, and a slug list.  The arrays are frozen before they are handed
+    out.  R T0 < 1 raises ValueError.
     """
     if spec.axis != "time":
         raise ValueError(f"time_scan needs axis 'time', got {spec.axis!r}")
@@ -219,23 +221,20 @@ def time_scan(
     if spec.beam is not None:
         columns.append((None, spec.beam.floor, not_finite))
 
-    def cells(rows: slice) -> list[tuple[list, list, list | None]]:
+    def cells(rows: slice) -> list[tuple[np.ndarray, np.ndarray, list | None]]:
         grid = np.array(spec.grid[rows])
         scale = np.sqrt(t0 / grid)
         out = []
         for delta, floor, slug in columns:
-            stat = spec.beam.curve(grid) if delta is None else delta * scale
-            stats = stat.tolist()
+            stats = spec.beam.curve(grid) if delta is None else delta * scale
             # math.hypot per value: np.hypot rounds some pairs differently; at floor 0 the tot is the stat
-            tots = list(map(math.hypot, stats, repeat(floor))) if floor else stats
-            # NaN fails stat > 0, so that test runs on the array, not through min or max
-            if (stat > 0).all() and math.inf not in tots:
-                out.append((stats, tots, None))
-                continue
-            bad = ~((stat > 0) & (np.array(tots) < math.inf))
-            for i in np.flatnonzero(bad).tolist():
-                stats[i] = tots[i] = math.nan
-            out.append((stats, tots, np.where(bad, slug, None).tolist()))
+            tots = np.fromiter(map(math.hypot, stats.tolist(), repeat(floor)), float, len(stats)) if floor else stats
+            ok = (stats > 0) & (tots < math.inf)  # NaN fails both
+            slugs = None if ok.all() else np.where(ok, None, slug).tolist()
+            if slugs is not None:
+                stats[~ok] = tots[~ok] = math.nan
+            stats.flags.writeable = tots.flags.writeable = False
+            out.append((stats, tots, slugs))
         return out
 
     error_rows = Counter()
@@ -254,7 +253,7 @@ def crossover_finder(table: ScanTable) -> list[tuple[tuple[str, str], float]]:
     the bracketing interval.  Exact ties do not count as crossovers unless
     the sign actually changes across them.
     """
-    stat = np.array([stats for stats, _, _ in table.cells(slice(None))]).T
+    stat = np.stack([stats for stats, _, _ in table.cells(slice(None))], axis=1)
     measured = ~np.isnan(stat)  # a stat is NaN at a slug, and only there
     # the columns in the order the rows first show a value of theirs
     first = {j: int(np.argmax(column)) for j, column in enumerate(measured.T) if column.any()}

@@ -86,19 +86,29 @@ def random_chain(rng: np.random.Generator, max_isotopes=4, min_atoms=1, max_tota
 def scan_cells(table):
     """Each cell of a scan table as (grid value, protocol, stat, tot, slug)
     of Python values, grid point major."""
-    columns = [(stats, tots, slugs or [None] * len(stats)) for stats, tots, slugs in table.cells(slice(None))]
+    columns = [(stats.tolist(), tots.tolist(), slugs or [None] * len(stats))
+               for stats, tots, slugs in table.cells(slice(None))]
     return [(value, protocol, stats[i], tots[i], slugs[i])
             for i, value in enumerate(table.values)
             for protocol, (stats, tots, slugs) in zip(table.protocols, columns)]
 
 
 def list_cells(columns):
-    """A ``ScanTable.cells`` over per-protocol ``(stats, tots, slugs)`` lists: a
-    slice keeps ``tots`` the ``stats`` list where it is, and gives no slug list
+    """A ``ScanTable.cells`` over per-protocol ``(stats, tots, slugs)`` lists that
+    hands out read-only float arrays, as a scan does: a slice keeps ``tots`` the
+    ``stats`` array where the tots are the stats list, and gives no slug list
     where it holds no slug."""
+    def frozen(values):
+        values = np.array(values, dtype=float)
+        values.flags.writeable = False
+        return values
+
+    arrays = [(stat := frozen(stats), stat if tots is stats else frozen(tots), slugs)
+              for stats, tots, slugs in columns]
+
     def cells(rows):
         out = []
-        for stats, tots, slugs in columns:
+        for stats, tots, slugs in arrays:
             part, slugs = stats[rows], slugs[rows]
             out.append((part, part if tots is stats else tots[rows],
                         slugs if any(slug is not None for slug in slugs) else None))
@@ -108,7 +118,7 @@ def list_cells(columns):
 
 def column_cells(stat, tot, errors):
     """``list_cells`` over the columns of G x P ``stat``, ``tot`` and ``errors`` arrays."""
-    return list_cells([(s.tolist(), t.tolist(), e.tolist()) for s, t, e in zip(stat.T, tot.T, errors.T)])
+    return list_cells([(s, t, e.tolist()) for s, t, e in zip(stat.T, tot.T, errors.T)])
 
 
 def assert_same_cells(got, want):

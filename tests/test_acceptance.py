@@ -188,7 +188,7 @@ def test_07_time_scan_floor():
     columns = table.cells(slice(None))
     ok = True
     for name in protocols:
-        stat, tot, _ = map(np.array, columns[table.protocols.index(name)])
+        stat, tot, _ = columns[table.protocols.index(name)]
         deep = tot[stat < sigma / 10]
         if not deep.size or any(abs(deep - sigma) > 0.01 * sigma):
             ok = False

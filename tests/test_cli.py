@@ -262,62 +262,76 @@ class TestWriteScanCsv:
             assert bool(table.error_rows) == (case != "beam")
 
     @staticmethod
-    def assert_format_sig_calls(tmp_path, monkeypatch, data, per_field_columns):
+    def format_sig_calls(tmp_path, monkeypatch, data):
+        """The ``format_sig`` calls of a run of ``data``, checked against the rule: one per
+        axis value; in a block below ``_MIN_ROWS`` grid points, one per stat without a slug
+        and one per tot of those that differs from its stat; in a kernel block, one per
+        value without a slug outside the kernel's domain.  Each call gets a Python float."""
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(data))
         scenario = parse_scenario(path)
         calls = []
 
         def counting(value):
+            assert type(value) is float, repr(value)  # round() on an np.float64 is numpy's
             calls.append(value)
             return format_sig(value)
 
         monkeypatch.setattr("apvsim.cli.format_sig", counting)
         run(scenario, tmp_path / "out", quiet=True)
-        expected, per_field = 0, 0
+        expected = 0
         for spec in scenario.scans:
             scan = atom_scan if spec.axis == "atom_number" else time_scan
             table = scan(scenario.chain, scenario.deviation, scenario.protocol, spec)
-            expected += len(table.values)  # one call per axis value
+            expected += len(table.values)
             for start in range(0, len(table.values), GRID_BLOCK):
                 for stats, tots, slugs in table.cells(slice(start, start + GRID_BLOCK)):
-                    # a column of the block is formatted per field unless its values all take
-                    # format_sig's "%.*f" branch: those without a slug where the tots are the
-                    # stats list (shared texts), every stat and tot where no row has a slug
-                    slugs = slugs or [None] * len(stats)
-                    values = [s for s, slug in zip(stats, slugs) if slug is None]
-                    shared = tots is stats and values and all(map(_fixed_point, values))
-                    template = len(values) == len(stats) and all(map(_fixed_point, stats + tots))
-                    if not (shared or template):
-                        per_field += 1
-                        expected += sum(1 + (t != s) for s, t, slug in zip(stats, tots, slugs) if slug is None)
-        assert per_field == per_field_columns
+                    pairs = [(stat, tot) for stat, tot, slug in zip(stats.tolist(), tots.tolist(),
+                                                                    slugs or itertools.repeat(None)) if slug is None]
+                    if len(stats) < _MIN_ROWS:
+                        expected += sum(1 + (tot != stat) for stat, tot in pairs)
+                    else:  # the tots are a column of their own unless they are the stats array
+                        expected += sum((not _kernel_value(stat)) + (tots is not stats and not _kernel_value(tot))
+                                        for stat, tot in pairs)
         assert len(calls) == expected
+        return len(calls)
 
     def test_bundled_run_formats_through_the_module_global(self, tmp_path, monkeypatch):
-        # every column takes a "%.*f" path: format_sig formats the axis values alone
-        self.assert_format_sig_calls(tmp_path, monkeypatch, json.loads(bundled_scenario_path().read_text()), 0)
+        # 24 axis values; 75 atom stats, each tot its stat; 54 time stats and 54 tots beside a floor
+        data = json.loads(bundled_scenario_path().read_text())
+        assert self.format_sig_calls(tmp_path, monkeypatch, data) == 24 + 75 + 2 * 54
 
     def test_atom_columns_with_slugs_share_their_texts(self, tmp_path, monkeypatch):
-        # allocation slugs at 1 and 3 atoms, no_contrast at the largest totals: the other
-        # values of each column take the shared texts, so format_sig formats the axis alone
+        # allocation slugs at 1 and 3 atoms, no_contrast at the largest totals: a slug fills
+        # both fields, and the tot of every other row reuses its stat's text
         data = json.loads(bundled_scenario_path().read_text())
         data["scans"][0].update(grid=[1, 3, 4, 1000000, 10000000], protocols=list(PROTOCOLS))
-        self.assert_format_sig_calls(tmp_path, monkeypatch, data, 0)
+        # 18 of the 30 atom cells are slugs; the time scan is the bundled one
+        assert self.format_sig_calls(tmp_path, monkeypatch, data) == (5 + 30 - 18) + (9 + 2 * 54)
 
     def test_columns_of_slugs_alone_and_time_columns_with_slugs_format_per_field(self, tmp_path, monkeypatch):
         # an atom grid below the isotope count (every field a slug), and a time scan with a
-        # floor whose cats have no contrast at their first time
+        # floor whose cats have no contrast at their first time: only the axis, and the
+        # stats and tots of sql, squeezed and cross_cat_ideal
         data = json.loads(bundled_scenario_path().read_text())
         data["scans"][0].update(grid=[1, 2, 3])
         data["protocol"].update(f1=0.5, f2=0.5)
-        self.assert_format_sig_calls(tmp_path, monkeypatch, data, 5 + 3)
+        assert self.format_sig_calls(tmp_path, monkeypatch, data) == 3 + 9 + 2 * 3 * 9
+
+    def test_kernel_blocks_format_the_values_outside_its_domain(self, tmp_path, monkeypatch):
+        # 300 averaging times up to 10^30: one kernel block, in which the 849 protocol stats
+        # below 10^-11 and the 80 beam stats of at least 10^11 (each beam tot its stat) take
+        # format_sig, and the tots near the floor do not; the atom scan is the bundled one
+        data = json.loads(bundled_scenario_path().read_text())
+        data["scans"][1].update(grid=np.geomspace(1.0, 1e30, 300).tolist(), beam={"coefficient": 1e15, "floor": 0})
+        assert self.format_sig_calls(tmp_path, monkeypatch, data) == 15 + 75 + 300 + 849 + 80
 
 
-def _fixed_point(value: float) -> bool:
-    """Whether ``format_sig`` writes ``value`` through its ``"%.*f"`` branch at
-    positive decimals (a finite positive value below 1e11, within log10's rounding)."""
-    return math.isfinite(value) and value > 0 and 11 - math.floor(math.log10(value)) > 0
+def _kernel_value(value: float) -> bool:
+    """Whether the decimal kernel writes ``value``: a positive value that ``format_sig``
+    writes at 1 to 22 decimals in 12 digits (no carry to 13)."""
+    whole, _, fraction = format_sig(value).partition(".")
+    return value > 0 and 1 <= len(fraction) <= 22 and len((whole + fraction).lstrip("0")) == 12
 
 
 _POWERS_OF_TEN = st.tuples(st.integers(-300, 300), st.sampled_from([0.0, math.inf, None])).map(
@@ -374,9 +388,9 @@ def _scan_tables(draw):
     return ScanTable("time", values, tuple(protocols), cells=list_cells(columns))
 
 
-# one block of each path: shared text, numbers in the template at one precision
-# (the beam tots) and at one per value, and per field
-_EVERY_PATH = ScanTable("time", (1.0, 2.0), ("sql", "beam", "50%_cat"), cells=column_cells(
+# one block of columns of each kind: tots equal to their stats, tots of one precision
+# (the beam), and a slug beside a number, through format_sig or the kernel
+_MIXED_COLUMNS = ScanTable("time", (1.0, 2.0), ("sql", "beam", "50%_cat"), cells=column_cells(
     np.array([[2.5e-3, 7.0e-2, 1.9e-3], [1.25e-3, 4.9e-2, math.nan]]),
     np.array([[2.5e-3, 7.1e-2, 2.6e-3], [1.25e-3, 5.0e-2, math.nan]]),
     np.array([[None, None, None], [None, None, "no_contrast"]], dtype=object)))
@@ -404,16 +418,16 @@ _KERNEL_BLOCK = ScanTable("time", (1.0, 2.0, 3.0, 4.0, 5.0, 6.0), ("sql", "50%_c
 
 @settings(max_examples=400, deadline=None)
 @given(table=_scan_tables(), block=st.integers(1, 3), min_rows=st.sampled_from([_MIN_ROWS, 1, 2]))
-@example(table=_EVERY_PATH, block=2, min_rows=_MIN_ROWS)
+@example(table=_MIXED_COLUMNS, block=2, min_rows=_MIN_ROWS)
 @example(table=_ONE_PRECISION_STATS, block=3, min_rows=_MIN_ROWS)
 @example(table=_ATOM_SLUGS, block=4, min_rows=_MIN_ROWS)
-@example(table=_EVERY_PATH, block=2, min_rows=1)
+@example(table=_MIXED_COLUMNS, block=2, min_rows=1)
 @example(table=_ATOM_SLUGS, block=4, min_rows=1)
 @example(table=_KERNEL_BLOCK, block=6, min_rows=6)
-@example(table=_KERNEL_BLOCK, block=4, min_rows=3)  # a kernel block, then a template block
+@example(table=_KERNEL_BLOCK, block=4, min_rows=3)  # a kernel block, then a format_sig block
 def test_writer_matches_the_reference_block_by_block(table, block, min_rows):
-    # blocks of 1-3 grid points: one block mixes columns of every formatting path; with
-    # min_rows at most the block, blocks of that many grid points go through the kernel
+    # blocks of 1-3 grid points go through format_sig per field; with min_rows at most the
+    # block, blocks of that many grid points go through the kernel, a shorter last one not
     with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as patch:
         patch.setattr("apvsim.cli.GRID_BLOCK", block)
         patch.setattr("apvsim.cli._MIN_ROWS", min_rows)

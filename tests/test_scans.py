@@ -29,7 +29,7 @@ H_SPLIT = (-1.0, -1.0, 1.0, 1.0)
 
 
 def column(table, protocol, values="stat"):
-    """One protocol's ``stat`` or ``tot`` column as Python floats."""
+    """One protocol's ``stat`` or ``tot`` column, a read-only float array."""
     stats, tots, _ = table.cells(slice(None))[table.protocols.index(protocol)]
     return tots if values == "tot" else stats
 
@@ -37,7 +37,7 @@ def column(table, protocol, values="stat"):
 def arrays(table, rows=slice(None)):
     """The cells of ``rows`` as G x P ``stat`` and ``tot`` arrays and ``errors``, one slug or None per cell."""
     columns = table.cells(rows)
-    stat, tot = (np.array([column[i] for column in columns]).T for i in (0, 1))
+    stat, tot = (np.stack([column[i] for column in columns], axis=1) for i in (0, 1))
     errors = np.array([slugs or [None] * len(stats) for stats, _, slugs in columns], dtype=object).T
     return stat, tot, errors
 
@@ -115,7 +115,7 @@ class TestAtomScan:
         assert table.values == (8.0, 16.0) and table.protocols == ("cross_cat_ideal", "sql")
         for j, name in enumerate(table.protocols):
             alone = atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([8, 16], protocols=(name,)))
-            assert column(table, name) == column(alone, name)
+            assert column(table, name).tobytes() == column(alone, name).tobytes()  # bit for bit
 
 
 def time_spec(grid, sigma=0.0, n_fixed=1000, protocols=("sql", "cross_cat_noisy"), **kw):
@@ -287,13 +287,16 @@ def test_cells_of_a_slice_are_those_rows_of_the_full_arrays(yb_chain, benchmark_
 
 
 def test_scan_tables_are_read_only(yb_chain, benchmark_cfg):
-    # each read gives fresh lists: a write to one leaves the next read as it was
+    # stats and tots are read-only arrays, so a write to one raises, and each slug list is
+    # fresh: the next read is as it was
     for table in (atom_scan(yb_chain, H_SPLIT, benchmark_cfg, atom_spec([2, 8])),
                   time_scan(yb_chain, H_SPLIT, benchmark_cfg, time_spec([1, 10], sigma=1e-3))):
         for rows in (slice(None), slice(1, 2)):
             before = _hexes(table.cells(rows))
-            for column in table.cells(rows):
-                for values, junk in zip(column, (-1.0, -1.0, "junk")):
-                    if values is not None:
-                        values[:] = [junk] * len(values)
+            for stats, tots, slugs in table.cells(rows):
+                for values in (stats, tots):
+                    with pytest.raises(ValueError, match="read-only"):
+                        values[:] = -1.0
+                if slugs is not None:
+                    slugs[:] = ["junk"] * len(slugs)
             assert _hexes(table.cells(rows)) == before
